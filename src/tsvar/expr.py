@@ -32,6 +32,11 @@ FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos")
 
 _BINARY_OPS = ("add", "sub", "mul", "div", "pow")
 
+# Cache bounds: a sweep parses a new expression per value, and one solve
+# needs about 65 ``diff`` and 10 ``compile_fn`` entries.
+_DIFF_CACHE_SIZE = 1024
+_COMPILE_CACHE_SIZE = 256
+
 
 class Expr:
     """Immutable expression tree node."""
@@ -373,7 +378,7 @@ def _pow(a: Expr, b: Expr) -> Expr:
     return Binary("pow", a, b)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_DIFF_CACHE_SIZE)
 def diff(e: Expr, wrt: str) -> Expr:
     """Symbolic partial derivative with constant folding.
 
@@ -443,7 +448,7 @@ def _py_src(e: Expr) -> str:
     return f"({a} {sym} {b})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_COMPILE_CACHE_SIZE)
 def compile_fn(e: Expr) -> Callable[..., float]:
     """Compile to a positional callable ``f(t, x, v, z, u, lam)``.
 

@@ -7,6 +7,18 @@ variation couples every point into the free end value through the
 ``z``-partial, and the boundary condition emerges as a first-order condition
 rather than being imposed.
 
+Both variational solvers take Newton steps with the exact Hessian, built from
+the symbolic second partials of the integrand.  Each integrand term touches
+two neighbouring grid values and the end value, so the Hessian is
+tridiagonal plus the end value's border, and each step is eliminated in
+O(n): a Thomas sweep on the tridiagonal block, then a scalar Schur
+complement.  ``solve_variational`` adds a multiple of the identity where the
+Hessian is not positive definite and backtracks on the objective (Armijo);
+it stops when the sup of the gradient, whose interior coordinates carry a
+factor ``mu``, is below ``gradient_tolerance``.  ``solve_stationarity``
+takes the unshifted steps and backtracks on the sup norm of the residual
+system.  Neither forms an n-by-n matrix.
+
 ``solve_control`` reduces to the control samples: the state grid is rebuilt
 by forward propagation (implicit in the sigma-shifted state), the end value
 is closed by a scalar consistency solve, and the gradient comes from the
@@ -31,7 +43,7 @@ from .conditions import (
     sufficiency_check_variational,
     variational_residuals,
 )
-from .errors import OracleError, SingularJacobianError, SolveError
+from .errors import OracleError, SingularJacobianError, SolveError, TsvarError
 from .problem import ControlProblem, VariationalProblem, objective, objective_control
 from .timescale import GridFunction
 
@@ -50,13 +62,12 @@ class SolveOptions:
     max_iterations: int = 500
     gradient_tolerance: float = 1e-9
     step_tolerance: float = 1e-12
-    finite_difference_step: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        for name in ("gradient_tolerance", "step_tolerance", "finite_difference_step"):
+        for name in ("gradient_tolerance", "step_tolerance"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
@@ -169,47 +180,180 @@ def _minimize_with_restarts(
     return best
 
 
-# -- variational solve --------------------------------------------------------
+# -- variational solve: structured Newton --------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class _Hessian:
+    """Symmetric ``[[T, w], [w', corner]]`` over the free values ``x[1:]``.
+
+    ``T`` (``diag`` and ``off``) couples neighbouring values ``x_1 .. x_{n-2}``;
+    the border ``w`` and ``corner`` belong to the end value ``x_{n-1} = z``,
+    which every integrand term sees.
+    """
+
+    diag: np.ndarray
+    off: np.ndarray
+    border: np.ndarray
+    corner: float
+
+
+def _term_kernel(e: ex.Expr):
+    """``e`` at every integrand term ``(t_i, x_{i+1}, v_i, z)`` at once; a
+    constant partial is broadcast without calls."""
+    if isinstance(e, ex.Const):
+        return lambda t, x, v, z: np.full(len(t), e.value)
+    fn = ex.compile_fn(e)
+    return lambda t, x, v, z: np.array([fn(*a, z) for a in zip(t, x, v)])
+
+
+def _variational_newton(p: VariationalProblem):
+    """Gradient and exact Hessian of the discrete objective over ``x[1:]``.
+
+    Term ``i`` of ``sum mu_i f(t_i, x_{i+1}, (x_{i+1} - x_i) / mu_i, z)``
+    touches only ``x_i``, ``x_{i+1}`` and ``z``, so the Hessian is tridiagonal
+    plus the border of ``z``, built from the six second partials of ``f``.
+    The gradient's end coordinate accumulates the ``z``-partial of every term,
+    so it equals the transversality expression; interior coordinates are
+    graininess-scaled Euler-Lagrange residuals.  Non-finite derivatives raise
+    ``ValueError``, which the line searches treat as a domain error.
+    """
+    d1 = {a: ex.diff(p.f, a) for a in "xvz"}
+    kernels = {a: _term_kernel(e) for a, e in d1.items()}
+    for ab in ("xx", "xv", "xz", "vv", "vz", "zz"):
+        kernels[ab] = _term_kernel(ex.diff(d1[ab[0]], ab[1]))
+    ts = p.scale
+    t = ts.points[:-1].tolist()
+    mu = ts.mu_values[:-1]
+    alpha = p.alpha
+
+    def assemble(y: np.ndarray) -> tuple[np.ndarray, _Hessian]:
+        v = np.diff(np.concatenate(([alpha], y))) / mu
+        cols = (t, y.tolist(), v.tolist(), float(y[-1]))
+        q = {key: kernel(*cols) for key, kernel in kernels.items()}
+        grad = mu * q["x"] + q["v"]
+        grad[:-1] -= q["v"][1:]
+        grad[-1] += math.fsum(mu * q["z"])
+        vv = q["vv"] / mu
+        diag = mu * q["xx"] + 2.0 * q["xv"] + vv
+        diag[:-1] += vv[1:]
+        off = -q["xv"][1:] - vv[1:]
+        border = mu * q["xz"] + q["vz"]
+        border[:-1] -= q["vz"][1:]
+        corner = diag[-1] + 2.0 * border[-1] + math.fsum(mu * q["zz"])
+        # the last tridiagonal coupling links x_{n-2} to z, so it joins the border
+        border[-2] += off[-1]
+        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(diag))
+                and np.all(np.isfinite(border)) and math.isfinite(corner)):
+            raise ValueError("non-finite derivative of the integrand")
+        return grad, _Hessian(diag[:-1], off[:-1], border[:-1], corner)
+
+    return assemble
+
+
+def _eliminate(
+    h: _Hessian, r: np.ndarray, tau: float = 0.0, positive: bool = False
+) -> tuple[np.ndarray | None, list[float]]:
+    """Solve ``(H + tau I) d = r`` in O(n).
+
+    A Thomas sweep (LDL' without pivoting) on the tridiagonal block takes the
+    head of ``r`` and the border as two right-hand sides; a scalar Schur
+    complement then gives the end value.  Returns ``d`` and the pivots: those
+    of the sweep followed by the Schur complement.  The elimination stops at
+    the first zero pivot, or with ``positive`` at the first one that is not
+    positive, and ``d`` is then ``None``.
+    """
+    bad = (lambda s: not s > 0.0) if positive else (lambda s: s == 0.0)
+    diag = (h.diag + tau).tolist()
+    off = h.off.tolist()
+    r_head = r[:-1].tolist()
+    w = h.border.tolist()
+    k = len(diag)
+    pivots = [diag[0]]
+    fr, fw = [r_head[0]], [w[0]]
+    if bad(pivots[0]):
+        return None, pivots
+    for j in range(1, k):
+        low = off[j - 1] / pivots[-1]
+        pivots.append(diag[j] - low * off[j - 1])
+        if bad(pivots[-1]):
+            return None, pivots
+        fr.append(r_head[j] - low * fr[-1])
+        fw.append(w[j] - low * fw[-1])
+    a = b = 0.0
+    for j in range(k - 1, -1, -1):
+        up = off[j] if j < k - 1 else 0.0
+        a = fr[j] = (fr[j] - up * a) / pivots[j]
+        b = fw[j] = (fw[j] - up * b) / pivots[j]
+    head, border = np.array(fr), np.array(fw)  # T^{-1} r_head and T^{-1} w
+    schur = h.corner + tau - float(h.border @ border)
+    pivots.append(schur)
+    if bad(schur):
+        return None, pivots
+    dz = (float(r[-1]) - float(h.border @ head)) / schur
+    return np.append(head - dz * border, dz), pivots
+
+
+def _shifted_newton_step(h: _Hessian, g: np.ndarray) -> np.ndarray:
+    """Newton direction of ``H + tau I`` with ``tau`` grown from zero until
+    the elimination's pivots are positive (Nocedal & Wright, *Numerical
+    Optimization*, Algorithm 3.3)."""
+    diag_min = min(float(np.min(h.diag)), h.corner)
+    beta = 1e-3 * max(float(np.max(np.abs(h.diag))), abs(h.corner)) or 1e-3
+    tau = 0.0 if diag_min > 0.0 else beta - diag_min
+    while True:
+        d, _ = _eliminate(h, -g, tau, positive=True)
+        if d is not None:
+            return d
+        tau = max(2.0 * tau, beta)
+
+
+def _backtrack(y: np.ndarray, d: np.ndarray, opts: SolveOptions, try_step):
+    """Halve the step from 1 until ``try_step(trial, step)`` returns a state.
+
+    Domain errors at a trial point shrink the step instead of failing.
+    Returns ``(trial, state)``, or ``None`` once the step is below
+    ``step_tolerance``.
+    """
+    step = 1.0
+    while step * np.max(np.abs(d)) >= opts.step_tolerance:
+        trial = y + step * d
+        try:
+            state = try_step(trial, step)
+        except _DOMAIN_ERRORS:
+            state = None
+        if state is not None:
+            return trial, state
+        step *= 0.5
+    return None
+
+
+def _grid(p: VariationalProblem, y: np.ndarray) -> GridFunction:
+    return GridFunction(p.scale, np.concatenate(([p.alpha], y)))
+
+
+def _start(p: VariationalProblem, x0: GridFunction | None) -> np.ndarray:
+    if x0 is None:
+        return np.full(p.scale.n - 1, p.alpha)
+    return np.array(x0.values[1:], dtype=float)
 
 
 def _variational_value_and_grad(p: VariationalProblem):
-    """Objective and analytic gradient over the free values ``x[1:]``.
+    """Objective and gradient over the free values ``x[1:]``."""
+    assemble = _variational_newton(p)
+    return lambda y: (objective(p, _grid(p, y)), assemble(y)[0])
 
-    The gradient's end coordinate accumulates the ``z``-partial of every
-    integrand term, so it equals the transversality expression; interior
-    coordinates are graininess-scaled Euler-Lagrange residuals.
-    """
-    f = ex.compile_fn(p.f)
-    fx = ex.compile_fn(ex.diff(p.f, "x"))
-    fv = ex.compile_fn(ex.diff(p.f, "v"))
-    fz = ex.compile_fn(ex.diff(p.f, "z"))
-    ts = p.scale
-    pts, mu = ts.points, ts.mu_values
-    n = ts.n
-    alpha = p.alpha
 
-    def value_and_grad(y: np.ndarray) -> tuple[float, np.ndarray]:
-        xv = np.empty(n)
-        xv[0] = alpha
-        xv[1:] = y
-        z = xv[-1]
-        terms = np.empty(n - 1)
-        grad = np.zeros(n - 1)
-        fz_sum = 0.0
-        for i in range(n - 1):
-            vi = (xv[i + 1] - xv[i]) / mu[i]
-            args = (pts[i], xv[i + 1], vi, z)
-            terms[i] = mu[i] * f(*args)
-            fvi = fv(*args)
-            # term i touches x_{i+1} (slot and slope), x_i (slope only), and z
-            grad[i] += mu[i] * fx(*args) + fvi
-            if i >= 1:
-                grad[i - 1] -= fvi
-            fz_sum += mu[i] * fz(*args)
-        grad[n - 2] += fz_sum
-        return math.fsum(terms), grad
-
-    return value_and_grad
+def _variational_solution(p, y, opts, ok, iters, message) -> Solution:
+    x = _grid(p, y)
+    return Solution(
+        x=x, u=None, lam=None,
+        objective_value=objective(p, x),
+        report=variational_residuals(p, x),
+        verdict=sufficiency_check_variational(p, seed=opts.seed),
+        converged=ok, iterations=iters,
+        message="" if ok else message,
+    )
 
 
 def solve_variational(
@@ -218,58 +362,44 @@ def solve_variational(
     x0: GridFunction | None = None,
     on_accept: Callable[[np.ndarray, float], None] | None = None,
 ) -> Solution:
-    """Direct minimization over all grid values except the fixed initial one."""
+    """Newton minimization over all grid values except the fixed initial one.
+
+    Each step solves with the exact bordered-tridiagonal Hessian, shifted
+    where it is not positive definite, and backtracks until the Armijo
+    condition holds.  ``iterations`` counts Newton steps; ``on_accept`` sees
+    each accepted iterate and its objective value.
+    """
     opts = opts or SolveOptions()
-    if x0 is None:
-        y0 = np.full(p.scale.n - 1, p.alpha)
-    else:
-        y0 = np.asarray(x0.values[1:], dtype=float)
-    fun = _variational_value_and_grad(p)
-    y, J, g, ok, iters = _minimize_with_restarts(fun, y0, opts, on_accept)
-    xv = np.concatenate(([p.alpha], y))
-    x = GridFunction(p.scale, xv)
-    report = variational_residuals(p, x)
-    verdict = sufficiency_check_variational(p, seed=opts.seed)
-    return Solution(
-        x=x, u=None, lam=None,
-        objective_value=objective(p, x),
-        report=report, verdict=verdict,
-        converged=ok, iterations=iters,
-        message="" if ok else "gradient tolerance not reached",
-    )
+    y = _start(p, x0)
+    assemble = _variational_newton(p)
+    try:
+        J = objective(p, _grid(p, y))
+        g, h = assemble(y)
+    except _DOMAIN_ERRORS as exc:
+        raise SolveError(f"objective undefined at the starting point: {exc}") from exc
+    iters = 0
+    while np.max(np.abs(g)) >= opts.gradient_tolerance and iters < opts.max_iterations:
+        iters += 1
+        d = _shifted_newton_step(h, g)
+        gd = float(g @ d)
+        # the epsilon term keeps the test meaningful once the predicted
+        # decrease drops below the rounding of J itself
+        slack = 4.0 * np.finfo(float).eps * (1.0 + abs(J))
 
+        def armijo(trial, step):
+            Jn = objective(p, _grid(p, trial))
+            if not Jn <= J + _ARMIJO * step * gd + slack:
+                return None
+            return (Jn, *assemble(trial))
 
-def _variational_residual_system(p: VariationalProblem):
-    """Square nonlinear system: interior Euler-Lagrange rows + transversality."""
-    fx = ex.compile_fn(ex.diff(p.f, "x"))
-    fv = ex.compile_fn(ex.diff(p.f, "v"))
-    fz = ex.compile_fn(ex.diff(p.f, "z"))
-    ts = p.scale
-    pts, mu = ts.points, ts.mu_values
-    n = ts.n
-    alpha = p.alpha
-
-    def residuals(y: np.ndarray) -> np.ndarray:
-        xv = np.empty(n)
-        xv[0] = alpha
-        xv[1:] = y
-        z = xv[-1]
-        phi = np.empty(n - 1)
-        fxv = np.empty(n - 1)
-        fz_sum = 0.0
-        for i in range(n - 1):
-            vi = (xv[i + 1] - xv[i]) / mu[i]
-            args = (pts[i], xv[i + 1], vi, z)
-            phi[i] = fv(*args)
-            fxv[i] = fx(*args)
-            fz_sum += mu[i] * fz(*args)
-        out = np.empty(n - 1)
-        for i in range(n - 2):
-            out[i] = (phi[i + 1] - phi[i]) / mu[i] - fxv[i]
-        out[n - 2] = phi[n - 2] + mu[n - 2] * fxv[n - 2] + fz_sum
-        return out
-
-    return residuals
+        found = _backtrack(y, d, opts, armijo)
+        if found is None:
+            break
+        y, (J, g, h) = found
+        if on_accept is not None:
+            on_accept(y.copy(), J)
+    ok = bool(np.max(np.abs(g)) < opts.gradient_tolerance)
+    return _variational_solution(p, y, opts, ok, iters, "gradient tolerance not reached")
 
 
 def solve_stationarity(
@@ -277,63 +407,51 @@ def solve_stationarity(
     opts: SolveOptions | None = None,
     x0: GridFunction | None = None,
 ) -> Solution:
-    """Damped Newton iteration on the joint stationarity system."""
+    """Damped Newton iteration on the joint stationarity system.
+
+    The system's rows are the interior Euler-Lagrange residuals and the
+    transversality residual: the gradient of :func:`solve_variational` with
+    its interior coordinates divided by ``-mu``.  Steps use the same Hessian
+    and elimination, unshifted, and backtrack on the sup norm of the rows.
+    """
     opts = opts or SolveOptions()
-    if x0 is None:
-        y = np.full(p.scale.n - 1, p.alpha)
-    else:
-        y = np.asarray(x0.values[1:], dtype=float)
-    F = _variational_residual_system(p)
-    n_eq = y.size
+    y = _start(p, x0)
+    assemble = _variational_newton(p)
+    rows = np.append(-p.scale.mu_values[:-2], 1.0)
+
+    def merit(g: np.ndarray) -> float:
+        return float(np.max(np.abs(g / rows)))
+
+    try:
+        g, h = assemble(y)
+    except _DOMAIN_ERRORS as exc:
+        raise SolveError(f"residuals undefined at the starting point: {exc}") from exc
     iters = 0
-    Fy = F(y)
-    while iters < opts.max_iterations and np.max(np.abs(Fy)) >= opts.gradient_tolerance:
+    while iters < opts.max_iterations and merit(g) >= opts.gradient_tolerance:
         iters += 1
-        jac = np.empty((n_eq, n_eq))
-        for j in range(n_eq):
-            h = opts.finite_difference_step * max(1.0, abs(y[j]))
-            yp = y.copy()
-            yp[j] += h
-            jac[:, j] = (F(yp) - Fy) / h
-        cond = float(np.linalg.cond(jac))
-        try:
-            d = np.linalg.solve(jac, -Fy)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(
-                f"singular Jacobian in Newton iteration (cond ~ {cond:.2e})"
-            ) from exc
-        if not np.all(np.isfinite(d)) or cond > 1e15:
+        d, pivots = _eliminate(h, -g)
+        size = np.abs(pivots)
+        cond = math.inf if size.min() == 0.0 else float(size.max() / size.min())
+        if d is None or cond > 1e15 or not np.all(np.isfinite(d)):
             raise SingularJacobianError(
                 f"singular Jacobian in Newton iteration (cond ~ {cond:.2e})"
             )
-        step = 1.0
-        accepted = False
-        base = np.max(np.abs(Fy))
-        while step * np.max(np.abs(d)) >= opts.step_tolerance:
-            try:
-                Fn = F(y + step * d)
-            except _DOMAIN_ERRORS:
-                step *= 0.5
-                continue
-            sup_n = np.max(np.abs(Fn))
+        base = merit(g)
+
+        def decrease(trial, step):
+            gn, hn = assemble(trial)
+            sup_n = merit(gn)
             if sup_n < (1.0 - _ARMIJO * step) * base or sup_n < opts.gradient_tolerance:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+                return gn, hn
+            return None
+
+        found = _backtrack(y, d, opts, decrease)
+        if found is None:
             break
-        y = y + step * d
-        Fy = Fn
-    ok = bool(np.max(np.abs(Fy)) < opts.gradient_tolerance)
-    xv = np.concatenate(([p.alpha], y))
-    x = GridFunction(p.scale, xv)
-    return Solution(
-        x=x, u=None, lam=None,
-        objective_value=objective(p, x),
-        report=variational_residuals(p, x),
-        verdict=sufficiency_check_variational(p, seed=opts.seed),
-        converged=ok, iterations=iters,
-        message="" if ok else "stationarity residual tolerance not reached",
+        y, (g, h) = found
+    ok = bool(merit(g) < opts.gradient_tolerance)
+    return _variational_solution(
+        p, y, opts, ok, iters, "stationarity residual tolerance not reached"
     )
 
 
@@ -547,13 +665,7 @@ def _polarize_quadratic(fun, m: int):
 
 
 def _oracle_variational(p: VariationalProblem) -> np.ndarray:
-    fun = _variational_value_and_grad(p)
-    m = p.scale.n - 1
-
-    def value(y):
-        return fun(y)[0]
-
-    A, b, _ = _polarize_quadratic(value, m)
+    A, b, _ = _polarize_quadratic(lambda y: objective(p, _grid(p, y)), p.scale.n - 1)
     eig = np.linalg.eigvalsh(0.5 * (A + A.T))
     if eig[0] <= 1e-10 * max(1.0, abs(eig[-1])):
         raise OracleError("stationary system is not positive definite; no unique minimizer")
@@ -634,11 +746,10 @@ def brute_force_oracle(
         if quad:
             y = _oracle_variational(p)
         elif allow_grid_search:
-            fun = _variational_value_and_grad(p)
-            y = _grid_search(lambda w: fun(w)[0], p.scale.n - 1, box)
+            y = _grid_search(lambda w: objective(p, _grid(p, w)), p.scale.n - 1, box)
         else:
             raise OracleError("non-quadratic problem; pass allow_grid_search=True")
-        x = GridFunction(p.scale, np.concatenate(([p.alpha], y)))
+        x = _grid(p, y)
         return Solution(
             x=x, u=None, lam=None,
             objective_value=objective(p, x),
@@ -702,7 +813,12 @@ def sweep(
     warm_start: bool = True,
 ) -> list[SweepRow]:
     """One solve per parameter value, in input order, warm-starting each solve
-    from the previous solution when the scales match."""
+    from the previous solution when the scales match.
+
+    A row whose build or solve raises a ``TsvarError`` or a domain error is
+    recorded as not converged; any other exception is a defect and
+    propagates.
+    """
     opts = opts or SolveOptions()
     rows: list[SweepRow] = []
     prev: Solution | None = None
@@ -717,7 +833,7 @@ def sweep(
                 x0 = prev.x if (warm_start and prev is not None
                                 and prev.x.scale.matches(prob.scale)) else None
                 sol = solve_variational(prob, opts, x0=x0)
-        except Exception:
+        except (TsvarError, *_DOMAIN_ERRORS):
             rows.append(SweepRow(float(val), math.nan, math.nan, math.nan, False))
             prev = None
             continue

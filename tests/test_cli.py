@@ -146,6 +146,14 @@ class TestProblemFiles:
         with pytest.raises(tv.ProblemFileError, match=r"\[problem\]"):
             load_problem_file(path)
 
+    def test_finite_difference_step_is_an_unexpected_key(self, tmp_path):
+        # the key configured the finite-difference Jacobian, which the
+        # structured Newton solvers no longer build
+        path = tmp_path / "old.toml"
+        path.write_text(PENALIZED_LENGTH + "finite_difference_step = 1e-6\n")
+        with pytest.raises(tv.ProblemFileError, match="unexpected key 'finite_difference_step'"):
+            load_problem_file(path)
+
     def test_too_few_points_is_a_load_error(self, tmp_path):
         path = tmp_path / "tiny.toml"
         path.write_text(

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import tsvar as tv
-from tsvar.solver import _variational_value_and_grad
+from tsvar.solver import (
+    _eliminate,
+    _Hessian,
+    _shifted_newton_step,
+    _variational_newton,
+    _variational_value_and_grad,
+)
 from helpers import (
     admissible_grid,
     endpoint_penalty_control,
@@ -107,6 +113,97 @@ class TestSolveVariational:
         mu = p.scale.mu_values
         for i in range(p.scale.n - 2):
             assert grad[i] == pytest.approx(-mu[i] * el[i], abs=1e-10)
+
+
+def dense(h):
+    """The bordered-tridiagonal Hessian as a full matrix."""
+    k = h.diag.size
+    full = np.zeros((k + 1, k + 1))
+    i = np.arange(k)
+    full[i, i] = h.diag
+    full[i[:-1], i[1:]] = full[i[1:], i[:-1]] = h.off
+    full[i, k] = full[k, i] = h.border
+    full[k, k] = h.corner
+    return full
+
+
+def random_hessian(rng, k):
+    return _Hessian(
+        rng.uniform(2.0, 3.0, k), rng.uniform(-1.0, 1.0, k - 1),
+        rng.uniform(-1.0, 1.0, k), float(rng.uniform(1.0, 3.0)),
+    )
+
+
+class TestStructuredNewton:
+    def test_hessian_matches_central_differences_of_the_gradient(self):
+        f = tv.parse("sqrt(1 + v^2) + x*v*z + cos(x)*z + t*x^2 + (z - 1)^2*v^2")
+        rng = np.random.default_rng(53)
+        eps = 1e-6
+        worst = 0.0
+        for _ in range(10):
+            p = tv.VariationalProblem(random_scale(rng), f, float(rng.uniform(-1, 1)))
+            grad = lambda y: _variational_value_and_grad(p)(y)[1]  # noqa: E731
+            y = rng.uniform(-1.0, 1.0, p.scale.n - 1)
+            g, h = _variational_newton(p)(y)
+            assert np.array_equal(g, grad(y))
+            fd = np.empty((y.size, y.size))
+            for j in range(y.size):
+                e = np.zeros(y.size)
+                e[j] = eps
+                fd[:, j] = (grad(y + e) - grad(y - e)) / (2 * eps)
+            worst = max(worst, float(np.max(np.abs(dense(h) - fd))))
+        assert worst <= 1e-7
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 40])
+    def test_elimination_matches_dense_solve(self, k):
+        rng = np.random.default_rng(k)
+        h = random_hessian(rng, k)
+        r = rng.standard_normal(k + 1)
+        for tau in (0.0, 0.75):
+            d, pivots = _eliminate(h, r, tau)
+            want = np.linalg.solve(dense(h) + tau * np.eye(k + 1), r)
+            assert len(pivots) == k + 1
+            assert np.max(np.abs(d - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+    def test_elimination_stops_at_a_non_positive_pivot(self):
+        h = _Hessian(np.array([2.0, -1.0, 3.0]), np.zeros(2), np.zeros(3), 1.0)
+        d, pivots = _eliminate(h, np.ones(4), positive=True)
+        assert d is None and pivots == [2.0, -1.0]
+        d, _ = _eliminate(h, np.ones(4))
+        assert d == pytest.approx([0.5, -1.0, 1 / 3, 1.0])
+
+    def test_shift_gives_a_descent_direction_on_an_indefinite_hessian(self):
+        rng = np.random.default_rng(61)
+        for k in (1, 5, 30):
+            h = random_hessian(rng, k)
+            h.diag[0] = -1.0
+            g = rng.standard_normal(k + 1)
+            d = _shifted_newton_step(h, g)
+            assert float(g @ d) < 0.0
+            # d solves a shifted system H + tau I with tau making it positive definite
+            tau = float(np.median((-g - dense(h) @ d) / d))
+            assert np.allclose(dense(h) @ d + tau * d, -g)
+            assert np.min(np.linalg.eigvalsh(dense(h) + tau * np.eye(k + 1))) > 0.0
+
+    @pytest.mark.parametrize("n", [180, 3200, 20000])
+    def test_penalized_length_takes_few_newton_steps(self, n):
+        # dense BFGS needed about n iterations (the Hessian's condition number
+        # grows like n^2); Newton's count does not grow with n, and the
+        # largest mesh would not fit an n x n matrix in memory
+        sol = tv.solve_variational(minimal_length_problem(3.0, n))
+        assert sol.converged
+        assert sol.iterations <= 8
+        assert abs(sol.slope - minimal_slope_root(3.0)) <= 1e-7
+
+    def test_non_convex_integrand_converges(self):
+        ts = tv.TimeScale.integer_range(0, 8)
+        p = tv.VariationalProblem(ts, tv.parse("sqrt(1+v^2) + 2*(z-1)^2 + cos(x)"), 0.0)
+        sol = tv.solve_variational(p)
+        assert sol.converged
+        assert sol.report.sup_norm <= 1e-8
+        # a local minimizer: the exact Hessian there is positive definite
+        _, h = _variational_newton(p)(sol.x.values[1:])
+        assert np.min(np.linalg.eigvalsh(dense(h))) > 0.0
 
 
 class TestSolveStationarity:
@@ -294,6 +391,31 @@ class TestSweep:
         rows = tv.sweep(factory, [1.0, 2.0, 3.0], tv.SolveOptions(max_iterations=1500))
         assert rows[0].converged and rows[2].converged
         assert not rows[1].converged and math.isnan(rows[1].slope)
+
+    def test_programming_errors_propagate(self):
+        def factory(v):
+            if v == 2.0:
+                raise TypeError("not a solve failure")
+            return minimal_length_problem(v, 30)
+
+        with pytest.raises(TypeError, match="not a solve failure"):
+            tv.sweep(factory, [1.0, 2.0, 3.0])
+
+    def test_expression_caches_stay_bounded(self):
+        # each value parses a new expression, as the CLI's substitution does,
+        # so an unbounded cache would grow with every row
+        tv.expr.diff.cache_clear()
+        tv.expr.compile_fn.cache_clear()
+        ts = tv.TimeScale.integer_range(0, 3)
+        rows = tv.sweep(
+            lambda w: tv.VariationalProblem(ts, tv.parse(f"v^2 + {w!r}*(z-1)^2 + x^4"), 0.0),
+            np.linspace(0.5, 2.0, 300),
+        )
+        assert all(r.converged for r in rows)
+        for cached in (tv.expr.diff, tv.expr.compile_fn):
+            info = cached.cache_info()
+            assert info.maxsize is not None and info.misses > info.maxsize
+            assert info.currsize <= info.maxsize
 
     def test_large_penalty_limit(self):
         rows = tv.sweep(
