@@ -45,6 +45,7 @@ from .solver import (
     SolveOptions,
     SweepRow,
     brute_force_oracle,
+    recover_costate,
     solve_control,
     solve_stationarity,
     solve_variational,
@@ -66,7 +67,7 @@ __all__ = [
     "sufficiency_check", "sufficiency_check_variational",
     "SolveOptions", "Solution", "SweepRow",
     "solve_variational", "solve_control", "solve_stationarity",
-    "brute_force_oracle", "sweep",
+    "brute_force_oracle", "recover_costate", "sweep",
     "TsvarError", "ParseError", "EvalError", "ScaleMismatchError",
     "AdmissibilityError", "DynamicsViolationError", "SolveError",
     "SingularJacobianError", "OracleError", "ProblemFileError",

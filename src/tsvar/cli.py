@@ -27,7 +27,9 @@ from . import expr as ex
 from .conditions import hamiltonian_residuals, variational_residuals
 from .errors import AdmissibilityError, ProblemFileError, TsvarError
 from .problem import ControlProblem, VariationalProblem
-from .solver import SolveOptions, Solution, solve_control, solve_variational, sweep
+from .solver import (
+    SolveOptions, Solution, recover_costate, solve_control, solve_variational, sweep,
+)
 from .timescale import GridFunction, TimeScale
 
 __all__ = ["ProblemFile", "load_problem_file", "main", "console_main"]
@@ -403,9 +405,7 @@ def cmd_verify(args) -> int:
             u = GridFunction(pf.scale, uv)
             if lv is None:
                 # canonical multipliers for the candidate: backward costate solve
-                from .solver import _recover_costate
-
-                lam_arr = _recover_costate(problem, xv, uv, float(xv[-1]))
+                lam_arr = recover_costate(problem, xv, uv, float(xv[-1]))
                 lv = np.append(lam_arr, math.nan)
             lam = GridFunction(pf.scale, lv)
             report = hamiltonian_residuals(problem, x, u, lam)
@@ -442,6 +442,9 @@ def cmd_sweep(args) -> int:
         )
     text = "\n".join(lines)
     print(text)
+    for row in rows:
+        if row.message:
+            print(f"row {_fmt(row.value)}: {row.message}", file=sys.stderr)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     return 0 if all(r.converged for r in rows) else 2

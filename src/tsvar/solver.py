@@ -21,9 +21,12 @@ system.  Neither forms an n-by-n matrix.
 
 ``solve_control`` reduces to the control samples: the state grid is rebuilt
 by forward propagation (implicit in the sigma-shifted state), the end value
-is closed by a scalar consistency solve, and the gradient comes from the
-discrete adjoint, whose multipliers are precisely the sigma-shifted costate
-samples of the Hamiltonian system.
+is closed by a scalar consistency solve (one propagation when ``g`` has no
+``z``), and the gradient comes from the discrete adjoint, whose multipliers
+are precisely the sigma-shifted costate samples of the Hamiltonian system.
+It minimizes by BFGS with the inverse Hessian in product form: the accepted
+update pairs, applied by the two-loop recursion, so memory and work per step
+are O(n k) after ``k`` steps and no n-by-n matrix is formed.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .timescale import GridFunction
 __all__ = [
     "SolveOptions", "Solution", "SweepRow",
     "solve_variational", "solve_control", "solve_stationarity",
-    "brute_force_oracle", "sweep",
+    "brute_force_oracle", "recover_costate", "sweep",
 ]
 
 _DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
@@ -96,6 +99,27 @@ class Solution:
 # -- quasi-Newton core -------------------------------------------------------
 
 
+def _apply_inverse_hessian(
+    pairs: list[tuple[np.ndarray, np.ndarray, float]], gamma: float, g: np.ndarray
+) -> np.ndarray:
+    """``H g`` for the BFGS inverse Hessian held as its update pairs.
+
+    Two-loop recursion (Nocedal & Wright, *Numerical Optimization*,
+    Algorithm 7.4) from ``H0 = gamma I`` over every pair ``(s, y, 1/s'y)``,
+    oldest first: the same matrix as the dense update, in O(m k) work.
+    """
+    q = g.copy()
+    alphas = []
+    for s, yk, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        q -= a * yk
+        alphas.append(a)
+    r = gamma * q
+    for (s, yk, rho), a in zip(pairs, reversed(alphas)):
+        r += (a - rho * float(yk @ r)) * s
+    return r
+
+
 def _bfgs(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     y0: np.ndarray,
@@ -104,25 +128,30 @@ def _bfgs(
 ) -> tuple[np.ndarray, float, np.ndarray, bool, int]:
     """BFGS with Armijo backtracking (halving steps).
 
-    Domain errors during the line search shrink the step instead of failing;
-    a domain error at the starting point is a hard error.
+    The inverse Hessian is kept in product form, as the accepted step and
+    gradient-change pairs; ``H0 = gamma I`` takes ``gamma = s'y / y'y`` from
+    the first accepted pair.  Memory and work per step are O(m k) after
+    ``k`` pairs; no m-by-m matrix is formed.  Domain errors during the line
+    search shrink the step instead of failing; a domain error at the
+    starting point is a hard error.
     """
     y = np.asarray(y0, dtype=float).copy()
     try:
         J, g = value_and_grad(y)
     except _DOMAIN_ERRORS as exc:
         raise SolveError(f"objective undefined at the starting point: {exc}") from exc
-    m = y.size
-    H = np.eye(m)
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    gamma = 1.0
     scaled = False
     iters = 0
     for iters in range(1, opts.max_iterations + 1):
         if np.max(np.abs(g)) < opts.gradient_tolerance:
             return y, J, g, True, iters - 1
-        d = -H @ g
+        d = -_apply_inverse_hessian(pairs, gamma, g)
         gd = float(g @ d)
         if gd >= 0.0:  # H lost positive definiteness; restart from steepest descent
-            H = np.eye(m)
+            pairs.clear()
+            gamma = 1.0
             d = -g
             gd = float(g @ d)
         step = 1.0
@@ -151,21 +180,21 @@ def _bfgs(
         sy = float(s @ yk)
         if sy > 1e-12 * (np.linalg.norm(s) * np.linalg.norm(yk) + 1e-300):
             if not scaled:
-                H *= sy / float(yk @ yk)
+                gamma = sy / float(yk @ yk)
                 scaled = True
-            Hy = H @ yk
-            H += (
-                np.outer(s, s) * ((sy + float(yk @ Hy)) / sy**2)
-                - (np.outer(Hy, s) + np.outer(s, Hy)) / sy
-            )
+            pairs.append((s, yk, 1.0 / sy))
     return y, J, g, bool(np.max(np.abs(g)) < opts.gradient_tolerance), iters
 
 
 def _minimize_with_restarts(
     value_and_grad, y0, opts, on_accept=None, restarts: int = 2
 ):
+    """BFGS, restarted from a perturbation of the best point while it has not
+    converged.  Returns the best attempt, the iterations summed over every
+    attempt that returned, and the number of restarts run."""
     y, J, g, ok, iters = _bfgs(value_and_grad, y0, opts, on_accept)
-    best = (y, J, g, ok, iters)
+    best = (y, J, g, ok)
+    total = iters
     rng = np.random.default_rng(opts.seed)
     attempt = 0
     while not best[3] and attempt < restarts:
@@ -175,9 +204,10 @@ def _minimize_with_restarts(
             y, J, g, ok, iters = _bfgs(value_and_grad, y1, opts, on_accept)
         except SolveError:
             continue
+        total += iters
         if ok or J < best[1]:
-            best = (y, J, g, ok, iters)
-    return best
+            best = (y, J, g, ok)
+    return (*best, total, attempt)
 
 
 # -- variational solve: structured Newton --------------------------------------
@@ -483,7 +513,7 @@ def _propagate_state(
             xi1 = new
         else:
             raise SolveError(
-                f"implicit state step did not converge at t = {pts[i]!r}"
+                f"implicit state step did not converge at t = {float(pts[i])!r}"
             )
         x[i + 1] = xi1
     return x
@@ -494,10 +524,14 @@ def _consistent_state(
 ) -> tuple[np.ndarray, float]:
     """Close the end value: find ``zeta`` with ``x(T; u, zeta) = zeta``.
 
-    An affine probe solves linear couplings in one shot; otherwise secant
-    iteration on the scalar mismatch.
+    Dynamics without ``z`` need one propagation, whose end value is
+    ``zeta``.  Otherwise an affine probe solves linear couplings in one shot,
+    and secant iteration on the scalar mismatch handles the rest.
     """
     x0 = _propagate_state(p, u, 0.0)
+    gz = ex.diff(p.g, "z")
+    if isinstance(gz, ex.Const) and gz.value == 0.0:
+        return x0, float(x0[-1])
     x1 = _propagate_state(p, u, 1.0)
     q = x1[-1] - x0[-1]
     if abs(1.0 - q) > 1e-13:
@@ -525,40 +559,40 @@ def _consistent_state(
     raise SolveError("end-value consistency did not converge")
 
 
-def _recover_costate(
+def recover_costate(
     p: ControlProblem, x: np.ndarray, u: np.ndarray, zeta: float
 ) -> np.ndarray:
     """Sigma-shifted multiplier samples solving the costate recurrence plus
     the transversality equation.
 
     Both are affine in the multiplier, so two backward sweeps (end sample 0
-    and 1) determine the exact solution.
+    and 1) over the same partials ``f_x, g_x, f_z, g_z``, evaluated once per
+    point, determine the exact solution.
     """
-    fx = ex.compile_fn(ex.diff(p.f, "x"))
-    fz = ex.compile_fn(ex.diff(p.f, "z"))
-    gx = ex.compile_fn(ex.diff(p.g, "x"))
-    gz = ex.compile_fn(ex.diff(p.g, "z"))
     ts = p.scale
     pts, mu = ts.points, ts.mu_values
     n = ts.n
     k = n - 2
+    args = [(pts[i], x[i + 1], 0.0, zeta, u[i]) for i in range(n - 1)]
+
+    def at_points(e: ex.Expr, name: str) -> list[float]:
+        fn = ex.compile_fn(ex.diff(e, name))
+        return [fn(*a) for a in args]
+
+    gx = at_points(p.g, "x")
+    denom = [1.0 - mu[i] * gx[i] for i in range(k)]
+    for i in range(k - 1, -1, -1):
+        if abs(denom[i]) < 1e-13:
+            raise SolveError(f"costate recurrence singular at t = {float(pts[i])!r}")
+    fx, fz, gz = at_points(p.f, "x"), at_points(p.f, "z"), at_points(p.g, "z")
 
     def sweep(lam_end: float) -> tuple[np.ndarray, float]:
         lam = np.empty(n - 1)
         lam[k] = lam_end
         for i in range(k - 1, -1, -1):
-            args = (pts[i], x[i + 1], 0.0, zeta, u[i])
-            denom = 1.0 - mu[i] * gx(*args)
-            if abs(denom) < 1e-13:
-                raise SolveError(
-                    f"costate recurrence singular at t = {pts[i]!r}"
-                )
-            lam[i] = (lam[i + 1] + mu[i] * fx(*args)) / denom
-        args_k = (pts[k], x[k + 1], 0.0, zeta, u[k])
-        rhs = mu[k] * (fx(*args_k) + lam[k] * gx(*args_k)) + math.fsum(
-            mu[i] * (fz(pts[i], x[i + 1], 0.0, zeta, u[i])
-                     + lam[i] * gz(pts[i], x[i + 1], 0.0, zeta, u[i]))
-            for i in range(n - 1)
+            lam[i] = (lam[i + 1] + mu[i] * fx[i]) / denom[i]
+        rhs = mu[k] * (fx[k] + lam[k] * gx[k]) + math.fsum(
+            mu[i] * (fz[i] + lam[i] * gz[i]) for i in range(n - 1)
         )
         return lam, rhs
 
@@ -584,7 +618,7 @@ def _control_value_and_grad(p: ControlProblem):
         J = math.fsum(
             mu[i] * f(pts[i], x[i + 1], 0.0, zeta, u[i]) for i in range(n - 1)
         )
-        lam = _recover_costate(p, x, u, zeta)
+        lam = recover_costate(p, x, u, zeta)
         grad = np.empty(n - 1)
         for i in range(n - 1):
             args = (pts[i], x[i + 1], 0.0, zeta, u[i])
@@ -604,7 +638,9 @@ def solve_control(
 
     The multiplier recursion used for the gradient is the discrete adjoint of
     the propagated state including its end-value coupling, so the vanishing
-    gradient is exactly the Hamiltonian stationarity condition.
+    gradient is exactly the Hamiltonian stationarity condition.  An attempt
+    that does not converge is restarted from a perturbed point up to twice;
+    ``iterations`` counts the steps of every attempt.
     """
     opts = opts or SolveOptions()
     n = p.scale.n
@@ -613,9 +649,9 @@ def solve_control(
     else:
         w0 = np.asarray(u0.values[: n - 1], dtype=float)
     fun = _control_value_and_grad(p)
-    w, J, g, ok, iters = _minimize_with_restarts(fun, w0, opts, on_accept)
+    w, J, g, ok, iters, restarts = _minimize_with_restarts(fun, w0, opts, on_accept)
     x_arr, zeta = _consistent_state(p, w)
-    lam_arr = _recover_costate(p, x_arr, w, zeta)
+    lam_arr = recover_costate(p, x_arr, w, zeta)
     x = GridFunction(p.scale, x_arr)
     u = GridFunction(p.scale, np.append(w, np.nan))
     lam = GridFunction(p.scale, np.append(lam_arr, np.nan))
@@ -625,7 +661,7 @@ def solve_control(
         report=hamiltonian_residuals(p, x, u, lam),
         verdict=sufficiency_check(p, seed=opts.seed),
         converged=ok, iterations=iters,
-        message="" if ok else "gradient tolerance not reached",
+        message="" if ok else f"gradient tolerance not reached after {restarts} restarts",
     )
 
 
@@ -772,7 +808,7 @@ def brute_force_oracle(
             "pass allow_grid_search=True otherwise"
         )
     x_arr = _propagate_state(p, w, zeta)
-    lam_arr = _recover_costate(p, x_arr, w, zeta)
+    lam_arr = recover_costate(p, x_arr, w, zeta)
     x = GridFunction(p.scale, x_arr)
     u = GridFunction(p.scale, np.append(w, np.nan))
     lam = GridFunction(p.scale, np.append(lam_arr, np.nan))
@@ -804,6 +840,7 @@ class SweepRow:
     endpoint: float
     objective: float
     converged: bool
+    message: str = ""
 
 
 def sweep(
@@ -816,8 +853,8 @@ def sweep(
     from the previous solution when the scales match.
 
     A row whose build or solve raises a ``TsvarError`` or a domain error is
-    recorded as not converged; any other exception is a defect and
-    propagates.
+    recorded as not converged, with the exception as its ``message``; any
+    other exception is a defect and propagates.
     """
     opts = opts or SolveOptions()
     rows: list[SweepRow] = []
@@ -833,8 +870,9 @@ def sweep(
                 x0 = prev.x if (warm_start and prev is not None
                                 and prev.x.scale.matches(prob.scale)) else None
                 sol = solve_variational(prob, opts, x0=x0)
-        except (TsvarError, *_DOMAIN_ERRORS):
-            rows.append(SweepRow(float(val), math.nan, math.nan, math.nan, False))
+        except (TsvarError, *_DOMAIN_ERRORS) as exc:
+            rows.append(SweepRow(float(val), math.nan, math.nan, math.nan, False,
+                                 f"{type(exc).__name__}: {exc}"))
             prev = None
             continue
         rows.append(

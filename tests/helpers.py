@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 import tsvar as tv
+from tsvar.solver import _ARMIJO, _DOMAIN_ERRORS
 
 
 def bisect_root(fn, lo: float, hi: float, iters: int = 200) -> float:
@@ -48,6 +49,87 @@ def endpoint_tracking_control(n: int) -> tv.ControlProblem:
     """Quadratic cost with end-value-coupled dynamics on a sampling of [-1, 1]."""
     scale = tv.TimeScale.uniform(-1.0, 1.0, n)
     return tv.ControlProblem(scale, tv.parse("u^2"), tv.parse("u + z*t"), 1.0)
+
+
+def dense_bfgs(value_and_grad, y0: np.ndarray, opts: tv.SolveOptions):
+    """Reference BFGS that keeps the dense inverse Hessian and updates it in
+    place; ``tsvar.solver._bfgs`` holds the same matrix in product form."""
+    y = np.asarray(y0, dtype=float).copy()
+    J, g = value_and_grad(y)
+    m = y.size
+    H = np.eye(m)
+    scaled = False
+    iters = 0
+    for iters in range(1, opts.max_iterations + 1):
+        if np.max(np.abs(g)) < opts.gradient_tolerance:
+            return y, J, g, True, iters - 1
+        d = -H @ g
+        gd = float(g @ d)
+        if gd >= 0.0:
+            H = np.eye(m)
+            d = -g
+            gd = float(g @ d)
+        step = 1.0
+        accepted = False
+        slack = 4.0 * np.finfo(float).eps * (1.0 + abs(J))
+        while step * np.max(np.abs(d)) >= opts.step_tolerance:
+            try:
+                Jn, gn = value_and_grad(y + step * d)
+            except _DOMAIN_ERRORS:
+                step *= 0.5
+                continue
+            if Jn <= J + _ARMIJO * step * gd + slack:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        s = step * d
+        yk = gn - g
+        y = y + s
+        J, g = Jn, gn
+        sy = float(s @ yk)
+        if sy > 1e-12 * (np.linalg.norm(s) * np.linalg.norm(yk) + 1e-300):
+            if not scaled:
+                H *= sy / float(yk @ yk)
+                scaled = True
+            Hy = H @ yk
+            H += (
+                np.outer(s, s) * ((sy + float(yk @ Hy)) / sy**2)
+                - (np.outer(Hy, s) + np.outer(s, Hy)) / sy
+            )
+    return y, J, g, bool(np.max(np.abs(g)) < opts.gradient_tolerance), iters
+
+
+def reference_costate(p: tv.ControlProblem, x, u, zeta: float) -> np.ndarray:
+    """Multiplier samples by two backward sweeps that each evaluate the
+    partials at every point; ``tv.recover_costate`` evaluates them once."""
+    fx = tv.compile_fn(tv.diff(p.f, "x"))
+    fz = tv.compile_fn(tv.diff(p.f, "z"))
+    gx = tv.compile_fn(tv.diff(p.g, "x"))
+    gz = tv.compile_fn(tv.diff(p.g, "z"))
+    pts, mu = p.scale.points, p.scale.mu_values
+    n = p.scale.n
+    k = n - 2
+
+    def sweep(lam_end):
+        lam = np.empty(n - 1)
+        lam[k] = lam_end
+        for i in range(k - 1, -1, -1):
+            args = (pts[i], x[i + 1], 0.0, zeta, u[i])
+            lam[i] = (lam[i + 1] + mu[i] * fx(*args)) / (1.0 - mu[i] * gx(*args))
+        args_k = (pts[k], x[k + 1], 0.0, zeta, u[k])
+        rhs = mu[k] * (fx(*args_k) + lam[k] * gx(*args_k)) + math.fsum(
+            mu[i] * (fz(pts[i], x[i + 1], 0.0, zeta, u[i])
+                     + lam[i] * gz(pts[i], x[i + 1], 0.0, zeta, u[i]))
+            for i in range(n - 1)
+        )
+        return lam, rhs
+
+    lam0, r0 = sweep(0.0)
+    lam1, r1 = sweep(1.0)
+    lam_end = r0 / (1.0 - (r1 - r0))
+    return lam0 + lam_end * (lam1 - lam0)
 
 
 def random_scale(rng: np.random.Generator, max_points: int = 8, min_gap: float = 0.1) -> tv.TimeScale:

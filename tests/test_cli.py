@@ -332,6 +332,24 @@ class TestSweepCommand:
         # heavier end-value weight pulls the end point closer to its target
         assert slopes[1] > slopes[0]
 
+    def test_failed_rows_are_explained_on_stderr(self, tmp_path, capsys):
+        # a = 2 makes mu * g_x = 2, so the implicit state step diverges
+        path = tmp_path / "c.toml"
+        path.write_text(
+            "[timescale]\nkind = integers\na = 0\nb = 3\n"
+            "[problem]\ntype = control\nf = u^2\ng = u + a*x\nalpha = 0.5\n"
+            "params = a = 0.5\n"
+        )
+        assert main(["sweep", str(path), "--param", "a", "--values", "0.5,2"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
+        assert lines[0] == "value,slope,endpoint,objective,converged"
+        assert lines[1].endswith(",true")
+        assert lines[2] == "2,,,,false"
+        assert captured.err.splitlines() == [
+            "row 2: SolveError: implicit state step did not converge at t = 0.0"
+        ]
+
 
 class TestIntegrateCommand:
     def test_weighted_square_on_integers(self, control_file, capsys):

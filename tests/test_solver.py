@@ -1,12 +1,17 @@
 """Direct solvers, the Newton stationarity solver, the oracle, and sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tsvar as tv
+import tsvar.solver as solver
 from tsvar.solver import (
+    _bfgs,
+    _consistent_state,
+    _control_value_and_grad,
     _eliminate,
     _Hessian,
     _shifted_newton_step,
@@ -15,12 +20,14 @@ from tsvar.solver import (
 )
 from helpers import (
     admissible_grid,
+    dense_bfgs,
     endpoint_penalty_control,
     endpoint_tracking_control,
     minimal_length_problem,
     minimal_slope_root,
     random_quadratic_problem,
     random_scale,
+    reference_costate,
 )
 
 # near the limit of what value-based line searches resolve; analytic
@@ -310,6 +317,75 @@ class TestSolveControl:
         assert sol.report.stationarity_residuals is not None
         assert sol.report.el_residuals is None
 
+    def test_restarts_count_in_iterations_and_message(self):
+        ts = tv.TimeScale.uniform(0, 1, 41)
+        p = tv.ControlProblem(ts, tv.parse("u^2 + (x-2)^2"), tv.parse("u + x/2"), 1.0)
+        sol = tv.solve_control(p, tv.SolveOptions(max_iterations=1))
+        assert not sol.converged
+        assert sol.iterations == 3  # the first attempt and two restarts
+        assert "2 restarts" in sol.message
+
+
+class TestControlInternals:
+    @pytest.mark.parametrize("problem", [
+        lambda: endpoint_penalty_control(tv.TimeScale.uniform(0, 1, 41)),
+        lambda: endpoint_tracking_control(41),
+        lambda: tv.ControlProblem(tv.TimeScale.uniform(0, 1, 41),
+                                  tv.parse("u^2 + (x-2)^2"), tv.parse("u + x/2"), 1.0),
+    ], ids=["endpoint_penalty", "tracking", "state_dependent"])
+    def test_product_form_bfgs_matches_dense_update(self, problem):
+        p = problem()
+        fun = _control_value_and_grad(p)
+        w0 = np.full(p.scale.n - 1, 0.5)
+        opts = tv.SolveOptions(max_iterations=2000)
+        w, _, _, ok, iters = _bfgs(fun, w0, opts)
+        w_ref, _, _, ok_ref, iters_ref = dense_bfgs(fun, w0, opts)
+        assert ok and ok_ref
+        assert iters == iters_ref
+        assert np.max(np.abs(w - w_ref)) <= 1e-10
+
+    def test_control_solve_memory_is_linear_in_n(self):
+        # a dense m-by-m inverse Hessian alone would take 82 MB here
+        ts = tv.TimeScale.uniform(0, 1, 3200)
+        p = tv.ControlProblem(ts, tv.parse("u^2 + x^2 + 3*(z-1)^2"), tv.parse("u"), 0.0)
+        tracemalloc.start()
+        try:
+            sol = tv.solve_control(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert peak < 20e6
+
+    def test_state_without_end_value_is_propagated_once(self, monkeypatch):
+        ts = tv.TimeScale.uniform(0, 1, 21)
+        p = tv.ControlProblem(ts, tv.parse("u^2"), tv.parse("u - 0.5*x"), 1.0)
+        original = solver._propagate_state
+        results = []
+
+        def counted(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(solver, "_propagate_state", counted)
+        x, zeta = _consistent_state(p, np.linspace(-1.0, 1.0, ts.n - 1))
+        assert len(results) == 1
+        assert x is results[0]
+        assert zeta == x[-1]
+
+    def test_recover_costate_matches_reference_sweeps(self):
+        rng = np.random.default_rng(11)
+        f = tv.parse("u^2 + x*z + sin(x)*z^2 + t*u")
+        g = tv.parse("u + 0.2*x*z + z*t/4")
+        for _ in range(20):
+            ts = random_scale(rng, max_points=12, min_gap=0.2)
+            p = tv.ControlProblem(ts, f, g, float(rng.uniform(-1, 1)))
+            x = rng.uniform(-1.0, 1.0, ts.n)
+            u = rng.uniform(-1.0, 1.0, ts.n - 1)
+            zeta = float(rng.uniform(-1.0, 1.0))
+            lam = tv.recover_costate(p, x, u, zeta)
+            assert np.array_equal(lam, reference_costate(p, x, u, zeta))
+
 
 class TestBruteForceOracle:
     def test_integer_endpoint_penalty(self):
@@ -391,6 +467,8 @@ class TestSweep:
         rows = tv.sweep(factory, [1.0, 2.0, 3.0], tv.SolveOptions(max_iterations=1500))
         assert rows[0].converged and rows[2].converged
         assert not rows[1].converged and math.isnan(rows[1].slope)
+        assert rows[1].message == "ValueError: boom"
+        assert rows[0].message == rows[2].message == ""
 
     def test_programming_errors_propagate(self):
         def factory(v):
