@@ -25,8 +25,8 @@ import numpy as np
 
 from . import expr as ex
 from .conditions import hamiltonian_residuals, variational_residuals
-from .errors import AdmissibilityError, ProblemFileError, TsvarError
-from .problem import ControlProblem, VariationalProblem
+from .errors import ProblemFileError, TsvarError
+from .problem import ControlProblem, VariationalProblem, integrate_terms, pointwise
 from .solver import (
     SolveOptions, Solution, recover_costate, solve_control, solve_variational, sweep,
 )
@@ -388,7 +388,7 @@ def _read_candidate(path: Path, scale: TimeScale):
         if abs(tv - scale.points[i]) > 1e-9 * max(1.0, abs(scale.points[i])):
             raise ProblemFileError(
                 f"candidate time column mismatches the scale at row {i}: "
-                f"{tv!r} vs {scale.points[i]!r}"
+                f"{float(tv)!r} vs {float(scale.points[i])!r}"
             )
     return column("x"), column("u"), column("lambda_sigma")
 
@@ -397,11 +397,11 @@ def cmd_verify(args) -> int:
     pf = load_problem_file(args.file)
     problem = pf.build_problem()
     xv, uv, lv = _read_candidate(Path(args.candidate), pf.scale)
+    if pf.problem_type == "control" and uv is None:
+        raise ProblemFileError("control problems need a u column in the candidate")
     x = GridFunction(pf.scale, xv)
     try:
         if pf.problem_type == "control":
-            if uv is None:
-                raise ProblemFileError("control problems need a u column in the candidate")
             u = GridFunction(pf.scale, uv)
             if lv is None:
                 # canonical multipliers for the candidate: backward costate solve
@@ -411,7 +411,7 @@ def cmd_verify(args) -> int:
             report = hamiltonian_residuals(problem, x, u, lam)
         else:
             report = variational_residuals(problem, x)
-    except AdmissibilityError as exc:
+    except ValueError as exc:  # inadmissible, or a residual is undefined (say, a blank cell)
         print(f"verdict: FAIL ({exc})")
         return 3
     print(report.to_table())
@@ -458,10 +458,8 @@ def cmd_integrate(args) -> int:
         raise ProblemFileError(
             f"integrand may only use the variable t; found {sorted(extra)}"
         )
-    fn = ex.compile_fn(e)
-    g = GridFunction(pf.scale, [fn(float(t)) for t in pf.scale.points])
-    value = g.delta_integral(0, pf.scale.n - 1)
-    print(_FMT % value)
+    (values,) = pointwise(e)((pf.scale.points[:-1],))
+    print(_FMT % integrate_terms(pf.scale, values))
     return 0
 
 

@@ -23,7 +23,9 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ScaleMismatchError
-from .problem import ControlProblem, VariationalProblem, _check_admissible
+from .problem import (
+    ControlProblem, VariationalProblem, _check_admissible, integrate_terms, pointwise, terms,
+)
 from .timescale import GridFunction, TimeScale, require_same_scale
 
 __all__ = [
@@ -108,6 +110,12 @@ def _sup(arrays: Iterable[np.ndarray | None], scalars: Iterable[float | None]) -
 # -- variational conditions ---------------------------------------------------
 
 
+def _variational_partials(p: VariationalProblem, x: GridFunction) -> np.ndarray:
+    """Rows ``f_x``, ``f_v``, ``f_z`` at every integrand term of ``x``."""
+    _check_admissible(p, x)
+    return pointwise(*(ex.diff(p.f, a) for a in "xvz"))(terms(p.scale, x.values))
+
+
 def euler_lagrange_residual(p: VariationalProblem, x: GridFunction) -> np.ndarray:
     """Delta derivative of the ``v``-partial minus the ``x``-partial.
 
@@ -115,33 +123,12 @@ def euler_lagrange_residual(p: VariationalProblem, x: GridFunction) -> np.ndarra
     exists on every differentiation point whose successor is also one
     (indices ``0 .. n-3``).
     """
-    _check_admissible(p, x)
-    fx = ex.compile_fn(ex.diff(p.f, "x"))
-    fv = ex.compile_fn(ex.diff(p.f, "v"))
-    ts = p.scale
-    pts, mu, xv = ts.points, ts.mu_values, x.values
-    z = float(xv[-1])
-    phi = [
-        fv(pts[i], xv[i + 1], (xv[i + 1] - xv[i]) / mu[i], z)
-        for i in range(ts.n - 1)
-    ]
-    out = np.empty(ts.n - 2)
-    for i in range(ts.n - 2):
-        out[i] = (phi[i + 1] - phi[i]) / mu[i] - fx(
-            pts[i], xv[i + 1], (xv[i + 1] - xv[i]) / mu[i], z
-        )
-    return out
+    fx, fv, _ = _variational_partials(p, x)
+    return _euler_lagrange(p.scale, fx, fv)
 
 
-def _fz_integral(p: VariationalProblem, x: GridFunction) -> float:
-    fz = ex.compile_fn(ex.diff(p.f, "z"))
-    ts = p.scale
-    pts, mu, xv = ts.points, ts.mu_values, x.values
-    z = float(xv[-1])
-    return math.fsum(
-        mu[i] * fz(pts[i], xv[i + 1], (xv[i + 1] - xv[i]) / mu[i], z)
-        for i in range(ts.n - 1)
-    )
+def _euler_lagrange(ts: TimeScale, fx: np.ndarray, fv: np.ndarray) -> np.ndarray:
+    return (fv[1:] - fv[:-1]) / ts.mu_values[:-2] - fx[:-1]
 
 
 def transversality_residual(p: VariationalProblem, x: GridFunction, form: str = "general") -> float:
@@ -152,26 +139,18 @@ def transversality_residual(p: VariationalProblem, x: GridFunction, form: str = 
     weighted endpoint value, valid on regular scales.  The two agree to
     rounding on every finite representation.
     """
-    _check_admissible(p, x)
     if form not in ("general", "regular"):
         raise ValueError(f"unknown form {form!r}")
-    fx = ex.compile_fn(ex.diff(p.f, "x"))
-    fv = ex.compile_fn(ex.diff(p.f, "v"))
-    ts = p.scale
-    pts, mu, xv = ts.points, ts.mu_values, x.values
-    z = float(xv[-1])
+    return _transversality(p.scale, *_variational_partials(p, x), form)
+
+
+def _transversality(ts: TimeScale, fx, fv, fz, form: str) -> float:
     k = ts.n - 2  # backward jump of the end point
-    vk = (xv[k + 1] - xv[k]) / mu[k]
-    boundary = fv(pts[k], xv[k + 1], vk, z)
     if form == "general":
-        fx_grid = GridFunction(ts, [
-            fx(pts[i], xv[i + 1], (xv[i + 1] - xv[i]) / mu[i], z) if i < ts.n - 1 else 0.0
-            for i in range(ts.n)
-        ])
-        step = fx_grid.delta_integral(k, ts.n - 1)
+        step = GridFunction(ts, np.append(fx, 0.0)).delta_integral(k, ts.n - 1)
     else:
-        step = mu[k] * fx(pts[k], xv[k + 1], vk, z)
-    return boundary + step + _fz_integral(p, x)
+        step = ts.mu_values[k] * fx[k]
+    return float(fv[k] + step + integrate_terms(ts, fz))
 
 
 def transversality_residual_classical(p: VariationalProblem, x: GridFunction) -> float:
@@ -186,13 +165,8 @@ def transversality_residual_classical(p: VariationalProblem, x: GridFunction) ->
         raise ScaleMismatchError(
             "classical transversality form needs a uniform dense sampling"
         )
-    fv = ex.compile_fn(ex.diff(p.f, "v"))
-    ts = p.scale
-    pts, mu, xv = ts.points, ts.mu_values, x.values
-    z = float(xv[-1])
-    k = ts.n - 2
-    vk = (xv[k + 1] - xv[k]) / mu[k]
-    return fv(pts[k], xv[k + 1], vk, z) + _fz_integral(p, x)
+    _, fv, fz = _variational_partials(p, x)
+    return float(fv[-1] + integrate_terms(p.scale, fz))
 
 
 def transversality_residual_discrete(p: VariationalProblem, x: GridFunction) -> float:
@@ -205,24 +179,14 @@ def transversality_residual_discrete(p: VariationalProblem, x: GridFunction) -> 
     _check_admissible(p, x)
     if not p.scale.is_integer_grid():
         raise ScaleMismatchError("discrete transversality form needs an integer grid")
-    fx = ex.compile_fn(ex.diff(p.f, "x"))
-    fv = ex.compile_fn(ex.diff(p.f, "v"))
-    fz = ex.compile_fn(ex.diff(p.f, "z"))
-    ts = p.scale
-    pts, xv = ts.points, x.values
-    z = float(xv[-1])
-    k = ts.n - 2
-    vk = xv[k + 1] - xv[k]
-    lhs = fx(pts[k], xv[k + 1], vk, z) + fv(pts[k], xv[k + 1], vk, z)
-    rhs = -math.fsum(
-        fz(pts[i], xv[i + 1], xv[i + 1] - xv[i], z) for i in range(ts.n - 1)
-    )
-    return lhs - rhs
+    fx, fv, fz = _variational_partials(p, x)
+    return float(fx[-1] + fv[-1] + math.fsum(fz))
 
 
 def variational_residuals(p: VariationalProblem, x: GridFunction) -> ResidualReport:
-    el = euler_lagrange_residual(p, x)
-    tc = transversality_residual(p, x)
+    fx, fv, fz = _variational_partials(p, x)
+    el = _euler_lagrange(p.scale, fx, fv)
+    tc = _transversality(p.scale, fx, fv, fz, "general")
     return ResidualReport(
         scale=p.scale,
         el_residuals=el,
@@ -253,33 +217,16 @@ def hamiltonian_residuals(
     require_same_scale(x, u, "state and control")
     require_same_scale(x, lam, "state and multiplier")
     H = _hamiltonian(p)
-    Hx = ex.compile_fn(ex.diff(H, "x"))
-    Hu = ex.compile_fn(ex.diff(H, "u"))
-    Hlam = ex.compile_fn(ex.diff(H, "lam"))
-    Hz = ex.compile_fn(ex.diff(H, "z"))
     ts = p.scale
-    pts, mu, xv, uv, lv = ts.points, ts.mu_values, x.values, u.values, lam.values
-    z = float(xv[-1])
-    n = ts.n
-
-    state = np.empty(n - 1)
-    stationarity = np.empty(n - 1)
-    for i in range(n - 1):
-        args = (pts[i], xv[i + 1], 0.0, z, uv[i], lv[i])
-        state[i] = (xv[i + 1] - xv[i]) / mu[i] - Hlam(*args)
-        stationarity[i] = Hu(*args)
-
-    costate = np.empty(n - 2)
-    for i in range(n - 2):
-        args = (pts[i], xv[i + 1], 0.0, z, uv[i], lv[i])
-        costate[i] = (lv[i + 1] - lv[i]) / mu[i] + Hx(*args)
-
-    k = n - 2
-    hx_step = mu[k] * Hx(pts[k], xv[k + 1], 0.0, z, uv[k], lv[k])
-    hz_int = math.fsum(
-        mu[i] * Hz(pts[i], xv[i + 1], 0.0, z, uv[i], lv[i]) for i in range(n - 1)
+    mu, xv, lv = ts.mu_values[:-1], x.values, lam.values
+    hx, hu, hlam, hz = pointwise(*(ex.diff(H, a) for a in ("x", "u", "lam", "z")))(
+        terms(ts, xv, u=u.values, lam=lv)
     )
-    tc = lv[k] - hx_step - hz_int
+    state = np.diff(xv) / mu - hlam
+    stationarity = hu.copy()  # a row alone, not a view that keeps the whole batch alive
+    costate = np.diff(lv[:-1]) / mu[:-1] + hx[:-1]
+    k = ts.n - 2
+    tc = float(lv[k] - mu[k] * hx[k] - integrate_terms(ts, hz))
 
     return ResidualReport(
         scale=ts,
@@ -308,14 +255,11 @@ def transversality_residual_control_classical(
         raise ScaleMismatchError(
             "classical multiplier transversality needs a uniform dense sampling"
         )
-    Hz = ex.compile_fn(ex.diff(_hamiltonian(p), "z"))
     ts = p.scale
-    pts, mu, xv, uv, lv = ts.points, ts.mu_values, x.values, u.values, lam.values
-    z = float(xv[-1])
-    hz_int = math.fsum(
-        mu[i] * Hz(pts[i], xv[i + 1], 0.0, z, uv[i], lv[i]) for i in range(ts.n - 1)
+    (hz,) = pointwise(ex.diff(_hamiltonian(p), "z"))(
+        terms(ts, x.values, u=u.values, lam=lam.values)
     )
-    return float(lv[ts.n - 2]) - hz_int
+    return float(lam.values[ts.n - 2]) - integrate_terms(ts, hz)
 
 
 # -- sufficiency ---------------------------------------------------------------
@@ -343,13 +287,13 @@ def _linearity_check(p: ControlProblem, rng: np.random.Generator, probes: int = 
     """Second differences of ``g`` vanish and ``g(t, 0, 0, 0) = 0``."""
     g = ex.compile_fn(p.g)
     pts = p.scale.points
-    for t in pts[:-1]:
-        val = g(float(t), 0.0, 0.0, 0.0, 0.0)
+    for t in pts[:-1].tolist():
+        val = g(t, 0.0, 0.0, 0.0, 0.0)
         if abs(val) > 1e-12:
             return SufficiencyVerdict(
                 "inconclusive",
                 f"dynamics are affine but not linear: g(t,0,0,0) = {val:.3e} at t = {t!r}",
-                (float(t), (0.0, 0.0, 0.0)),
+                (t, (0.0, 0.0, 0.0)),
             )
     for _ in range(probes):
         t = float(rng.choice(pts[:-1]))

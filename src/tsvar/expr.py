@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .errors import EvalError, ParseError
 
 __all__ = [
@@ -448,18 +450,28 @@ def _py_src(e: Expr) -> str:
     return f"({a} {sym} {b})"
 
 
+_SCALAR_NS = {
+    "sqrt": math.sqrt, "exp": math.exp, "log": math.log,
+    "sin": math.sin, "cos": math.cos, "_pow": math.pow,
+}
+_ARRAY_NS = {
+    "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
+    "sin": np.sin, "cos": np.cos, "_pow": np.power,
+}
+
+
 @lru_cache(maxsize=_COMPILE_CACHE_SIZE)
-def compile_fn(e: Expr) -> Callable[..., float]:
+def compile_fn(e: Expr, array: bool = False) -> Callable[..., float]:
     """Compile to a positional callable ``f(t, x, v, z, u, lam)``.
 
     Domain failures surface as ``ValueError`` / ``ZeroDivisionError`` /
     ``OverflowError`` from the math library; callers on hot paths catch
     those instead of paying for the interpreted walk of :func:`evaluate`.
+    With ``array`` the same source runs on numpy arrays with numpy's
+    functions: domain failures become NaN or infinite entries (with numpy's
+    floating-point warnings), which the caller checks for.
     """
     src = f"def _f(t=0.0, x=0.0, v=0.0, z=0.0, u=0.0, lam=0.0):\n    return {_py_src(e)}\n"
-    ns = {
-        "sqrt": math.sqrt, "exp": math.exp, "log": math.log,
-        "sin": math.sin, "cos": math.cos, "_pow": math.pow,
-    }
+    ns = dict(_ARRAY_NS if array else _SCALAR_NS)
     exec(compile(src, "<expr>", "exec"), ns)  # noqa: S102 - generated from our own AST
     return ns["_f"]

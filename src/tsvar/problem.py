@@ -6,12 +6,18 @@ the ``z`` variable.  The integrand is always evaluated at the sigma-shifted
 state, ``f(t, x(sigma(t)), x_delta(t), x(T))``, exactly as the delta-integral
 objective dictates; modelling against the left state value is an off-by-one
 error on discrete scales.
+
+Every pointwise evaluation in the package goes through one kernel here:
+:func:`terms` lays out the integrand terms ``i = 0 .. n-2`` as numpy
+columns, :func:`pointwise` evaluates expressions on all of them at once, and
+:func:`integrate_terms` sums graininess-weighted term values exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +25,10 @@ from . import expr as ex
 from .errors import AdmissibilityError, DynamicsViolationError
 from .timescale import GridFunction, TimeScale, require_same_scale
 
-__all__ = ["VariationalProblem", "ControlProblem", "objective", "objective_control", "norm1"]
+__all__ = [
+    "VariationalProblem", "ControlProblem", "objective", "objective_control", "norm1",
+    "terms", "pointwise", "integrate_terms",
+]
 
 _INIT_RTOL = 1e-12
 
@@ -72,27 +81,67 @@ class ControlProblem:
         return cls(p.scale, ex.substitute(p.f, "v", ex.Var("u")), ex.Var("u"), p.alpha)
 
 
+def terms(scale: TimeScale, x, *, u=None, lam=None, z: float | None = None) -> tuple:
+    """Arguments of the integrand terms ``i = 0 .. n-2`` as numpy columns.
+
+    The columns follow the positional order of :func:`expr.compile_fn`:
+    ``t_i``, ``x_{i+1}``, then ``v_i = (x_{i+1} - x_i) / mu_i`` and ``z``;
+    with control samples ``u`` the ``v`` slot is ``0.0`` and ``u_i`` follows
+    ``z``, then the multiplier samples ``lam_i`` when given.  ``z`` defaults
+    to the end value ``x(T)``.
+    """
+    xv = np.asarray(x, dtype=float)
+    m = scale.n - 1
+    z = np.float64(xv[-1] if z is None else z)
+    if u is None:
+        return (scale.points[:-1], xv[1:], (xv[1:] - xv[:-1]) / scale.mu_values[:-1], z)
+    cols = (scale.points[:-1], xv[1:], 0.0, z, np.asarray(u, dtype=float)[:m])
+    return cols if lam is None else (*cols, np.asarray(lam, dtype=float)[:m])
+
+
+def pointwise(*exprs: ex.Expr) -> Callable[[tuple], np.ndarray]:
+    """Evaluator of ``exprs`` at every term of the columns from :func:`terms`.
+
+    The expressions are compiled once; each call returns one row per
+    expression.  A ``Const`` is broadcast without a call, numpy's
+    floating-point warnings are silenced, and an entry that is not finite
+    raises ``ValueError``, the domain error the line searches step back from.
+    """
+    fns = [e.value if isinstance(e, ex.Const) else ex.compile_fn(e, array=True) for e in exprs]
+
+    def evaluate(cols: tuple) -> np.ndarray:
+        t = cols[0]
+        out = np.empty((len(fns), len(t)))
+        with np.errstate(all="ignore"):
+            for row, fn in zip(out, fns):
+                row[...] = fn(*cols) if callable(fn) else fn
+        if not np.isfinite(out).all():
+            j, i = np.argwhere(~np.isfinite(out))[0]
+            raise ValueError(f"{ex.to_text(exprs[j])} is {out[j, i]} at t = {float(t[i])!r}")
+        return out
+
+    return evaluate
+
+
+def integrate_terms(scale: TimeScale, values: np.ndarray) -> float:
+    """Delta integral ``sum mu_i values_i`` of term values, summed exactly."""
+    return math.fsum((scale.mu_values[:-1] * values).tolist())
+
+
 def _check_admissible(p, x: GridFunction) -> None:
     if not x.scale.matches(p.scale):
         raise AdmissibilityError("candidate lives on a different time scale")
     if abs(x.values[0] - p.alpha) > _INIT_RTOL * max(1.0, abs(p.alpha)):
         raise AdmissibilityError(
-            f"candidate violates the initial condition: x(a) = {x.values[0]!r}, "
-            f"expected {p.alpha!r}"
+            f"candidate violates the initial condition: x(a) = {float(x.values[0])!r}, "
+            f"expected {float(p.alpha)!r}"
         )
 
 
 def objective(p: VariationalProblem, x: GridFunction) -> float:
     """Delta-integral value of the Lagrangian along an admissible candidate."""
     _check_admissible(p, x)
-    f = ex.compile_fn(p.f)
-    ts = p.scale
-    pts, mu, xv = ts.points, ts.mu_values, x.values
-    z = float(xv[-1])
-    return math.fsum(
-        mu[i] * f(pts[i], xv[i + 1], (xv[i + 1] - xv[i]) / mu[i], z)
-        for i in range(ts.n - 1)
-    )
+    return integrate_terms(p.scale, pointwise(p.f)(terms(p.scale, x.values))[0])
 
 
 def objective_control(
@@ -113,25 +162,18 @@ def objective_control(
     """
     _check_admissible(p, x)
     require_same_scale(x, u, "state and control")
-    g = ex.compile_fn(p.g)
-    f = ex.compile_fn(p.f)
     ts = p.scale
-    pts, mu, xv, uv = ts.points, ts.mu_values, x.values, u.values
-    dense = ts.dense_mask
-    z = float(xv[-1])
-    worst_i, worst = 0, 0.0
-    for i in range(ts.n - 1):
-        res = (xv[i + 1] - xv[i]) / mu[i] - g(pts[i], xv[i + 1], 0.0, z, uv[i])
-        slack = dynamics_atol + (dynamics_htol * mu[i] if dense[i] else 0.0)
-        if abs(res) > slack and abs(res) > worst:
-            worst_i, worst = i, abs(res)
-    if worst > 0.0:
+    mu = ts.mu_values[:-1]
+    cols = terms(ts, x.values, u=u.values)
+    res = np.abs(np.diff(x.values) / mu - pointwise(p.g)(cols)[0])
+    slack = dynamics_atol + np.where(ts.dense_mask[:-1], dynamics_htol * mu, 0.0)
+    worst = np.where(res > slack, res, 0.0)
+    if worst.any():
+        i = int(np.argmax(worst))
         raise DynamicsViolationError(
-            f"dynamics violated: worst residual {worst:.3e} at t = {pts[worst_i]!r}"
+            f"dynamics violated: worst residual {worst[i]:.3e} at t = {float(ts.points[i])!r}"
         )
-    return math.fsum(
-        mu[i] * f(pts[i], xv[i + 1], 0.0, z, uv[i]) for i in range(ts.n - 1)
-    )
+    return integrate_terms(ts, pointwise(p.f)(cols)[0])
 
 
 def norm1(x: GridFunction, ref: GridFunction) -> float:

@@ -26,7 +26,14 @@ is closed by a scalar consistency solve (one propagation when ``g`` has no
 are precisely the sigma-shifted costate samples of the Hamiltonian system.
 It minimizes by BFGS with the inverse Hessian in product form: the accepted
 update pairs, applied by the two-loop recursion, so memory and work per step
-are O(n k) after ``k`` steps and no n-by-n matrix is formed.
+are O(n k) after ``k`` steps and no n-by-n matrix is formed.  A line-search
+trial point where the state or costate cannot be solved shrinks the step.
+
+Every pointwise evaluation (objectives, gradients, Hessians, costate
+partials, explicit state steps) goes through the kernel of
+:mod:`tsvar.problem`, one batch over all integrand terms.  Only the two true
+recurrences evaluate point by point: the implicit state step of
+``_propagate_state`` and the backward sweep of ``recover_costate``.
 """
 
 from __future__ import annotations
@@ -47,7 +54,10 @@ from .conditions import (
     variational_residuals,
 )
 from .errors import OracleError, SingularJacobianError, SolveError, TsvarError
-from .problem import ControlProblem, VariationalProblem, objective, objective_control
+from .problem import (
+    ControlProblem, VariationalProblem, integrate_terms, objective, objective_control,
+    pointwise, terms,
+)
 from .timescale import GridFunction
 
 __all__ = [
@@ -131,9 +141,9 @@ def _bfgs(
     The inverse Hessian is kept in product form, as the accepted step and
     gradient-change pairs; ``H0 = gamma I`` takes ``gamma = s'y / y'y`` from
     the first accepted pair.  Memory and work per step are O(m k) after
-    ``k`` pairs; no m-by-m matrix is formed.  Domain errors during the line
-    search shrink the step instead of failing; a domain error at the
-    starting point is a hard error.
+    ``k`` pairs; no m-by-m matrix is formed.  Domain errors and failed inner
+    solves (``SolveError``) at a line-search trial point shrink the step
+    instead of failing; at the starting point they are hard errors.
     """
     y = np.asarray(y0, dtype=float).copy()
     try:
@@ -162,7 +172,7 @@ def _bfgs(
         while step * np.max(np.abs(d)) >= opts.step_tolerance:
             try:
                 Jn, gn = value_and_grad(y + step * d)
-            except _DOMAIN_ERRORS:
+            except (*_DOMAIN_ERRORS, SolveError):
                 step *= 0.5
                 continue
             if Jn <= J + _ARMIJO * step * gd + slack:
@@ -228,15 +238,6 @@ class _Hessian:
     corner: float
 
 
-def _term_kernel(e: ex.Expr):
-    """``e`` at every integrand term ``(t_i, x_{i+1}, v_i, z)`` at once; a
-    constant partial is broadcast without calls."""
-    if isinstance(e, ex.Const):
-        return lambda t, x, v, z: np.full(len(t), e.value)
-    fn = ex.compile_fn(e)
-    return lambda t, x, v, z: np.array([fn(*a, z) for a in zip(t, x, v)])
-
-
 def _variational_newton(p: VariationalProblem):
     """Gradient and exact Hessian of the discrete objective over ``x[1:]``.
 
@@ -245,22 +246,21 @@ def _variational_newton(p: VariationalProblem):
     plus the border of ``z``, built from the six second partials of ``f``.
     The gradient's end coordinate accumulates the ``z``-partial of every term,
     so it equals the transversality expression; interior coordinates are
-    graininess-scaled Euler-Lagrange residuals.  Non-finite derivatives raise
-    ``ValueError``, which the line searches treat as a domain error.
+    graininess-scaled Euler-Lagrange residuals.  The kernel raises
+    ``ValueError`` on non-finite derivatives, which the line searches treat
+    as a domain error.
     """
-    d1 = {a: ex.diff(p.f, a) for a in "xvz"}
-    kernels = {a: _term_kernel(e) for a, e in d1.items()}
-    for ab in ("xx", "xv", "xz", "vv", "vz", "zz"):
-        kernels[ab] = _term_kernel(ex.diff(d1[ab[0]], ab[1]))
+    keys = ("x", "v", "z", "xx", "xv", "xz", "vv", "vz", "zz")
+    partials = pointwise(*(
+        ex.diff(p.f, ab[0]) if len(ab) == 1 else ex.diff(ex.diff(p.f, ab[0]), ab[1])
+        for ab in keys
+    ))
     ts = p.scale
-    t = ts.points[:-1].tolist()
     mu = ts.mu_values[:-1]
     alpha = p.alpha
 
     def assemble(y: np.ndarray) -> tuple[np.ndarray, _Hessian]:
-        v = np.diff(np.concatenate(([alpha], y))) / mu
-        cols = (t, y.tolist(), v.tolist(), float(y[-1]))
-        q = {key: kernel(*cols) for key, kernel in kernels.items()}
+        q = dict(zip(keys, partials(terms(ts, np.concatenate(([alpha], y))))))
         grad = mu * q["x"] + q["v"]
         grad[:-1] -= q["v"][1:]
         grad[-1] += math.fsum(mu * q["z"])
@@ -273,9 +273,6 @@ def _variational_newton(p: VariationalProblem):
         corner = diag[-1] + 2.0 * border[-1] + math.fsum(mu * q["zz"])
         # the last tridiagonal coupling links x_{n-2} to z, so it joins the border
         border[-2] += off[-1]
-        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(diag))
-                and np.all(np.isfinite(border)) and math.isfinite(corner)):
-            raise ValueError("non-finite derivative of the integrand")
         return grad, _Hessian(diag[:-1], off[:-1], border[:-1], corner)
 
     return assemble
@@ -492,18 +489,17 @@ def _propagate_state(
     p: ControlProblem, u: np.ndarray, zeta: float, *, max_iter: int = 50, tol: float = 1e-12
 ) -> np.ndarray:
     """Forward state propagation; each step is implicit in the shifted state."""
-    g = ex.compile_fn(p.g)
-    gx = ex.diff(p.g, "x")
-    explicit = isinstance(gx, ex.Const) and gx.value == 0.0
     ts = p.scale
     pts, mu = ts.points, ts.mu_values
     n = ts.n
+    gx = ex.diff(p.g, "x")
+    if isinstance(gx, ex.Const) and gx.value == 0.0:  # g has no x: the steps are a running sum
+        (gv,) = pointwise(p.g)(terms(ts, np.zeros(n), u=u, z=zeta))
+        return np.cumsum(np.concatenate(([p.alpha], mu[:-1] * gv)))
+    g = ex.compile_fn(p.g)
     x = np.empty(n)
     x[0] = p.alpha
     for i in range(n - 1):
-        if explicit:
-            x[i + 1] = x[i] + mu[i] * g(pts[i], 0.0, 0.0, zeta, u[i])
-            continue
         xi1 = x[i]
         for _ in range(max_iter):
             new = x[i] + mu[i] * g(pts[i], xi1, 0.0, zeta, u[i])
@@ -570,30 +566,25 @@ def recover_costate(
     point, determine the exact solution.
     """
     ts = p.scale
-    pts, mu = ts.points, ts.mu_values
-    n = ts.n
-    k = n - 2
-    args = [(pts[i], x[i + 1], 0.0, zeta, u[i]) for i in range(n - 1)]
-
-    def at_points(e: ex.Expr, name: str) -> list[float]:
-        fn = ex.compile_fn(ex.diff(e, name))
-        return [fn(*a) for a in args]
-
-    gx = at_points(p.g, "x")
-    denom = [1.0 - mu[i] * gx[i] for i in range(k)]
-    for i in range(k - 1, -1, -1):
-        if abs(denom[i]) < 1e-13:
-            raise SolveError(f"costate recurrence singular at t = {float(pts[i])!r}")
-    fx, fz, gz = at_points(p.f, "x"), at_points(p.f, "z"), at_points(p.g, "z")
+    mu = ts.mu_values[:-1]
+    k = ts.n - 2
+    gx, fx, fz, gz = pointwise(
+        ex.diff(p.g, "x"), ex.diff(p.f, "x"), ex.diff(p.f, "z"), ex.diff(p.g, "z")
+    )(terms(ts, x, u=u, z=zeta))
+    denom = 1.0 - mu[:k] * gx[:k]
+    singular = np.flatnonzero(np.abs(denom) < 1e-13)
+    if singular.size:
+        raise SolveError(
+            f"costate recurrence singular at t = {float(ts.points[singular[-1]])!r}"
+        )
+    mu_l, fx_l, denom_l = mu.tolist(), fx.tolist(), denom.tolist()
 
     def sweep(lam_end: float) -> tuple[np.ndarray, float]:
-        lam = np.empty(n - 1)
+        lam = np.empty(k + 1)
         lam[k] = lam_end
         for i in range(k - 1, -1, -1):
-            lam[i] = (lam[i + 1] + mu[i] * fx[i]) / denom[i]
-        rhs = mu[k] * (fx[k] + lam[k] * gx[k]) + math.fsum(
-            mu[i] * (fz[i] + lam[i] * gz[i]) for i in range(n - 1)
-        )
+            lam[i] = (lam[i + 1] + mu_l[i] * fx_l[i]) / denom_l[i]
+        rhs = mu[k] * (fx[k] + lam[k] * gx[k]) + math.fsum(mu * (fz + lam * gz))
         return lam, rhs
 
     lam0, r0 = sweep(0.0)
@@ -606,24 +597,14 @@ def recover_costate(
 
 
 def _control_value_and_grad(p: ControlProblem):
-    f = ex.compile_fn(p.f)
-    fu = ex.compile_fn(ex.diff(p.f, "u"))
-    gu = ex.compile_fn(ex.diff(p.g, "u"))
+    kernel = pointwise(p.f, ex.diff(p.f, "u"), ex.diff(p.g, "u"))
     ts = p.scale
-    pts, mu = ts.points, ts.mu_values
-    n = ts.n
 
     def value_and_grad(u: np.ndarray) -> tuple[float, np.ndarray]:
         x, zeta = _consistent_state(p, u)
-        J = math.fsum(
-            mu[i] * f(pts[i], x[i + 1], 0.0, zeta, u[i]) for i in range(n - 1)
-        )
+        f, fu, gu = kernel(terms(ts, x, u=u, z=zeta))
         lam = recover_costate(p, x, u, zeta)
-        grad = np.empty(n - 1)
-        for i in range(n - 1):
-            args = (pts[i], x[i + 1], 0.0, zeta, u[i])
-            grad[i] = mu[i] * (fu(*args) + lam[i] * gu(*args))
-        return J, grad
+        return integrate_terms(ts, f), ts.mu_values[:-1] * (fu + lam * gu)
 
     return value_and_grad
 
@@ -709,16 +690,14 @@ def _oracle_variational(p: VariationalProblem) -> np.ndarray:
 
 
 def _oracle_control(p: ControlProblem) -> tuple[np.ndarray, float]:
-    m = p.scale.n  # controls plus the end value
-    f = ex.compile_fn(p.f)
-    pts, mu = p.scale.points, p.scale.mu_values
+    ts = p.scale
+    m = ts.n  # controls plus the end value
+    cost = pointwise(p.f)
 
     def value(w):
         u, zeta = w[:-1], float(w[-1])
         x = _propagate_state(p, u, zeta)
-        return math.fsum(
-            mu[i] * f(pts[i], x[i + 1], 0.0, zeta, u[i]) for i in range(p.scale.n - 1)
-        )
+        return integrate_terms(ts, cost(terms(ts, x, u=u, z=zeta))[0])
 
     def constraint(w):
         u, zeta = w[:-1], float(w[-1])

@@ -195,15 +195,17 @@ def _random_tree(rng: np.random.Generator, depth: int) -> tv.Expr:
     return tv.expr.Binary(op, left, right)
 
 
-def random_expr_and_env(rng: np.random.Generator, max_depth: int = 6):
+def random_expr_and_env(rng: np.random.Generator, max_depth: int = 6, env: dict | None = None):
     """A random expression and a point where it and its partials are tame.
 
     Rejection keeps evaluation inside safe domains and magnitudes bounded so
-    finite differences stay meaningful.
+    finite differences stay meaningful.  A given ``env`` is kept as the point
+    and only the expression is drawn.
     """
+    fixed = env
     while True:
         e = _random_tree(rng, int(rng.integers(2, max_depth + 1)))
-        env = {name: float(rng.uniform(0.4, 1.6)) for name in _EXPR_VARS}
+        env = fixed or {name: float(rng.uniform(0.4, 1.6)) for name in _EXPR_VARS}
         try:
             val = tv.evaluate(e, env)
             if not math.isfinite(val) or abs(val) > 1e3:

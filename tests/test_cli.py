@@ -1,6 +1,7 @@
 """Command-line behaviour: file loading, commands, exit codes, determinism."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -280,6 +281,17 @@ class TestVerifyCommand:
         cand = tmp_path / "cand.csv"
         self._write_candidate(cand, ts, (ts.points**2 + 1) / 2, np.zeros(ts.n))
         assert main(["verify", str(tracking_file), str(cand), "--tolerance", "0.02"]) == 0
+
+    def test_blank_multiplier_cell_fails_verification(self, control_file, tmp_path, capsys):
+        # a blank cell inside the differentiation domain leaves residuals
+        # undefined there; the sup norm must not skip them and pass
+        pf = load_problem_file(control_file)
+        lam = np.full(4, -5 / 8)
+        lam[1] = math.nan
+        cand = tmp_path / "cand.csv"
+        self._write_candidate(cand, pf.scale, 5 / 16 * pf.scale.points, np.full(4, 5 / 16), lam)
+        assert main(["verify", str(control_file), str(cand)]) == 3
+        assert "verdict: FAIL (2*u + lam is nan at t = 1.0)" in capsys.readouterr().out
 
     def test_wrong_point_count_exits_one(self, control_file, tmp_path):
         short = tv.TimeScale.integer_range(0, 2)

@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsvar as tv
-from helpers import endpoint_penalty_control, minimal_length_problem
+from tsvar.cli import _read_candidate
+from tsvar.problem import pointwise, terms
+from helpers import endpoint_penalty_control, minimal_length_problem, random_expr_and_env
+
+VARS = ("t", "x", "v", "z", "u", "lam")
 
 
 @pytest.fixture
@@ -171,3 +175,103 @@ class TestProblemValidation:
         pc = tv.ControlProblem.from_variational(p)
         assert tv.variables(pc.f) == {"u", "z"}
         assert pc.g == tv.expr.Var("u")
+
+
+class TestPointwiseKernel:
+    """``terms`` and ``pointwise``: every integrand term in one evaluation."""
+
+    def test_matches_interpreter_on_array_columns(self):
+        rng = np.random.default_rng(7)
+        checked = 0
+        while checked < 60:
+            e, env = random_expr_and_env(rng)
+            points = [{name: val * (1.0 + d) for name, val in env.items()}
+                      for d in (0.0, 1e-3, -2e-3, 5e-3)]
+            try:
+                want = [tv.evaluate(e, point) for point in points]
+            except tv.EvalError:
+                continue
+            cols = tuple(np.array([point[name] for point in points]) for name in VARS)
+            assert pointwise(e)(cols)[0] == pytest.approx(want, rel=1e-13, abs=1e-13)
+            checked += 1
+
+    @pytest.mark.parametrize("src, want", [
+        ("2.5", [2.5] * 3),
+        ("t^2", [0.0, 1.0, 4.0]),
+        ("3*z", [1.5] * 3),
+    ])
+    def test_constant_and_single_column_results_broadcast(self, zgrid, src, want):
+        cols = terms(zgrid, np.array([0.0, 1.0, -1.0, 0.5]))
+        out = pointwise(tv.parse(src), tv.parse("v"))(cols)
+        assert out.shape == (2, zgrid.n - 1)
+        assert out[0].tolist() == want
+        assert out[1].tolist() == [1.0, -2.0, 1.5]
+
+    def test_control_columns_carry_controls_and_multipliers(self, zgrid):
+        cols = terms(zgrid, [0.0, 1.0, 2.0, 3.0], u=[4.0, 5.0, 6.0, np.nan],
+                     lam=[7.0, 8.0, 9.0, np.nan], z=-1.0)
+        out = pointwise(*(tv.parse(name) for name in ("x", "z", "u", "lam")))(cols)
+        assert out.tolist() == [[1.0, 2.0, 3.0], [-1.0] * 3, [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+
+    @pytest.mark.parametrize("src", ["log(t)", "sqrt(x-2)", "1/x"])
+    def test_domain_errors_raise_value_error(self, zgrid, src):
+        cols = terms(zgrid, np.array([0.0, 0.0, 1.0, 2.0]))
+        with pytest.raises(ValueError, match=r"at t = 0\.0"):
+            pointwise(tv.parse("x"), tv.parse(src))(cols)
+
+    def test_objective_makes_one_compiled_call(self, monkeypatch):
+        calls = []
+        compile_fn = tv.expr.compile_fn
+
+        def counted(e, *args, **kwargs):
+            fn = compile_fn(e, *args, **kwargs)
+
+            def call(*a):
+                calls.append(len(a))
+                return fn(*a)
+            return call
+
+        monkeypatch.setattr(tv.expr, "compile_fn", counted)
+        p = minimal_length_problem(2.0, 2001)
+        x = tv.GridFunction.from_callable(p.scale, lambda t: 0.8 * t)
+        value = tv.objective(p, x)
+        assert len(calls) == 1
+        assert value == pytest.approx(math.sqrt(1.64) + 2.0 * 0.04, rel=1e-12)
+
+
+def _raised(fn, *args) -> str:
+    with pytest.raises(tv.TsvarError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+def _candidate_mismatch(tmp_path):
+    path = tmp_path / "candidate.csv"
+    path.write_text("t,x\n0,0\n1,0\n2.5,0\n3,0\n")
+    return _raised(_read_candidate, path, tv.TimeScale.integer_range(0, 3))
+
+
+def _initial_value(tmp_path):
+    p = tv.VariationalProblem(tv.TimeScale.integer_range(0, 3), tv.parse("v^2"), 0.0)
+    return _raised(tv.objective, p, tv.GridFunction(p.scale, np.ones(4)))
+
+
+def _dynamics(tmp_path):
+    p = tv.ControlProblem(tv.TimeScale.integer_range(0, 3), tv.parse("u^2"), tv.parse("u"), 0.0)
+    x = tv.GridFunction(p.scale, np.array([0.0, 1.0, 2.0, 5.0]))
+    return _raised(tv.objective_control, p, x, tv.GridFunction(p.scale, np.ones(4)))
+
+
+def _affine_dynamics(tmp_path):
+    ts = tv.TimeScale.integer_range(0, 3)
+    return tv.sufficiency_check(tv.ControlProblem(ts, tv.parse("u^2"), tv.parse("u + 1"), 0.0)).reason
+
+
+@pytest.mark.parametrize("message, text", [
+    (_candidate_mismatch, "at row 2: 2.5 vs 2.0"),
+    (_initial_value, "x(a) = 1.0, expected 0.0"),
+    (_dynamics, "at t = 2.0"),
+    (_affine_dynamics, "g(t,0,0,0) = 1.000e+00 at t = 0.0"),
+])
+def test_messages_print_plain_floats(tmp_path, message, text):
+    assert text in message(tmp_path)

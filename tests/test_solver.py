@@ -309,6 +309,16 @@ class TestSolveControl:
         with pytest.raises(tv.SolveError, match="implicit state step"):
             tv.solve_control(p, tv.SolveOptions())
 
+    def test_trial_point_divergence_shrinks_the_step(self):
+        # the start (u = 0) is fine, but full BFGS steps reach states where
+        # mu * g_x = 0.2 * x > 1 and the implicit step cannot contract
+        ts = tv.TimeScale.integer_range(0, 5)
+        p = tv.ControlProblem(ts, tv.parse("u^2 + 4*(z-1)^2"), tv.parse("u + 0.1*x^2"), 0.0)
+        sol = tv.solve_control(p)
+        assert sol.converged
+        assert sol.report.sup_norm <= 1e-6
+        assert 0.9 < sol.x.values[-1] < 1.0
+
     def test_report_is_hamiltonian_family(self):
         p = endpoint_penalty_control(tv.TimeScale.integer_range(0, 3))
         sol = tv.solve_control(p, TIGHT)
