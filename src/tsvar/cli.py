@@ -3,8 +3,11 @@
 Problem files are UTF-8 text with ``[section]`` headers and ``key = value``
 lines.  Exactly one ``[timescale]`` and one ``[problem]`` section are
 required; ``[solver]`` is optional.  Parameters named in ``params`` are
-substituted textually into the expressions before parsing, so their names
-must not collide with the reserved variables or function names.
+bound names: each expression is parsed once with them as variables, and a
+problem is built by substituting each parameter's value as a constant, so a
+sweep's problems share every subtree that does not contain the swept
+parameter.  Parameter names must not collide with the reserved variables or
+function names.
 
 Exit codes: 0 success, 1 usage or file errors, 2 solver non-convergence,
 3 verification failure.
@@ -16,7 +19,6 @@ import argparse
 import csv
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as ex
-from .conditions import hamiltonian_residuals, variational_residuals
+from .conditions import ResidualReport, hamiltonian_residuals, variational_residuals
 from .errors import ProblemFileError, TsvarError
 from .problem import ControlProblem, VariationalProblem, integrate_terms, pointwise
 from .solver import (
@@ -50,51 +52,29 @@ def _fmt(v: float | None) -> str:
 
 @dataclass
 class ProblemFile:
-    """Parsed problem file; expressions are kept as templates so sweeps can
-    re-substitute a parameter."""
+    """Parsed problem file.  ``f`` and ``g`` are parsed once, with the
+    parameter names as variables; each built problem binds their values."""
 
     path: str
     scale: TimeScale
     problem_type: str  # "variational" | "control"
-    f_template: str
-    g_template: str | None
+    f: ex.Expr
+    g: ex.Expr | None
     alpha: float
     params: dict[str, float]
     options: SolveOptions
 
-    def substituted(self, name: str, overrides: dict[str, float] | None = None) -> str:
-        params = dict(self.params)
-        if overrides:
-            params.update(overrides)
-        template = self.f_template if name == "f" else self.g_template
-        return _substitute_params(template, params)
-
     def build_problem(self, overrides: dict[str, float] | None = None):
-        f = ex.parse(self.substituted("f", overrides))
+        values = {**self.params, **(overrides or {})}
+
+        def bind(e: ex.Expr) -> ex.Expr:
+            for name in self.params:
+                e = ex.substitute(e, name, ex.Const(values[name]))
+            return e
+
         if self.problem_type == "control":
-            g = ex.parse(self.substituted("g", overrides))
-            return ControlProblem(self.scale, f, g, self.alpha)
-        return VariationalProblem(self.scale, f, self.alpha)
-
-
-_NUMBER_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
-
-
-def _substitute_params(text: str, params: dict[str, float]) -> str:
-    for name in sorted(params, key=len, reverse=True):
-        if name in _RESERVED:
-            raise ProblemFileError(
-                f"parameter name {name!r} collides with a reserved variable or function"
-            )
-        text = re.sub(rf"\b{re.escape(name)}\b", f"({params[name]:.17g})", text)
-    # strip numeric literals first: their exponent marker is not an identifier
-    for m in re.finditer(r"[A-Za-z_][A-Za-z0-9_]*", _NUMBER_RE.sub(" ", text)):
-        if m.group(0) not in _RESERVED:
-            raise ProblemFileError(
-                f"unknown identifier {m.group(0)!r} in expression "
-                "(missing parameter substitution?)"
-            )
-    return text
+            return ControlProblem(self.scale, bind(self.f), bind(self.g), self.alpha)
+        return VariationalProblem(self.scale, bind(self.f), self.alpha)
 
 
 def _parse_sections(path: Path) -> dict[str, dict[str, tuple[str, int]]]:
@@ -211,7 +191,13 @@ def _parse_params(text: str, lineno: int) -> dict[str, float]:
         if "=" not in item:
             raise ProblemFileError(f"line {lineno}: params entries look like name=value")
         name, value = item.split("=", 1)
-        params[name.strip()] = _to_float(value.strip(), name.strip(), lineno)
+        name = name.strip()
+        if name in _RESERVED:
+            raise ProblemFileError(
+                f"line {lineno}: parameter name {name!r} collides with a reserved "
+                "variable or function"
+            )
+        params[name] = _to_float(value.strip(), name, lineno)
     return params
 
 
@@ -260,20 +246,18 @@ def load_problem_file(path: str | Path) -> ProblemFile:
         key = next(iter(solver))
         raise ProblemFileError(f"line {solver[key][1]}: unexpected key {key!r} in [solver]")
 
-    pf = ProblemFile(
-        path=str(path),
-        scale=scale,
-        problem_type=ptype,
-        f_template=f_text,
-        g_template=g_text,
-        alpha=alpha,
-        params=params,
-        options=SolveOptions(**opt_kwargs),
-    )
     try:
-        pf.build_problem()  # validate expressions, substitutions, problem shape
-    except ProblemFileError:
-        raise
+        pf = ProblemFile(
+            path=str(path),
+            scale=scale,
+            problem_type=ptype,
+            f=ex.parse(f_text, params),
+            g=None if g_text is None else ex.parse(g_text, params),
+            alpha=alpha,
+            params=params,
+            options=SolveOptions(**opt_kwargs),
+        )
+        pf.build_problem()  # validate the problem's variables and shape
     except (TsvarError, ValueError) as exc:
         raise ProblemFileError(str(exc)) from exc
     return pf
@@ -282,10 +266,10 @@ def load_problem_file(path: str | Path) -> ProblemFile:
 # -- output writers -----------------------------------------------------------
 
 
-def _solution_rows(sol: Solution) -> list[list[str]]:
+def _solution_rows(sol: Solution, report: ResidualReport) -> list[list[str]]:
     ts = sol.x.scale
     n = ts.n
-    el = sol.report.el_residuals
+    el = report.el_residuals
     rows = []
     for i in range(n):
         rows.append([
@@ -298,11 +282,14 @@ def _solution_rows(sol: Solution) -> list[list[str]]:
     return rows
 
 
-def write_solution_csv(path: Path, sol: Solution) -> None:
+def write_solution_csv(
+    path: Path, sol: Solution, report: ResidualReport | None = None
+) -> None:
+    """Write the solution table; ``report`` defaults to ``sol.report``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(["t", "x", "u", "lambda_sigma", "el_residual"])
-        writer.writerows(_solution_rows(sol))
+        writer.writerows(_solution_rows(sol, report or sol.report))
 
 
 def _grid_list(g: GridFunction | None):
@@ -311,7 +298,10 @@ def _grid_list(g: GridFunction | None):
     return [None if math.isnan(v) else float(v) for v in g.values]
 
 
-def solution_to_dict(sol: Solution, problem_type: str) -> dict:
+def solution_to_dict(
+    sol: Solution, problem_type: str, report: ResidualReport | None = None
+) -> dict:
+    """``solution.json`` content; ``report`` defaults to ``sol.report``."""
     return {
         "problem_type": problem_type,
         "converged": sol.converged,
@@ -327,14 +317,16 @@ def solution_to_dict(sol: Solution, problem_type: str) -> dict:
             "u": _grid_list(sol.u),
             "lambda_sigma": _grid_list(sol.lam),
         },
-        "residuals": sol.report.to_dict(),
+        "residuals": (report or sol.report).to_dict(),
         "message": sol.message,
     }
 
 
-def write_solution_json(path: Path, sol: Solution, problem_type: str) -> None:
+def write_solution_json(
+    path: Path, sol: Solution, problem_type: str, report: ResidualReport | None = None
+) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(solution_to_dict(sol, problem_type), fh, indent=2)
+        json.dump(solution_to_dict(sol, problem_type, report), fh, indent=2)
         fh.write("\n")
 
 
@@ -350,10 +342,11 @@ def cmd_solve(args) -> int:
         sol = solve_variational(problem, pf.options)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_solution_csv(out_dir / "solution.csv", sol)
-    write_solution_json(out_dir / "solution.json", sol, pf.problem_type)
+    report = sol.report  # computed on each read, so read once
+    write_solution_csv(out_dir / "solution.csv", sol, report)
+    write_solution_json(out_dir / "solution.json", sol, pf.problem_type, report)
     print(f"objective      {sol.objective_value:.12g}")
-    print(f"residual sup   {sol.report.sup_norm:.6e}")
+    print(f"residual sup   {report.sup_norm:.6e}")
     if sol.verdict.sufficient:
         print("sufficiency    sufficient (extremal is a global minimizer)")
     else:

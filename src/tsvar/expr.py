@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -34,38 +34,65 @@ FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos")
 
 _BINARY_OPS = ("add", "sub", "mul", "div", "pow")
 
-# Cache bounds: a sweep parses a new expression per value, and one solve
+# Cache bounds: a sweep builds a new expression per value, and one solve
 # needs about 65 ``diff`` and 10 ``compile_fn`` entries.
 _DIFF_CACHE_SIZE = 1024
 _COMPILE_CACHE_SIZE = 256
 
 
 class Expr:
-    """Immutable expression tree node."""
+    """Immutable expression tree node.
+
+    Nodes compare structurally and keep their structural hash once computed,
+    so a cache lookup of a tree that shares its subtrees with earlier ones
+    hashes only the new nodes.
+    """
 
     __slots__ = ()
+    _hash = None  # the node's own value is set on its first hash
 
     def __str__(self) -> str:
         return to_text(self)
 
+    def __getstate__(self) -> dict:
+        # the kept hash depends on this process's string hashing
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
-@dataclass(frozen=True)
+
+def _node(cls):
+    """Frozen dataclass whose structural hash is computed once per node."""
+    cls = dataclass(frozen=True)(cls)
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = structural(self)
+            # not through self.__dict__: reading it gives each node a dict object
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Unary(Expr):
     op: str  # neg | sqrt | exp | log | sin | cos
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Binary(Expr):
     op: str  # add | sub | mul | div | pow
     left: Expr
@@ -105,9 +132,10 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, src: str):
+    def __init__(self, src: str, bound: frozenset[str]):
         self.src = src
         self.tokens = _tokenize(src)
+        self.bound = bound
         self.i = 0
 
     def peek(self):
@@ -187,8 +215,10 @@ class _Parser:
                     raise ParseError(f"{text} takes exactly one argument", p2)
                 self.expect_op(")")
                 return Unary(text, arg)
-            if text not in VARIABLES:
-                raise ParseError(f"unknown identifier {text!r}", pos)
+            if text not in VARIABLES and text not in self.bound:
+                raise ParseError(
+                    f"unknown identifier {text!r} (missing parameter substitution?)", pos
+                )
             return Var(text)
         if kind == "op" and text == "(":
             e = self.add_expr()
@@ -197,9 +227,13 @@ class _Parser:
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
 
 
-def parse(src: str) -> Expr:
-    """Parse expression text into a structurally faithful tree (no folding)."""
-    return _Parser(src).parse()
+def parse(src: str, bound: Iterable[str] = ()) -> Expr:
+    """Parse expression text into a structurally faithful tree (no folding).
+
+    Names in ``bound`` parse as variables besides the reserved ones, to be
+    replaced later with :func:`substitute` (problem-file parameters).
+    """
+    return _Parser(src, frozenset(bound)).parse()
 
 
 # -- printer ---------------------------------------------------------------
@@ -303,14 +337,19 @@ def variables(e: Expr) -> frozenset[str]:
 
 
 def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
-    """Replace every occurrence of variable ``name`` by ``replacement``."""
+    """Replace every occurrence of variable ``name`` by ``replacement``.
+
+    Subtrees without ``name`` are returned as they are, not copied.
+    """
     if isinstance(e, Var):
         return replacement if e.name == name else e
     if isinstance(e, Unary):
-        return Unary(e.op, substitute(e.arg, name, replacement))
+        arg = substitute(e.arg, name, replacement)
+        return e if arg is e.arg else Unary(e.op, arg)
     if isinstance(e, Binary):
-        return Binary(e.op, substitute(e.left, name, replacement),
-                      substitute(e.right, name, replacement))
+        left = substitute(e.left, name, replacement)
+        right = substitute(e.right, name, replacement)
+        return e if left is e.left and right is e.right else Binary(e.op, left, right)
     return e
 
 

@@ -20,20 +20,26 @@ takes the unshifted steps and backtracks on the sup norm of the residual
 system.  Neither forms an n-by-n matrix.
 
 ``solve_control`` reduces to the control samples: the state grid is rebuilt
-by forward propagation (implicit in the sigma-shifted state), the end value
-is closed by a scalar consistency solve (one propagation when ``g`` has no
-``z``), and the gradient comes from the discrete adjoint, whose multipliers
-are precisely the sigma-shifted costate samples of the Hamiltonian system.
+by forward propagation, each step solved exactly for the sigma-shifted state
+(in closed form when ``g`` is affine in ``x``, by scalar Newton otherwise),
+the end value is closed by a scalar consistency solve (one propagation when
+``g`` has no ``z``), and the gradient comes from the discrete adjoint, whose
+multipliers are precisely the sigma-shifted costate samples of the
+Hamiltonian system.
 It minimizes by BFGS with the inverse Hessian in product form: the accepted
 update pairs, applied by the two-loop recursion, so memory and work per step
 are O(n k) after ``k`` steps and no n-by-n matrix is formed.  A line-search
 trial point where the state or costate cannot be solved shrinks the step.
 
 Every pointwise evaluation (objectives, gradients, Hessians, costate
-partials, explicit state steps) goes through the kernel of
-:mod:`tsvar.problem`, one batch over all integrand terms.  Only the two true
-recurrences evaluate point by point: the implicit state step of
-``_propagate_state`` and the backward sweep of ``recover_costate``.
+partials, the coefficients of affine state steps) goes through the kernel of
+:mod:`tsvar.problem`, one batch over all integrand terms.  The two true
+recurrences, the state steps and the backward sweep of ``recover_costate``,
+then run over plain floats; only a state step whose ``g`` is not affine in
+``x`` calls compiled ``g`` point by point.
+
+A returned :class:`Solution` keeps its problem and grids; its residual
+report is recomputed from them on each read.
 """
 
 from __future__ import annotations
@@ -68,6 +74,8 @@ __all__ = [
 
 _DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 _ARMIJO = 1e-4
+_SINGULAR = 1e-13  # |1 - mu g_x| below this: the state or costate step has no unique solution
+_NEWTON_STEPS = 50  # per implicit state step; Newton converges in a few
 
 
 @dataclass(frozen=True)
@@ -87,17 +95,31 @@ class SolveOptions:
 
 @dataclass(frozen=True, eq=False)
 class Solution:
-    """Solver output; the report is recomputed from the returned grids."""
+    """Solver output.
 
+    The solve fixes the grids, ``objective_value``, ``verdict``,
+    ``converged`` and ``iterations``.  The residual report is recomputed from
+    ``problem`` and the returned grids on every read of ``report``, so a
+    kept solution holds no residual arrays; read it once and keep the report
+    where it is needed more than once.
+    """
+
+    problem: VariationalProblem | ControlProblem
     x: GridFunction
     u: GridFunction | None
     lam: GridFunction | None
     objective_value: float
-    report: ResidualReport
     verdict: SufficiencyVerdict
     converged: bool
     iterations: int
     message: str = ""
+
+    @property
+    def report(self) -> ResidualReport:
+        """Residuals of the necessary conditions at the returned grids."""
+        if isinstance(self.problem, ControlProblem):
+            return hamiltonian_residuals(self.problem, self.x, self.u, self.lam)
+        return variational_residuals(self.problem, self.x)
 
     @property
     def slope(self) -> float:
@@ -374,9 +396,8 @@ def _variational_value_and_grad(p: VariationalProblem):
 def _variational_solution(p, y, opts, ok, iters, message) -> Solution:
     x = _grid(p, y)
     return Solution(
-        x=x, u=None, lam=None,
+        problem=p, x=x, u=None, lam=None,
         objective_value=objective(p, x),
-        report=variational_residuals(p, x),
         verdict=sufficiency_check_variational(p, seed=opts.seed),
         converged=ok, iterations=iters,
         message="" if ok else message,
@@ -485,34 +506,77 @@ def solve_stationarity(
 # -- control solve -------------------------------------------------------------
 
 
-def _propagate_state(
-    p: ControlProblem, u: np.ndarray, zeta: float, *, max_iter: int = 50, tol: float = 1e-12
-) -> np.ndarray:
-    """Forward state propagation; each step is implicit in the shifted state."""
+def _propagate_state(p: ControlProblem, u: np.ndarray, zeta: float) -> np.ndarray:
+    """Forward state propagation, each step solved exactly for the shifted state.
+
+    Step ``i`` solves ``x_{i+1} = x_i + mu_i g(t_i, x_{i+1}, u_i, zeta)``.
+    When ``g`` is affine in ``x``, one kernel batch gives ``a = g(t, 0, u, z)``
+    and ``b = g_x``, and the steps are the linear recurrence
+    ``x_{i+1} = (x_i + mu_i a_i) / (1 - mu_i b_i)``; a step is singular where
+    ``1 - mu_i b_i`` vanishes (the dynamics are not regressive there).
+    Otherwise each step is a safeguarded scalar Newton solve.  A singular or
+    failed step raises ``SolveError`` naming ``t``.
+    """
     ts = p.scale
-    pts, mu = ts.points, ts.mu_values
-    n = ts.n
+    mu = ts.mu_values[:-1]
     gx = ex.diff(p.g, "x")
-    if isinstance(gx, ex.Const) and gx.value == 0.0:  # g has no x: the steps are a running sum
-        (gv,) = pointwise(p.g)(terms(ts, np.zeros(n), u=u, z=zeta))
-        return np.cumsum(np.concatenate(([p.alpha], mu[:-1] * gv)))
-    g = ex.compile_fn(p.g)
-    x = np.empty(n)
-    x[0] = p.alpha
-    for i in range(n - 1):
-        xi1 = x[i]
-        for _ in range(max_iter):
-            new = x[i] + mu[i] * g(pts[i], xi1, 0.0, zeta, u[i])
-            if abs(new - xi1) <= tol * max(1.0, abs(new)):
-                xi1 = new
+    if "x" in ex.variables(gx):
+        return _propagate_newton(p, u, zeta, gx)
+    a, b = pointwise(p.g, gx)(terms(ts, np.zeros(ts.n), u=u, z=zeta))
+    denom = 1.0 - mu * b
+    singular = np.flatnonzero(np.abs(denom) < _SINGULAR)
+    if singular.size:
+        t = float(ts.points[singular[0]])
+        raise SolveError(f"implicit state step singular (1 - mu*g_x = 0) at t = {t!r}")
+    x = [float(p.alpha)]
+    for step, d in zip((mu * a).tolist(), denom.tolist()):
+        x.append((x[-1] + step) / d)
+    return np.array(x)
+
+
+def _propagate_newton(p: ControlProblem, u: np.ndarray, zeta: float, gx: ex.Expr) -> np.ndarray:
+    """The state steps of a ``g`` that is not affine in ``x``, one scalar root each."""
+    g, dg = ex.compile_fn(p.g), ex.compile_fn(gx)
+    ts = p.scale
+    x = [float(p.alpha)]
+    for t, mu, ui in zip(ts.points[:-1].tolist(), ts.mu_values[:-1].tolist(),
+                         np.asarray(u, dtype=float).tolist()):
+        y = _newton_root(g, dg, t, x[-1], mu, ui, zeta)
+        if y is None:
+            raise SolveError(f"implicit state step found no solution at t = {t!r}")
+        x.append(y)
+    return np.array(x)
+
+
+def _newton_root(g, dg, t: float, xi: float, mu: float, ui: float, zeta: float) -> float | None:
+    """Root of ``F(y) = y - xi - mu g(t, y, ui, zeta)``, or ``None``.
+
+    Newton's method from ``y = xi``, the root that continues from ``mu = 0``.
+    A step that does not reduce ``|F|``, or that leaves the domain of ``g``,
+    is halved; the search fails when ``F'`` vanishes or the halving stalls.
+    """
+    y, r = xi, -mu * g(t, xi, 0.0, zeta, ui)
+    for _ in range(_NEWTON_STEPS):
+        slope = 1.0 - mu * dg(t, y, 0.0, zeta, ui)
+        if slope == 0.0:
+            return None
+        step = r / slope
+        if abs(step) <= 1e-13 * max(1.0, abs(y)):
+            return y - step
+        scale = 1.0
+        while True:
+            trial = y - scale * step
+            try:
+                rn = trial - xi - mu * g(t, trial, 0.0, zeta, ui)
+            except _DOMAIN_ERRORS:
+                rn = math.inf
+            if abs(rn) < abs(r):
                 break
-            xi1 = new
-        else:
-            raise SolveError(
-                f"implicit state step did not converge at t = {float(pts[i])!r}"
-            )
-        x[i + 1] = xi1
-    return x
+            scale *= 0.5
+            if scale < 1e-10:
+                return None
+        y, r = trial, rn
+    return None
 
 
 def _consistent_state(
@@ -572,7 +636,7 @@ def recover_costate(
         ex.diff(p.g, "x"), ex.diff(p.f, "x"), ex.diff(p.f, "z"), ex.diff(p.g, "z")
     )(terms(ts, x, u=u, z=zeta))
     denom = 1.0 - mu[:k] * gx[:k]
-    singular = np.flatnonzero(np.abs(denom) < 1e-13)
+    singular = np.flatnonzero(np.abs(denom) < _SINGULAR)
     if singular.size:
         raise SolveError(
             f"costate recurrence singular at t = {float(ts.points[singular[-1]])!r}"
@@ -637,9 +701,8 @@ def solve_control(
     u = GridFunction(p.scale, np.append(w, np.nan))
     lam = GridFunction(p.scale, np.append(lam_arr, np.nan))
     return Solution(
-        x=x, u=u, lam=lam,
+        problem=p, x=x, u=u, lam=lam,
         objective_value=objective_control(p, x, u),
-        report=hamiltonian_residuals(p, x, u, lam),
         verdict=sufficiency_check(p, seed=opts.seed),
         converged=ok, iterations=iters,
         message="" if ok else f"gradient tolerance not reached after {restarts} restarts",
@@ -766,9 +829,8 @@ def brute_force_oracle(
             raise OracleError("non-quadratic problem; pass allow_grid_search=True")
         x = _grid(p, y)
         return Solution(
-            x=x, u=None, lam=None,
+            problem=p, x=x, u=None, lam=None,
             objective_value=objective(p, x),
-            report=variational_residuals(p, x),
             verdict=sufficiency_check_variational(p),
             converged=True, iterations=0, message="oracle",
         )
@@ -792,9 +854,8 @@ def brute_force_oracle(
     u = GridFunction(p.scale, np.append(w, np.nan))
     lam = GridFunction(p.scale, np.append(lam_arr, np.nan))
     return Solution(
-        x=x, u=u, lam=lam,
+        problem=p, x=x, u=u, lam=lam,
         objective_value=objective_control(p, x, u),
-        report=hamiltonian_residuals(p, x, u, lam),
         verdict=sufficiency_check(p),
         converged=True, iterations=0, message="oracle",
     )

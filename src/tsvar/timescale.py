@@ -168,13 +168,16 @@ class TimeScale:
         i = self._check_index(i)
         return float(self.points[self.sigma(i)] - self.points[i])
 
-    @cached_property
+    @property
     def mu_values(self) -> np.ndarray:
-        out = np.empty(self.n)
-        out[:-1] = np.diff(self.points)
-        out[-1] = 0.0
-        out.setflags(write=False)
-        return out
+        """Graininess at every point, zero at the last.
+
+        Computed on each access, so a kept scale holds no second array of
+        its size.
+        """
+        mu = np.zeros(self.n)
+        np.subtract(self.points[1:], self.points[:-1], out=mu[:-1])
+        return mu
 
     def kappa_last(self) -> int:
         """Index of the last point where the delta derivative is defined."""
@@ -244,7 +247,7 @@ class GridFunction:
                 f"differentiation domain (last admissible index "
                 f"{self.scale.kappa_last()})"
             )
-        return float((self.values[i + 1] - self.values[i]) / self.scale.mu_values[i])
+        return float((self.values[i + 1] - self.values[i]) / self.scale.mu(i))
 
     @cached_property
     def delta_values(self) -> np.ndarray:

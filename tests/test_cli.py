@@ -114,6 +114,17 @@ class TestProblemFiles:
         pf = load_problem_file(path)
         assert isinstance(pf.build_problem(), tv.VariationalProblem)
 
+    @pytest.mark.parametrize("edit, message", [
+        (("params = beta = 1\n", ""),
+         r"unknown identifier 'beta'.*\(missing parameter substitution\?\)"),
+        (("beta = 1", "exp = 1"), "collides with a reserved variable or function"),
+    ])
+    def test_parameter_errors_keep_their_messages(self, tmp_path, edit, message):
+        path = tmp_path / "bad.toml"
+        path.write_text(PENALIZED_LENGTH.replace(*edit))
+        with pytest.raises(tv.ProblemFileError, match=message):
+            load_problem_file(path)
+
     def test_param_colliding_with_reserved_name(self, tmp_path):
         path = tmp_path / "bad.toml"
         path.write_text(PENALIZED_LENGTH.replace("beta = 1", "v = 1"))
@@ -226,6 +237,21 @@ class TestSolveCommand:
         assert doc["sufficiency"]["status"] == "sufficient"
         assert doc["grids"]["u"][-1] is None
         assert doc["residuals"]["sup_norm"] <= 1e-9
+
+    def test_report_is_computed_once(self, control_file, tmp_path, monkeypatch):
+        # the CSV, the JSON and the stdout line share one report
+        import tsvar.solver
+
+        calls = []
+        original = tsvar.solver.hamiltonian_residuals
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(tsvar.solver, "hamiltonian_residuals", counted)
+        assert main(["solve", str(control_file), "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_determinism_byte_identical(self, length_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -345,22 +371,45 @@ class TestSweepCommand:
         assert slopes[1] > slopes[0]
 
     def test_failed_rows_are_explained_on_stderr(self, tmp_path, capsys):
-        # a = 2 makes mu * g_x = 2, so the implicit state step diverges
+        # a = 1 makes 1 - mu * g_x = 0, so the implicit state step is singular
         path = tmp_path / "c.toml"
         path.write_text(
             "[timescale]\nkind = integers\na = 0\nb = 3\n"
             "[problem]\ntype = control\nf = u^2\ng = u + a*x\nalpha = 0.5\n"
             "params = a = 0.5\n"
         )
-        assert main(["sweep", str(path), "--param", "a", "--values", "0.5,2"]) == 2
+        assert main(["sweep", str(path), "--param", "a", "--values", "0.5,1"]) == 2
         captured = capsys.readouterr()
         lines = captured.out.strip().splitlines()
         assert lines[0] == "value,slope,endpoint,objective,converged"
         assert lines[1].endswith(",true")
-        assert lines[2] == "2,,,,false"
+        assert lines[2] == "1,,,,false"
         assert captured.err.splitlines() == [
-            "row 2: SolveError: implicit state step did not converge at t = 0.0"
+            "row 1: SolveError: implicit state step singular (1 - mu*g_x = 0) at t = 0.0"
         ]
+
+    def test_rows_share_the_parsed_subtrees(self, tmp_path):
+        path = tmp_path / "s.toml"
+        path.write_text(
+            "[timescale]\nkind = integers\na = 0\nb = 8\n"
+            "[problem]\ntype = variational\nf = sqrt(1 + v^2) + 2*(z - 1)^2 + w*cos(x)\n"
+            "alpha = 0\nparams = w = 0.5\n"
+        )
+        pf = load_problem_file(path)
+        a, b = pf.build_problem({"w": 1.0}).f, pf.build_problem({"w": 2.0}).f
+        # walk both trees together: every pair of equal subtrees (those without
+        # w) must be one object, and the walk must meet some
+        shared, pairs = 0, [(a, b)]
+        while pairs:
+            m, n = pairs.pop()
+            if m == n:
+                assert m is n
+                shared += 1
+            else:
+                pairs.extend((getattr(m, k), getattr(n, k))
+                             for k in ("arg", "left", "right") if hasattr(m, k))
+        assert a != b
+        assert shared == 2  # sqrt(1 + v^2) + 2*(z - 1)^2, and cos(x)
 
 
 class TestIntegrateCommand:

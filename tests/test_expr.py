@@ -210,7 +210,39 @@ class TestPrinter:
         assert tv.evaluate(again, {"x": 3.0}) == tv.evaluate(e, {"x": 3.0})
 
 
+class TestHash:
+    def test_hash_is_computed_once_per_node(self, monkeypatch):
+        tree = Var("x")
+        for k in range(300):
+            tree = Binary("add", tree, Unary("cos", Const(float(k))))
+        first = hash(tree)
+        calls = []
+        for cls in (Const, Var, Unary, Binary):
+            def counted(self, original=cls.__hash__):
+                calls.append(self)
+                return original(self)
+            monkeypatch.setattr(cls, "__hash__", counted)
+        assert hash(tree) == first
+        assert len(calls) == 1  # the root alone; its subtrees are not rehashed
+
+    def test_equal_trees_hash_alike_after_pickling(self):
+        import pickle
+
+        e = tv.parse("sqrt(1 + v^2) + w*cos(x)", bound=["w"])
+        hash(e)
+        again = pickle.loads(pickle.dumps(e))
+        assert "_hash" not in vars(again)  # the kept hash is this process's
+        assert again == e and hash(again) == hash(e)
+
+
 class TestSubstitute:
+    def test_untouched_subtrees_are_kept(self):
+        e = tv.parse("sqrt(1 + v^2) + w*cos(x)", bound=["w"])
+        out = tv.substitute(e, "w", Const(2.0))
+        assert out.left is e.left
+        assert out.right.right is e.right.right
+        assert tv.substitute(e, "lam", Const(1.0)) is e
+
     def test_rename_slope_to_control(self):
         e = tv.parse("sqrt(1+v^2) + v*t")
         renamed = tv.substitute(e, "v", Var("u"))

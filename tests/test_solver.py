@@ -1,5 +1,6 @@
 """Direct solvers, the Newton stationarity solver, the oracle, and sweeps."""
 
+import gc
 import math
 import tracemalloc
 
@@ -302,12 +303,42 @@ class TestSolveControl:
         assert sol.report.sup_norm <= 1e-8
         assert not sol.verdict.sufficient  # nonlinear dynamics
 
-    def test_implicit_step_divergence_reported(self):
-        # mu * g_x = 2 > 1: the per-step fixed point cannot contract
+    def test_implicit_step_with_large_graininess_converges(self):
+        # mu * g_x = 2: no fixed-point iteration contracts, but the step is
+        # exact, x_{i+1} = x_i / (1 - 2)
         ts = tv.TimeScale.integer_range(0, 3)
         p = tv.ControlProblem(ts, tv.parse("u^2"), tv.parse("u + 2*x"), 0.5)
-        with pytest.raises(tv.SolveError, match="implicit state step"):
+        sol = tv.solve_control(p, tv.SolveOptions())
+        assert sol.converged
+        assert sol.report.sup_norm <= 1e-8
+        assert list(sol.x.values) == [0.5, -0.5, 0.5, -0.5]
+
+    def test_singular_implicit_step_raises(self):
+        # mu * g_x = 1 on the integers: 1 - mu*g_x = 0, the step has no unique solution
+        ts = tv.TimeScale.integer_range(0, 3)
+        p = tv.ControlProblem(ts, tv.parse("u^2"), tv.parse("u + x"), 0.5)
+        with pytest.raises(tv.SolveError, match=r"implicit state step .*at t = 0\.0"):
             tv.solve_control(p, tv.SolveOptions())
+
+    def test_stiff_dynamics_converge(self):
+        # mu * |g_x| = 2 on this sampling: no fixed-point iteration of the
+        # state step contracts, at u = 0 or at any trial point
+        ts = tv.TimeScale.uniform(0, 1, 11)
+        p = tv.ControlProblem(ts, tv.parse("u^2 + 3*(z-1)^2"), tv.parse("u - 20*x"), 0.0)
+        sol = tv.solve_control(p)
+        assert sol.converged
+        assert sol.report.sup_norm <= 1e-8
+
+    def test_nonaffine_implicit_step_by_newton(self):
+        # g_x = -2 - 3x^2 depends on x, so each step is a scalar Newton solve;
+        # mu * |g_x| > 1 everywhere, where a fixed-point step cannot contract
+        ts = tv.TimeScale.integer_range(0, 4)
+        p = tv.ControlProblem(ts, tv.parse("u^2 + 4*(z-1)^2"), tv.parse("u - 2*x - x^3"), 0.0)
+        sol = tv.solve_control(p)
+        assert sol.converged
+        assert sol.report.sup_norm <= 1e-8
+        assert np.all(2.0 + 3.0 * sol.x.values[1:] ** 2 > 1.0)
+        assert 0.5 < sol.x.values[-1] < 1.0
 
     def test_trial_point_divergence_shrinks_the_step(self):
         # the start (u = 0) is fine, but full BFGS steps reach states where
@@ -366,6 +397,54 @@ class TestControlInternals:
             tracemalloc.stop()
         assert sol.converged
         assert peak < 20e6
+
+    def test_implicit_step_without_solution_raises(self):
+        # x_1 = 1 + (1 + x_1^2) has no real solution
+        ts = tv.TimeScale.integer_range(0, 2)
+        p = tv.ControlProblem(ts, tv.parse("u^2"), tv.parse("u + x^2"), 1.0)
+        with pytest.raises(tv.SolveError, match=r"implicit state step .*at t = 0\.0"):
+            solver._propagate_state(p, np.ones(2), 0.0)
+
+    def test_kept_control_solution_is_lean(self):
+        # a kept solution holds its grids x, u, lam and the scale's points
+        # (4 arrays of 25.6 kB), not the residual arrays or the graininess
+        f, g = tv.parse("u^2 + x^2 + 3*(z-1)^2"), tv.parse("u - 0.5*x")
+
+        def solve():
+            ts = tv.TimeScale.uniform(0, 1, 3200)
+            return tv.solve_control(tv.ControlProblem(ts, f, g, 0.0))
+
+        solve()  # fill the diff and compile caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sol = solve()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert retained < 150e3
+
+    @pytest.mark.parametrize("kind", ["variational", "control"])
+    def test_report_is_computed_from_the_returned_grids(self, kind):
+        if kind == "variational":
+            p = minimal_length_problem(2.0, 40)
+            sol = tv.solve_variational(p)
+            fresh = tv.variational_residuals(p, sol.x)
+        else:
+            p = endpoint_tracking_control(41)
+            sol = tv.solve_control(p)
+            fresh = tv.hamiltonian_residuals(p, sol.x, sol.u, sol.lam)
+        assert sol.problem is p
+        report = sol.report
+        for name in ("el_residuals", "state_residuals", "costate_residuals",
+                     "stationarity_residuals"):
+            a, b = getattr(report, name), getattr(fresh, name)
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert report.transversality == fresh.transversality
+        assert report.hamiltonian_transversality == fresh.hamiltonian_transversality
+        assert report.sup_norm == fresh.sup_norm
 
     def test_state_without_end_value_is_propagated_once(self, monkeypatch):
         ts = tv.TimeScale.uniform(0, 1, 21)
