@@ -266,9 +266,13 @@ def load_problem_file(path: str | Path) -> ProblemFile:
 # -- output writers -----------------------------------------------------------
 
 
-def _solution_rows(sol: Solution, report: ResidualReport) -> list[list[str]]:
+_Derived = tuple[GridFunction | None, ResidualReport]  # ``Solution.lam_and_report()``
+
+
+def _solution_rows(sol: Solution, derived: _Derived) -> list[list[str]]:
     ts = sol.x.scale
     n = ts.n
+    lam, report = derived
     el = report.el_residuals
     rows = []
     for i in range(n):
@@ -276,20 +280,18 @@ def _solution_rows(sol: Solution, report: ResidualReport) -> list[list[str]]:
             _fmt(float(ts.points[i])),
             _fmt(float(sol.x.values[i])),
             _fmt(float(sol.u.values[i])) if sol.u is not None else "",
-            _fmt(float(sol.lam.values[i])) if sol.lam is not None else "",
+            _fmt(float(lam.values[i])) if lam is not None else "",
             _fmt(float(el[i])) if el is not None and i < len(el) else "",
         ])
     return rows
 
 
-def write_solution_csv(
-    path: Path, sol: Solution, report: ResidualReport | None = None
-) -> None:
-    """Write the solution table; ``report`` defaults to ``sol.report``."""
+def write_solution_csv(path: Path, sol: Solution, derived: _Derived | None = None) -> None:
+    """Write the solution table; ``derived`` defaults to ``sol.lam_and_report()``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(["t", "x", "u", "lambda_sigma", "el_residual"])
-        writer.writerows(_solution_rows(sol, report or sol.report))
+        writer.writerows(_solution_rows(sol, derived or sol.lam_and_report()))
 
 
 def _grid_list(g: GridFunction | None):
@@ -298,10 +300,9 @@ def _grid_list(g: GridFunction | None):
     return [None if math.isnan(v) else float(v) for v in g.values]
 
 
-def solution_to_dict(
-    sol: Solution, problem_type: str, report: ResidualReport | None = None
-) -> dict:
-    """``solution.json`` content; ``report`` defaults to ``sol.report``."""
+def solution_to_dict(sol: Solution, problem_type: str, derived: _Derived | None = None) -> dict:
+    """``solution.json`` content; ``derived`` defaults to ``sol.lam_and_report()``."""
+    lam, report = derived or sol.lam_and_report()
     return {
         "problem_type": problem_type,
         "converged": sol.converged,
@@ -315,18 +316,18 @@ def solution_to_dict(
             "t": [float(t) for t in sol.x.scale.points],
             "x": [float(v) for v in sol.x.values],
             "u": _grid_list(sol.u),
-            "lambda_sigma": _grid_list(sol.lam),
+            "lambda_sigma": _grid_list(lam),
         },
-        "residuals": (report or sol.report).to_dict(),
+        "residuals": report.to_dict(),
         "message": sol.message,
     }
 
 
 def write_solution_json(
-    path: Path, sol: Solution, problem_type: str, report: ResidualReport | None = None
+    path: Path, sol: Solution, problem_type: str, derived: _Derived | None = None
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(solution_to_dict(sol, problem_type, report), fh, indent=2)
+        json.dump(solution_to_dict(sol, problem_type, derived), fh, indent=2)
         fh.write("\n")
 
 
@@ -342,9 +343,10 @@ def cmd_solve(args) -> int:
         sol = solve_variational(problem, pf.options)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = sol.report  # computed on each read, so read once
-    write_solution_csv(out_dir / "solution.csv", sol, report)
-    write_solution_json(out_dir / "solution.json", sol, pf.problem_type, report)
+    derived = sol.lam_and_report()  # computed on each read, so read once
+    report = derived[1]
+    write_solution_csv(out_dir / "solution.csv", sol, derived)
+    write_solution_json(out_dir / "solution.json", sol, pf.problem_type, derived)
     print(f"objective      {sol.objective_value:.12g}")
     print(f"residual sup   {report.sup_norm:.6e}")
     if sol.verdict.sufficient:

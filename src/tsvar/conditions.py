@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -356,6 +357,13 @@ def sufficiency_check(
                 f"midpoint convexity violated by {fm - 0.5 * (fa + fb):.3e}",
                 (t, tuple(a), tuple(b)),
             )
+    return _passed(samples)
+
+
+@lru_cache(maxsize=8)
+def _passed(samples: int) -> SufficiencyVerdict:
+    """The ``sufficient`` verdict, one object per sample count, shared by
+    every solution that gets it."""
     return SufficiencyVerdict(
         "sufficient",
         f"dynamics linear in (x, u, z); cost passed {samples} midpoint-convexity probes",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
@@ -40,39 +40,49 @@ _DIFF_CACHE_SIZE = 1024
 _COMPILE_CACHE_SIZE = 256
 
 
+@dataclass(frozen=True, slots=True)
 class Expr:
     """Immutable expression tree node.
 
     Nodes compare structurally and keep their structural hash once computed,
     so a cache lookup of a tree that shares its subtrees with earlier ones
-    hashes only the new nodes.
+    hashes only the new nodes.  Nodes have slots and no ``__dict__``.
     """
 
-    __slots__ = ()
-    _hash = None  # the node's own value is set on its first hash
+    # the node's own hash, set on its first hash; a field, so that every node
+    # has the slot from construction on and no lookup has to fall back
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __str__(self) -> str:
         return to_text(self)
 
-    def __getstate__(self) -> dict:
-        # the kept hash depends on this process's string hashing
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+def _getstate(node: Expr) -> tuple:
+    # the kept hash depends on this process's string hashing, so it stays behind
+    return tuple(getattr(node, f.name) for f in fields(node) if f.init)
+
+
+def _setstate(node: Expr, state: tuple) -> None:
+    names = [f.name for f in fields(node) if f.init]
+    for name, value in zip(names, state):
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "_hash", None)
 
 
 def _node(cls):
-    """Frozen dataclass whose structural hash is computed once per node."""
-    cls = dataclass(frozen=True)(cls)
+    """Frozen slotted dataclass whose structural hash is computed once per node."""
+    cls = dataclass(frozen=True, slots=True)(cls)
     structural = cls.__hash__
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             h = structural(self)
-            # not through self.__dict__: reading it gives each node a dict object
             object.__setattr__(self, "_hash", h)
         return h
 
     cls.__hash__ = __hash__
+    cls.__getstate__, cls.__setstate__ = _getstate, _setstate
     return cls
 
 

@@ -33,7 +33,7 @@ __all__ = [
 _INIT_RTOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class VariationalProblem:
     """Minimize the delta integral of ``f(t, x, v, z)`` over ``[a, T)``.
 
@@ -53,7 +53,7 @@ class VariationalProblem:
             raise ValueError(f"integrand may only use t, x, v, z; found {sorted(bad)}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ControlProblem:
     """Minimize the delta integral of ``f(t, x, u, z)`` subject to dynamics ``g``.
 

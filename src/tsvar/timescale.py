@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -208,7 +207,7 @@ class TimeScale:
         return bool(np.all(np.diff(rounded) == 1.0))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GridFunction:
     """One real value per point of a :class:`TimeScale`."""
 
@@ -249,9 +248,13 @@ class GridFunction:
             )
         return float((self.values[i + 1] - self.values[i]) / self.scale.mu(i))
 
-    @cached_property
+    @property
     def delta_values(self) -> np.ndarray:
-        """Delta derivative at every admissible index (length ``n - 1``)."""
+        """Delta derivative at every admissible index (length ``n - 1``).
+
+        Computed on each access, so a kept grid function holds no second
+        array of its size.
+        """
         out = np.diff(self.values) / np.diff(self.scale.points)
         out.setflags(write=False)
         return out

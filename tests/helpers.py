@@ -7,7 +7,6 @@ import math
 import numpy as np
 
 import tsvar as tv
-from tsvar.solver import _ARMIJO, _DOMAIN_ERRORS
 
 
 def bisect_root(fn, lo: float, hi: float, iters: int = 200) -> float:
@@ -49,56 +48,6 @@ def endpoint_tracking_control(n: int) -> tv.ControlProblem:
     """Quadratic cost with end-value-coupled dynamics on a sampling of [-1, 1]."""
     scale = tv.TimeScale.uniform(-1.0, 1.0, n)
     return tv.ControlProblem(scale, tv.parse("u^2"), tv.parse("u + z*t"), 1.0)
-
-
-def dense_bfgs(value_and_grad, y0: np.ndarray, opts: tv.SolveOptions):
-    """Reference BFGS that keeps the dense inverse Hessian and updates it in
-    place; ``tsvar.solver._bfgs`` holds the same matrix in product form."""
-    y = np.asarray(y0, dtype=float).copy()
-    J, g = value_and_grad(y)
-    m = y.size
-    H = np.eye(m)
-    scaled = False
-    iters = 0
-    for iters in range(1, opts.max_iterations + 1):
-        if np.max(np.abs(g)) < opts.gradient_tolerance:
-            return y, J, g, True, iters - 1
-        d = -H @ g
-        gd = float(g @ d)
-        if gd >= 0.0:
-            H = np.eye(m)
-            d = -g
-            gd = float(g @ d)
-        step = 1.0
-        accepted = False
-        slack = 4.0 * np.finfo(float).eps * (1.0 + abs(J))
-        while step * np.max(np.abs(d)) >= opts.step_tolerance:
-            try:
-                Jn, gn = value_and_grad(y + step * d)
-            except _DOMAIN_ERRORS:
-                step *= 0.5
-                continue
-            if Jn <= J + _ARMIJO * step * gd + slack:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        s = step * d
-        yk = gn - g
-        y = y + s
-        J, g = Jn, gn
-        sy = float(s @ yk)
-        if sy > 1e-12 * (np.linalg.norm(s) * np.linalg.norm(yk) + 1e-300):
-            if not scaled:
-                H *= sy / float(yk @ yk)
-                scaled = True
-            Hy = H @ yk
-            H += (
-                np.outer(s, s) * ((sy + float(yk @ Hy)) / sy**2)
-                - (np.outer(Hy, s) + np.outer(s, Hy)) / sy
-            )
-    return y, J, g, bool(np.max(np.abs(g)) < opts.gradient_tolerance), iters
 
 
 def reference_costate(p: tv.ControlProblem, x, u, zeta: float) -> np.ndarray:
@@ -164,6 +113,29 @@ def random_quadratic_problem(
     f = tv.parse(" + ".join(terms))
     alpha = float(rng.uniform(-1.0, 1.0))
     return tv.VariationalProblem(scale, f, alpha)
+
+
+def random_quadratic_control(rng: np.random.Generator) -> tv.ControlProblem:
+    """Strictly convex quadratic cost in (x, u, z) with t-dependent linear
+    terms, and dynamics affine in (x, u, z) with the end value in both; the
+    reduced problem is a strictly convex quadratic in the controls."""
+    scale = random_scale(rng)
+    r = rng.uniform(-0.7, 0.7, size=(3, 3))
+    m = r.T @ r + 0.4 * np.eye(3)
+    lin = rng.uniform(-1.0, 1.0, size=3)
+    names = ("x", "u", "z")
+    parts = []
+    for i in range(3):
+        parts.append(f"({m[i, i]:.17g})*{names[i]}^2")
+        for j in range(i + 1, 3):
+            parts.append(f"({2 * m[i, j]:.17g})*{names[i]}*{names[j]}")
+        parts.append(f"({lin[i]:.17g})*{names[i]}")
+    parts.append(f"({rng.uniform(-0.5, 0.5):.17g})*t*u")
+    gx, gz = rng.uniform(-0.3, 0.3, size=2)
+    gu, g0 = rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)
+    g = tv.parse(f"({gx:.17g})*x + ({gu:.17g})*u + ({gz:.17g})*z + ({g0:.17g})*t")
+    alpha = float(rng.uniform(-1.0, 1.0))
+    return tv.ControlProblem(scale, tv.parse(" + ".join(parts)), g, alpha)
 
 
 def admissible_grid(rng: np.random.Generator, p: tv.VariationalProblem) -> tv.GridFunction:

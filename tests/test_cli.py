@@ -253,6 +253,33 @@ class TestSolveCommand:
         assert main(["solve", str(control_file), "--out-dir", str(tmp_path)]) == 0
         assert len(calls) == 1
 
+    def test_multipliers_are_recovered_once(self, control_file, tmp_path, monkeypatch):
+        # Solution.lam is derived on read: the report, the CSV and the JSON
+        # share one recovery after the solve
+        import tsvar.cli
+        import tsvar.solver
+
+        calls = []
+        solved = []
+        recover, solve = tsvar.solver.recover_costate, tsvar.cli.solve_control
+
+        def counted(*args):
+            if solved:
+                calls.append(args)
+            return recover(*args)
+
+        def solve_then_count(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(tsvar.solver, "recover_costate", counted)
+        monkeypatch.setattr(tsvar.cli, "solve_control", solve_then_count)
+        assert main(["solve", str(control_file), "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        rows = read_csv(tmp_path / "solution.csv")
+        lam = [float(row["lambda_sigma"] or "nan") for row in rows]
+        assert np.array_equal(lam, solved[0].lam.values, equal_nan=True)
+
     def test_determinism_byte_identical(self, length_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["solve", str(length_file), "--out-dir", str(a)])

@@ -10,9 +10,7 @@ import pytest
 import tsvar as tv
 import tsvar.solver as solver
 from tsvar.solver import (
-    _bfgs,
     _consistent_state,
-    _control_value_and_grad,
     _eliminate,
     _Hessian,
     _shifted_newton_step,
@@ -21,11 +19,11 @@ from tsvar.solver import (
 )
 from helpers import (
     admissible_grid,
-    dense_bfgs,
     endpoint_penalty_control,
     endpoint_tracking_control,
     minimal_length_problem,
     minimal_slope_root,
+    random_quadratic_control,
     random_quadratic_problem,
     random_scale,
     reference_costate,
@@ -358,32 +356,46 @@ class TestSolveControl:
         assert sol.report.stationarity_residuals is not None
         assert sol.report.el_residuals is None
 
-    def test_restarts_count_in_iterations_and_message(self):
+    def test_iteration_cap_is_reported(self):
+        # a cost that is not quadratic needs more than one Newton step
         ts = tv.TimeScale.uniform(0, 1, 41)
-        p = tv.ControlProblem(ts, tv.parse("u^2 + (x-2)^2"), tv.parse("u + x/2"), 1.0)
+        p = tv.ControlProblem(ts, tv.parse("u^4 + (x-2)^2"), tv.parse("u + x/2"), 1.0)
         sol = tv.solve_control(p, tv.SolveOptions(max_iterations=1))
         assert not sol.converged
-        assert sol.iterations == 3  # the first attempt and two restarts
-        assert "2 restarts" in sol.message
+        assert sol.iterations == 1
+        assert sol.message == "gradient tolerance not reached"
+
+    def test_non_convex_cost_needs_the_shift(self):
+        # at u = 0 every u^4 - 2u^2 term has curvature -4, so the unshifted
+        # Newton step heads for a saddle; the shifted steps reach a minimizer
+        ts = tv.TimeScale.uniform(0, 1, 21)
+        p = tv.ControlProblem(ts, tv.parse("u^4 - 2*u^2 + (z-1)^2"), tv.parse("u"), 0.0)
+        start = np.zeros(ts.n - 1)
+        value = solver._control_objective(p)
+        hu, stages = solver._control_derivatives(p)(start, *value(start)[1:])
+        gradient = ts.mu_values[:-1] * hu
+        assert solver._riccati_step(stages, gradient.tolist(), 0.0) is None
+        sol = tv.solve_control(p)
+        assert sol.converged
+        assert sol.report.sup_norm <= 1e-9
+        assert np.all(12.0 * sol.u.values[:-1] ** 2 - 4.0 > 0.0)  # a local minimizer
+        assert sol.objective_value < value(start)[0]
 
 
 class TestControlInternals:
-    @pytest.mark.parametrize("problem", [
-        lambda: endpoint_penalty_control(tv.TimeScale.uniform(0, 1, 41)),
-        lambda: endpoint_tracking_control(41),
-        lambda: tv.ControlProblem(tv.TimeScale.uniform(0, 1, 41),
-                                  tv.parse("u^2 + (x-2)^2"), tv.parse("u + x/2"), 1.0),
-    ], ids=["endpoint_penalty", "tracking", "state_dependent"])
-    def test_product_form_bfgs_matches_dense_update(self, problem):
-        p = problem()
-        fun = _control_value_and_grad(p)
-        w0 = np.full(p.scale.n - 1, 0.5)
-        opts = tv.SolveOptions(max_iterations=2000)
-        w, _, _, ok, iters = _bfgs(fun, w0, opts)
-        w_ref, _, _, ok_ref, iters_ref = dense_bfgs(fun, w0, opts)
-        assert ok and ok_ref
-        assert iters == iters_ref
-        assert np.max(np.abs(w - w_ref)) <= 1e-10
+    def test_one_newton_step_reaches_the_oracle(self):
+        # the reduced problem of a convex quadratic cost and affine dynamics is
+        # a quadratic in the controls, so the exact Newton step from any start
+        # lands on its minimizer
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            p = random_quadratic_control(rng)
+            ref = tv.brute_force_oracle(p)
+            u0 = tv.GridFunction(p.scale, rng.uniform(-2.0, 2.0, size=p.scale.n))
+            sol = tv.solve_control(p, tv.SolveOptions(max_iterations=1), u0=u0)
+            assert sol.iterations == 1
+            assert np.max(np.abs(sol.u.values[:-1] - ref.u.values[:-1])) <= 1e-10
+            assert sol.converged
 
     def test_control_solve_memory_is_linear_in_n(self):
         # a dense m-by-m inverse Hessian alone would take 82 MB here
@@ -425,6 +437,33 @@ class TestControlInternals:
             tracemalloc.stop()
         assert sol.converged
         assert retained < 150e3
+
+    def test_kept_control_solution_holds_two_grids(self):
+        # beyond the caller's problem, a kept solution holds x and u (2 arrays
+        # of 25.6 kB); the multipliers are derived on read
+        ts = tv.TimeScale.uniform(0, 1, 3200)
+        p = tv.ControlProblem(ts, tv.parse("u^2 + x^2 + 3*(z-1)^2"), tv.parse("u - 0.5*x"), 0.0)
+        tv.solve_control(p)  # fill the diff and compile caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sol = tv.solve_control(p)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert retained < 60e3
+
+    def test_lam_is_recovered_from_the_returned_grids(self):
+        p = tv.ControlProblem(tv.TimeScale.uniform(0, 1, 51), tv.parse("u^2 + (z-2)^2"),
+                              tv.parse("u + z^2*t/4"), 1.0)
+        sol = tv.solve_control(p)
+        xv = sol.x.values
+        lam = tv.recover_costate(p, xv, sol.u.values[:-1], float(xv[-1]))
+        assert np.array_equal(sol.lam.values[:-1], lam)
+        assert math.isnan(sol.lam.values[-1])
+        assert sol.lam_and_report()[0].values.tobytes() == sol.lam.values.tobytes()
 
     @pytest.mark.parametrize("kind", ["variational", "control"])
     def test_report_is_computed_from_the_returned_grids(self, kind):
