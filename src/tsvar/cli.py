@@ -374,7 +374,15 @@ def _read_candidate(path: Path, scale: TimeScale):
         vals = [row[name].strip() for row in rows]
         if all(v == "" for v in vals):
             return None
-        return np.asarray([float(v) if v else math.nan for v in vals])
+        out = np.empty(len(vals))
+        for i, v in enumerate(vals):
+            try:
+                out[i] = float(v) if v else math.nan
+            except ValueError:
+                raise ProblemFileError(
+                    f"candidate {path} has a non-numeric {name} cell at row {i}: {v!r}"
+                ) from None
+        return out
 
     t = column("t")
     if t is None or column("x") is None:

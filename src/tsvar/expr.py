@@ -35,7 +35,8 @@ FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos")
 _BINARY_OPS = ("add", "sub", "mul", "div", "pow")
 
 # Cache bounds: a sweep builds a new expression per value, and one solve
-# needs about 65 ``diff`` and 10 ``compile_fn`` entries.
+# with its residual report needs about 105 ``diff`` and 10 ``compile_fn``
+# entries (a variational solve runs the control core on its ``g = u`` form).
 _DIFF_CACHE_SIZE = 1024
 _COMPILE_CACHE_SIZE = 256
 

@@ -1,39 +1,37 @@
 """Direct solvers for the free end-point problems, plus the exact oracle.
 
-``solve_variational`` minimizes over the grid values with an analytic
-gradient whose interior coordinates are scaled Euler-Lagrange residuals and
-whose end coordinate is exactly the transversality expression: the first
-variation couples every point into the free end value through the
-``z``-partial, and the boundary condition emerges as a first-order condition
-rather than being imposed.
+All three solvers run one Newton core, that of the control problem.  A
+variational problem is solved in its control form ``g = u``
+(:meth:`ControlProblem.from_variational`), whose controls are the slopes
+``x_delta``; without a start they are zero, the flat start ``x = alpha``.
 
-Both variational solvers take Newton steps with the exact Hessian, built from
-the symbolic second partials of the integrand.  Each integrand term touches
-two neighbouring grid values and the end value, so the Hessian is
-tridiagonal plus the end value's border, and each step is eliminated in
-O(n): a Thomas sweep on the tridiagonal block, then a scalar Schur
-complement.  ``solve_variational`` adds a multiple of the identity where the
-Hessian is not positive definite and backtracks on the objective (Armijo);
-it stops when the sup of the gradient, whose interior coordinates carry a
-factor ``mu``, is below ``gradient_tolerance``.  ``solve_stationarity``
-takes the unshifted steps and backtracks on the sup norm of the residual
-system.  Neither forms an n-by-n matrix.
+The core reduces to the control samples: the state grid is rebuilt by
+forward propagation, each step solved exactly for the sigma-shifted state
+(a compensated running sum for ``g = u``, in closed form when ``g`` is
+affine in ``x``, by scalar Newton otherwise), the end value is closed by a
+scalar consistency solve (one propagation when ``g`` has no ``z``), and the
+gradient ``mu h``, with ``h = f_u + lam g_u``, comes from the discrete
+adjoint, whose multipliers are precisely the sigma-shifted costate samples
+of the Hamiltonian system.  The exact reduced Hessian is that of the
+Lagrangian over the linearized dynamics: stage ``i`` couples the state
+change at ``sigma(t_i)``, the control change and the end-value change, so a
+backward Riccati sweep over the stages, with the end value as one border,
+solves each Newton step in O(n) and reads the Hessian's definiteness off
+the inertia of its pivots.  No solver forms an n-by-n matrix.
 
-``solve_control`` reduces to the control samples: the state grid is rebuilt
-by forward propagation, each step solved exactly for the sigma-shifted state
-(in closed form when ``g`` is affine in ``x``, by scalar Newton otherwise),
-the end value is closed by a scalar consistency solve (one propagation when
-``g`` has no ``z``), and the gradient comes from the discrete adjoint, whose
-multipliers are precisely the sigma-shifted costate samples of the
-Hamiltonian system.
-It takes Newton steps on this reduced problem.  The exact reduced Hessian is
-that of the Lagrangian over the linearized dynamics: stage ``i`` couples the
-state change at ``sigma(t_i)``, the control change and the end-value change,
-so a backward Riccati sweep over the stages, with the end value as one
-border, solves each step in O(n).  The same shift as on the variational path
-makes the step a descent direction where the reduced Hessian is not positive
-definite, and a line-search trial point where the state or costate cannot
-be solved shrinks the step.
+``solve_control`` and ``solve_variational`` add a multiple of the identity
+where the reduced Hessian is not positive definite and backtrack on the
+objective (Armijo); a trial point where the state or costate cannot be
+solved shrinks the step.  They differ only in the stopping rule, a function
+of ``h``: ``solve_control`` stops on the stationarity residual ``h`` itself,
+and ``solve_variational`` on the gradient over the grid values,
+``h_i - h_{i+1}`` with ``h_m = 0``.  Its interior coordinates are
+graininess-scaled Euler-Lagrange residuals and its end coordinate is
+exactly the transversality expression: the first variation couples every
+point into the free end value through the ``z``-partial, and the boundary
+condition emerges as a first-order condition rather than being imposed.
+``solve_stationarity`` takes the unshifted steps and backtracks on the sup
+norm of the residual system, ``(h_{i+1} - h_i) / mu_i`` and ``h_{m-1}``.
 
 Every pointwise evaluation (objectives, gradients, Hessians, costate
 partials, the coefficients of affine state steps) goes through the kernel of
@@ -150,119 +148,7 @@ class Solution:
         return float((self.x.values[-1] - self.x.values[0]) / (ts.b - ts.a))
 
 
-# -- variational solve: structured Newton --------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class _Hessian:
-    """Symmetric ``[[T, w], [w', corner]]`` over the free values ``x[1:]``.
-
-    ``T`` (``diag`` and ``off``) couples neighbouring values ``x_1 .. x_{n-2}``;
-    the border ``w`` and ``corner`` belong to the end value ``x_{n-1} = z``,
-    which every integrand term sees.
-    """
-
-    diag: np.ndarray
-    off: np.ndarray
-    border: np.ndarray
-    corner: float
-
-
-def _variational_newton(p: VariationalProblem):
-    """Gradient and exact Hessian of the discrete objective over ``x[1:]``.
-
-    Term ``i`` of ``sum mu_i f(t_i, x_{i+1}, (x_{i+1} - x_i) / mu_i, z)``
-    touches only ``x_i``, ``x_{i+1}`` and ``z``, so the Hessian is tridiagonal
-    plus the border of ``z``, built from the six second partials of ``f``.
-    The gradient's end coordinate accumulates the ``z``-partial of every term,
-    so it equals the transversality expression; interior coordinates are
-    graininess-scaled Euler-Lagrange residuals.  The kernel raises
-    ``ValueError`` on non-finite derivatives, which the line searches treat
-    as a domain error.
-    """
-    keys = ("x", "v", "z", "xx", "xv", "xz", "vv", "vz", "zz")
-    partials = pointwise(*(
-        ex.diff(p.f, ab[0]) if len(ab) == 1 else ex.diff(ex.diff(p.f, ab[0]), ab[1])
-        for ab in keys
-    ))
-    ts = p.scale
-    mu = ts.mu_values[:-1]
-    alpha = p.alpha
-
-    def assemble(y: np.ndarray) -> tuple[np.ndarray, _Hessian]:
-        q = dict(zip(keys, partials(terms(ts, np.concatenate(([alpha], y))))))
-        grad = mu * q["x"] + q["v"]
-        grad[:-1] -= q["v"][1:]
-        grad[-1] += math.fsum(mu * q["z"])
-        vv = q["vv"] / mu
-        diag = mu * q["xx"] + 2.0 * q["xv"] + vv
-        diag[:-1] += vv[1:]
-        off = -q["xv"][1:] - vv[1:]
-        border = mu * q["xz"] + q["vz"]
-        border[:-1] -= q["vz"][1:]
-        corner = diag[-1] + 2.0 * border[-1] + math.fsum(mu * q["zz"])
-        # the last tridiagonal coupling links x_{n-2} to z, so it joins the border
-        border[-2] += off[-1]
-        return grad, _Hessian(diag[:-1], off[:-1], border[:-1], corner)
-
-    return assemble
-
-
-def _eliminate(
-    h: _Hessian, r: np.ndarray, tau: float = 0.0, positive: bool = False
-) -> tuple[np.ndarray | None, list[float]]:
-    """Solve ``(H + tau I) d = r`` in O(n).
-
-    A Thomas sweep (LDL' without pivoting) on the tridiagonal block takes the
-    head of ``r`` and the border as two right-hand sides; a scalar Schur
-    complement then gives the end value.  Returns ``d`` and the pivots: those
-    of the sweep followed by the Schur complement.  The elimination stops at
-    the first zero pivot, or with ``positive`` at the first one that is not
-    positive, and ``d`` is then ``None``.
-    """
-    bad = (lambda s: not s > 0.0) if positive else (lambda s: s == 0.0)
-    diag = (h.diag + tau).tolist()
-    off = h.off.tolist()
-    r_head = r[:-1].tolist()
-    w = h.border.tolist()
-    k = len(diag)
-    pivots = [diag[0]]
-    fr, fw = [r_head[0]], [w[0]]
-    if bad(pivots[0]):
-        return None, pivots
-    for j in range(1, k):
-        low = off[j - 1] / pivots[-1]
-        pivots.append(diag[j] - low * off[j - 1])
-        if bad(pivots[-1]):
-            return None, pivots
-        fr.append(r_head[j] - low * fr[-1])
-        fw.append(w[j] - low * fw[-1])
-    a = b = 0.0
-    for j in range(k - 1, -1, -1):
-        up = off[j] if j < k - 1 else 0.0
-        a = fr[j] = (fr[j] - up * a) / pivots[j]
-        b = fw[j] = (fw[j] - up * b) / pivots[j]
-    head, border = np.array(fr), np.array(fw)  # T^{-1} r_head and T^{-1} w
-    schur = h.corner + tau - float(h.border @ border)
-    pivots.append(schur)
-    if bad(schur):
-        return None, pivots
-    dz = (float(r[-1]) - float(h.border @ head)) / schur
-    return np.append(head - dz * border, dz), pivots
-
-
-def _shifted_newton_step(h: _Hessian, g: np.ndarray) -> np.ndarray:
-    """Newton direction of ``H + tau I`` with ``tau`` grown from zero until
-    the elimination's pivots are positive (Nocedal & Wright, *Numerical
-    Optimization*, Algorithm 3.3)."""
-    diag_min = min(float(np.min(h.diag)), h.corner)
-    beta = 1e-3 * max(float(np.max(np.abs(h.diag))), abs(h.corner)) or 1e-3
-    tau = 0.0 if diag_min > 0.0 else beta - diag_min
-    while True:
-        d, _ = _eliminate(h, -g, tau, positive=True)
-        if d is not None:
-            return d
-        tau = max(2.0 * tau, beta)
+# -- variational solves: the control form g = u ---------------------------------
 
 
 def _backtrack(y: np.ndarray, d: np.ndarray, opts: SolveOptions, try_step):
@@ -289,24 +175,28 @@ def _grid(p: VariationalProblem, y: np.ndarray) -> GridFunction:
     return GridFunction(p.scale, np.concatenate(([p.alpha], y)))
 
 
-def _start(p: VariationalProblem, x0: GridFunction | None) -> np.ndarray:
+def _control_form(p: VariationalProblem, x0: GridFunction | None):
+    """The control form ``g = u`` of ``p`` and the starting controls: the
+    slopes of ``x0`` with its first value replaced by ``alpha``, or zero,
+    which is the flat start ``x = alpha``."""
+    cp = ControlProblem.from_variational(p)
     if x0 is None:
-        return np.full(p.scale.n - 1, p.alpha)
-    return np.array(x0.values[1:], dtype=float)
+        return cp, np.zeros(p.scale.n - 1)
+    return cp, np.diff(np.concatenate(([p.alpha], x0.values[1:]))) / p.scale.mu_values[:-1]
 
 
-def _variational_value_and_grad(p: VariationalProblem):
-    """Objective and gradient over the free values ``x[1:]``."""
-    assemble = _variational_newton(p)
-    return lambda y: (objective(p, _grid(p, y)), assemble(y)[0])
+def _gradient_sup(h: np.ndarray) -> float:
+    """Sup of the gradient over ``x[1:]``: its coordinates are ``h_i - h_{i+1}``
+    with ``h_m = 0``, graininess-scaled Euler-Lagrange residuals and, last,
+    the transversality residual."""
+    return max(float(np.max(np.abs(h[:-1] - h[1:]))), abs(float(h[-1])))
 
 
-def _variational_solution(p, y, opts, ok, iters, message) -> Solution:
-    x = _grid(p, y)
+def _variational_solution(p, cp, x, J, opts, ok, iters, message) -> Solution:
     return Solution(
-        problem=p, x=x, u=None,
-        objective_value=objective(p, x),
-        verdict=sufficiency_check_variational(p, seed=opts.seed),
+        problem=p, x=GridFunction(p.scale, x), u=None,
+        objective_value=J,
+        verdict=sufficiency_check(cp, seed=opts.seed),
         converged=ok, iterations=iters,
         message="" if ok else message,
     )
@@ -320,42 +210,20 @@ def solve_variational(
 ) -> Solution:
     """Newton minimization over all grid values except the fixed initial one.
 
-    Each step solves with the exact bordered-tridiagonal Hessian, shifted
-    where it is not positive definite, and backtracks until the Armijo
-    condition holds.  ``iterations`` counts Newton steps; ``on_accept`` sees
-    each accepted iterate and its objective value.
+    The problem is solved in its control form ``g = u``, whose controls are
+    the slopes ``x_delta``; each step is the exact Newton step, shifted where
+    the Hessian is not positive definite, and backtracks until the Armijo
+    condition holds (see :func:`_minimize`).  It stops when the sup of the
+    gradient over the grid values, whose interior coordinates carry a factor
+    ``mu``, is below ``gradient_tolerance``.  ``iterations`` counts Newton
+    steps; ``on_accept`` sees each accepted iterate ``x[1:]`` and its
+    objective value.
     """
     opts = opts or SolveOptions()
-    y = _start(p, x0)
-    assemble = _variational_newton(p)
-    try:
-        J = objective(p, _grid(p, y))
-        g, h = assemble(y)
-    except _DOMAIN_ERRORS as exc:
-        raise SolveError(f"objective undefined at the starting point: {exc}") from exc
-    iters = 0
-    while np.max(np.abs(g)) >= opts.gradient_tolerance and iters < opts.max_iterations:
-        iters += 1
-        d = _shifted_newton_step(h, g)
-        gd = float(g @ d)
-        # the epsilon term keeps the test meaningful once the predicted
-        # decrease drops below the rounding of J itself
-        slack = 4.0 * np.finfo(float).eps * (1.0 + abs(J))
-
-        def armijo(trial, step):
-            Jn = objective(p, _grid(p, trial))
-            if not Jn <= J + _ARMIJO * step * gd + slack:
-                return None
-            return (Jn, *assemble(trial))
-
-        found = _backtrack(y, d, opts, armijo)
-        if found is None:
-            break
-        y, (J, g, h) = found
-        if on_accept is not None:
-            on_accept(y.copy(), J)
-    ok = bool(np.max(np.abs(g)) < opts.gradient_tolerance)
-    return _variational_solution(p, y, opts, ok, iters, "gradient tolerance not reached")
+    cp, w = _control_form(p, x0)
+    shown = None if on_accept is None else (lambda w, x, J: on_accept(x[1:].copy(), J))
+    _, x, J, iters, ok = _minimize(cp, w, opts, _gradient_sup, shown)
+    return _variational_solution(p, cp, x, J, opts, ok, iters, "gradient tolerance not reached")
 
 
 def solve_stationarity(
@@ -365,53 +233,57 @@ def solve_stationarity(
 ) -> Solution:
     """Damped Newton iteration on the joint stationarity system.
 
-    The system's rows are the interior Euler-Lagrange residuals and the
-    transversality residual: the gradient of :func:`solve_variational` with
-    its interior coordinates divided by ``-mu``.  Steps use the same Hessian
-    and elimination, unshifted, and backtrack on the sup norm of the rows.
+    The system's rows are the interior Euler-Lagrange residuals
+    ``(h_{i+1} - h_i) / mu_i`` and the transversality residual ``h_{m-1}``,
+    with ``h = f_v + lam`` the stationarity residual of the control form
+    ``g = u``; its sup norm is that of the residual report.  Steps are the
+    unshifted Newton steps of :func:`_riccati_step` and backtrack on that
+    sup norm.
     """
     opts = opts or SolveOptions()
-    y = _start(p, x0)
-    assemble = _variational_newton(p)
-    rows = np.append(-p.scale.mu_values[:-2], 1.0)
+    cp, w = _control_form(p, x0)
+    mu = p.scale.mu_values[:-1]
+    derivatives = _control_derivatives(cp)
 
-    def merit(g: np.ndarray) -> float:
-        return float(np.max(np.abs(g / rows)))
+    def evaluate(w):
+        return derivatives(w, *_consistent_state(cp, w))
+
+    def merit(h: np.ndarray) -> float:
+        return max(float(np.max(np.abs((h[1:] - h[:-1]) / mu[:-1]))), abs(float(h[-1])))
 
     try:
-        g, h = assemble(y)
+        h, stages = evaluate(w)
     except _DOMAIN_ERRORS as exc:
         raise SolveError(f"residuals undefined at the starting point: {exc}") from exc
     iters = 0
-    while iters < opts.max_iterations and merit(g) >= opts.gradient_tolerance:
+    while iters < opts.max_iterations and merit(h) >= opts.gradient_tolerance:
         iters += 1
-        d, pivots = _eliminate(h, -g)
-        size = np.abs(pivots)
-        cond = math.inf if size.min() == 0.0 else float(size.max() / size.min())
+        d, _, cond = _riccati_step(stages, (mu * h).tolist(), 0.0)
         if d is None or cond > 1e15 or not np.all(np.isfinite(d)):
             raise SingularJacobianError(
                 f"singular Jacobian in Newton iteration (cond ~ {cond:.2e})"
             )
-        base = merit(g)
+        base = merit(h)
 
         def decrease(trial, step):
-            gn, hn = assemble(trial)
-            sup_n = merit(gn)
+            state = evaluate(trial)
+            sup_n = merit(state[0])
             if sup_n < (1.0 - _ARMIJO * step) * base or sup_n < opts.gradient_tolerance:
-                return gn, hn
+                return state
             return None
 
-        found = _backtrack(y, d, opts, decrease)
+        found = _backtrack(w, d, opts, decrease)
         if found is None:
             break
-        y, (g, h) = found
-    ok = bool(merit(g) < opts.gradient_tolerance)
+        w, (h, stages) = found
+    ok = bool(merit(h) < opts.gradient_tolerance)
+    J, x, _ = _control_objective(cp)(w)
     return _variational_solution(
-        p, y, opts, ok, iters, "stationarity residual tolerance not reached"
+        p, cp, x, J, opts, ok, iters, "stationarity residual tolerance not reached"
     )
 
 
-# -- control solve -------------------------------------------------------------
+# -- the Newton core: control problems ---------------------------------------
 
 
 def _propagate_state(p: ControlProblem, u: np.ndarray, zeta: float) -> np.ndarray:
@@ -436,10 +308,30 @@ def _propagate_state(p: ControlProblem, u: np.ndarray, zeta: float) -> np.ndarra
     if singular.size:
         t = float(ts.points[singular[0]])
         raise SolveError(f"implicit state step singular (1 - mu*g_x = 0) at t = {t!r}")
-    x = [float(p.alpha)]
-    for step, d in zip((mu * a).tolist(), denom.tolist()):
-        x.append((x[-1] + step) / d)
-    return np.array(x)
+    return _recurrence(float(p.alpha), mu * a, denom)
+
+
+def _recurrence(y0: float, steps: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """``y_{j+1} = (y_j + steps_j) / denom_j`` from ``y0``, over plain floats.
+
+    Where every ``denom`` is 1 (``g_x = 0``, as for ``g = u``) it is a
+    running sum, taken compensated: the exact rounding error of each
+    addition (Knuth's TwoSum) is summed alongside and added back, so every
+    ``y_j`` is within about one rounding of the exact sum.  A plain running
+    sum drifts by up to ``j`` roundings, and through the end value that
+    drift puts noise into the objective that stalls the Armijo test on long
+    meshes.
+    """
+    if (denom == 1.0).all():
+        y = np.cumsum(np.concatenate(([y0], steps)))
+        head, tail = y[:-1], y[1:]
+        part = tail - head
+        y[1:] += np.cumsum((head - (tail - part)) + (steps - part))
+        return y
+    y = [y0]
+    for step, d in zip(steps.tolist(), denom.tolist()):
+        y.append((y[-1] + step) / d)
+    return np.array(y)
 
 
 def _propagate_newton(p: ControlProblem, u: np.ndarray, zeta: float, gx: ex.Expr) -> np.ndarray:
@@ -547,14 +439,11 @@ def recover_costate(
         raise SolveError(
             f"costate recurrence singular at t = {float(ts.points[singular[-1]])!r}"
         )
-    mu_l, fx_l, denom_l = mu.tolist(), fx.tolist(), denom.tolist()
+    steps = mu[:k] * fx[:k]
 
     def sweep(lam_end: float) -> tuple[np.ndarray, float]:
-        lam = np.empty(k + 1)
-        lam[k] = lam_end
-        for i in range(k - 1, -1, -1):
-            lam[i] = (lam[i + 1] + mu_l[i] * fx_l[i]) / denom_l[i]
-        rhs = mu[k] * (fx[k] + lam[k] * gx[k]) + math.fsum(mu * (fz + lam * gz))
+        lam = _recurrence(lam_end, steps[::-1], denom[::-1])[::-1]
+        rhs = mu[k] * (fx[k] + lam[k] * gx[k]) + math.fsum((mu * (fz + lam * gz)).tolist())
         return lam, rhs
 
     lam0, r0 = sweep(0.0)
@@ -609,9 +498,11 @@ def _control_derivatives(p: ControlProblem):
     return derivatives
 
 
-def _riccati_step(stages: list, r: list[float], tau: float) -> np.ndarray | None:
+def _riccati_step(
+    stages: list, r: list[float], tau: float
+) -> tuple[np.ndarray | None, bool, float]:
     """Newton step of the reduced problem in ``u``, with ``tau I`` added to
-    its Hessian, in O(n); ``None`` when that Hessian is not positive definite.
+    its Hessian, in O(n).
 
     The step minimizes ``sum r_i du_i + 1/2 s_i' W_i s_i`` over
     ``s_i = (e_{i+1}, du_i, dz)``, subject to the linearized dynamics from
@@ -620,28 +511,52 @@ def _riccati_step(stages: list, r: list[float], tau: float) -> np.ndarray | None
     coefficient ``P`` (the Riccati recursion, free of ``dz``), a linear
     coefficient ``a + b dz + c nu`` with ``nu`` the multiplier of
     ``e_m = dz``, and the terms in ``dz`` and ``nu`` alone (``A .. E``).  A
-    2x2 solve gives ``(dz, nu)`` and a forward pass the controls.  The
-    reduced Hessian is positive definite exactly when every stage pivot is
-    positive and the 2x2 matrix is indefinite, since together they carry the
-    inertia of the KKT matrix.
+    2x2 solve gives ``(dz, nu)`` and a forward pass the controls.
+
+    The sweep is a symmetric elimination of the KKT matrix, so its stage
+    pivots and the two eigenvalues of the 2x2 matrix carry that matrix's
+    inertia (Sylvester's law).  The multiplier ``nu`` accounts for exactly
+    one negative eigenvalue, so the reduced Hessian is positive definite
+    exactly when one of them, in all, is negative (Nocedal & Wright,
+    *Numerical Optimization*, 2nd ed., section 16.1).  Returns the step,
+    whether that Hessian is positive definite, and ``max |pivot| /
+    min |pivot|`` over the stage pivots and the two eigenvalues.  The step
+    is ``None`` at a zero or non-finite pivot, where the system is singular.
     """
-    alpha, beta, gamma, wxx, wxu, wxz, wuu, wuz, wzz = stages
+    alpha, beta, gamma = stages[:3]
     P = a = b = A = B = C = D = E = 0.0
     c = 1.0
-    gains = []
-    for i in range(len(r) - 1, -1, -1):
-        al, be, ga = alpha[i], beta[i], gamma[i]
-        p = wxx[i] + P
-        xz = wxz[i] + b
-        pb = p * be + wxu[i]
-        pivot = (pb + wxu[i]) * be + wuu[i] + tau
-        if not pivot > 0.0:
-            return None
-        # du_i = -(ke e_i + kz dz + kn nu + k1) / pivot
-        ke, kz, kn, k1 = pb * al, pb * ga + be * xz + wuz[i], be * c, be * a + r[i]
-        he, hz, hn, h1 = ke / pivot, kz / pivot, kn / pivot, k1 / pivot
-        gains.append((he, hz, hn, h1))
-        A += (p * ga + 2.0 * xz) * ga + wzz[i] - kz * hz
+    lo, hi = math.inf, 0.0
+    negative = 0
+    # the feedback gains of du_i = -(ge_i e_i + gz_i dz + gn_i nu + g1_i), last stage first
+    ge, gz, gn, g1 = [], [], [], []
+    for al, be, ga, xx, xu, xz_i, uu, uz, zz, r_i in zip(*map(reversed, (*stages, r))):
+        p = xx + P
+        xz = xz_i + b
+        pb = p * be + xu
+        pivot = (pb + xu) * be + uu + tau
+        size = abs(pivot)
+        if not 0.0 < size < math.inf:
+            return None, False, math.inf
+        if pivot < 0.0:
+            negative += 1
+        if size < lo:
+            lo = size
+        if size > hi:
+            hi = size
+        ke = pb * al
+        kz = pb * ga + be * xz + uz
+        kn = be * c
+        k1 = be * a + r_i
+        he = ke / pivot
+        hz = kz / pivot
+        hn = kn / pivot
+        h1 = k1 / pivot
+        ge.append(he)
+        gz.append(hz)
+        gn.append(hn)
+        g1.append(h1)
+        A += (p * ga + 2.0 * xz) * ga + zz - kz * hz
         B += ga * c - kz * hn
         C -= kn * hn
         D += ga * a - kz * h1
@@ -651,17 +566,23 @@ def _riccati_step(stages: list, r: list[float], tau: float) -> np.ndarray | None
     # stationarity in (dz, nu) of 1/2 A dz^2 + B dz nu + 1/2 C nu^2 + D dz + E nu - nu dz
     s = B - 1.0
     det = A * C - s * s
-    if not det < 0.0:
-        return None
+    if not (det != 0.0 and math.isfinite(det)):
+        return None, False, math.inf
+    # a negative determinant means one negative eigenvalue, a positive one none or two
+    negative += 1 if det < 0.0 else 0 if A + C > 0.0 else 2
+    big = abs(0.5 * (A + C)) + math.hypot(0.5 * (A - C), s)
+    cond = max(hi, big) / min(lo, abs(det) / big)
     dz = (s * E - C * D) / det
     nu = (s * D - A * E) / det
     e = 0.0
     du = []
-    for (he, hz, hn, h1), al, be, ga in zip(reversed(gains), alpha, beta, gamma):
+    for he, hz, hn, h1, al, be, ga in zip(
+        reversed(ge), reversed(gz), reversed(gn), reversed(g1), alpha, beta, gamma
+    ):
         step = -(he * e + hz * dz + hn * nu + h1)
         du.append(step)
         e = al * e + be * step + ga * dz
-    return np.array(du)
+    return np.array(du), negative == 1, cond
 
 
 def _shifted_control_step(stages: list, r: np.ndarray) -> np.ndarray:
@@ -673,37 +594,35 @@ def _shifted_control_step(stages: list, r: np.ndarray) -> np.ndarray:
     tau = 0.0
     rl = r.tolist()
     while math.isfinite(tau):
-        d = _riccati_step(stages, rl, tau)
-        if d is not None:
+        d, definite, _ = _riccati_step(stages, rl, tau)
+        if definite:
             return d
         tau = max(2.0 * tau, beta - min(wuu), beta)
     raise SolveError("no shift makes the reduced Hessian positive definite")
 
 
-def solve_control(
+def _minimize(
     p: ControlProblem,
-    opts: SolveOptions | None = None,
-    u0: GridFunction | None = None,
-    on_accept: Callable[[np.ndarray, float], None] | None = None,
-) -> Solution:
-    """Newton minimization over the shifted control samples.
+    w: np.ndarray,
+    opts: SolveOptions,
+    size: Callable[[np.ndarray], float],
+    on_accept: Callable[[np.ndarray, np.ndarray, float], None] | None,
+) -> tuple[np.ndarray, np.ndarray, float, int, bool]:
+    """Newton minimization of the reduced objective over the controls ``w``.
 
     The state and the end value follow from the controls, and the
     multipliers of the backward costate sweep make the gradient
-    ``mu (f_u + lam g_u)`` exact.  Each step is the Newton step of this
-    reduced problem (:func:`_riccati_step`), shifted where the reduced
-    Hessian is not positive definite; it backtracks until the Armijo
+    ``mu hu``, with ``hu = f_u + lam g_u``, exact.  Each step is the Newton
+    step of this reduced problem (:func:`_riccati_step`), shifted where the
+    reduced Hessian is not positive definite; it backtracks until the Armijo
     condition holds, and a trial point whose state or costate cannot be
-    solved halves the step.  The solve stops when the stationarity residual
-    ``f_u + lam g_u`` is below ``gradient_tolerance``: of the report's
-    families it is the one the iteration drives, the others hold by
-    construction.  ``iterations`` counts Newton steps; ``on_accept`` sees
-    each accepted iterate and its objective value.
+    solved halves the step.  The iteration stops once ``size(hu)`` is below
+    ``gradient_tolerance``.  ``on_accept(w, x, J)`` sees each accepted
+    iterate, its state and its objective value.  Returns the controls, the
+    state, the objective value, the number of Newton steps and whether the
+    stopping rule holds.
     """
-    opts = opts or SolveOptions()
-    n = p.scale.n
     mu = p.scale.mu_values[:-1]
-    w = np.zeros(n - 1) if u0 is None else np.array(u0.values[: n - 1], dtype=float)
     value = _control_objective(p)
     derivatives = _control_derivatives(p)
     try:
@@ -712,7 +631,7 @@ def solve_control(
     except _DOMAIN_ERRORS as exc:
         raise SolveError(f"objective undefined at the starting point: {exc}") from exc
     iters = 0
-    while np.max(np.abs(hu)) >= opts.gradient_tolerance and iters < opts.max_iterations:
+    while size(hu) >= opts.gradient_tolerance and iters < opts.max_iterations:
         iters += 1
         r = mu * hu
         d = _shifted_control_step(stages, r)
@@ -735,8 +654,33 @@ def solve_control(
             break
         w, (J, x_arr, hu, stages) = found
         if on_accept is not None:
-            on_accept(w.copy(), J)
-    ok = bool(np.max(np.abs(hu)) < opts.gradient_tolerance)
+            on_accept(w, x_arr, J)
+    return w, x_arr, J, iters, size(hu) < opts.gradient_tolerance
+
+
+def _sup(h: np.ndarray) -> float:
+    return float(np.max(np.abs(h)))
+
+
+def solve_control(
+    p: ControlProblem,
+    opts: SolveOptions | None = None,
+    u0: GridFunction | None = None,
+    on_accept: Callable[[np.ndarray, float], None] | None = None,
+) -> Solution:
+    """Newton minimization over the shifted control samples.
+
+    Steps as in :func:`_minimize`.  The solve stops when the stationarity
+    residual ``f_u + lam g_u`` is below ``gradient_tolerance``: of the
+    report's families it is the one the iteration drives, the others hold by
+    construction.  ``iterations`` counts Newton steps; ``on_accept`` sees
+    each accepted iterate and its objective value.
+    """
+    opts = opts or SolveOptions()
+    n = p.scale.n
+    w = np.zeros(n - 1) if u0 is None else np.array(u0.values[: n - 1], dtype=float)
+    shown = None if on_accept is None else (lambda w, x, J: on_accept(w.copy(), J))
+    w, x_arr, _, iters, ok = _minimize(p, w, opts, _sup, shown)
     x = GridFunction(p.scale, x_arr)
     u = GridFunction(p.scale, np.append(w, np.nan))
     return Solution(

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 import tsvar as tv
+import tsvar.solver as solver
 
 
 def bisect_root(fn, lo: float, hi: float, iters: int = 200) -> float:
@@ -142,6 +143,33 @@ def admissible_grid(rng: np.random.Generator, p: tv.VariationalProblem) -> tv.Gr
     vals = rng.uniform(-1.5, 1.5, size=p.scale.n)
     vals[0] = p.alpha
     return tv.GridFunction(p.scale, vals)
+
+
+def stationarity_residual(p: tv.VariationalProblem, x: tv.GridFunction) -> np.ndarray:
+    """``h = f_v + lam`` of the control form ``g = u`` at the slopes of ``x``:
+    the gradient over the slopes with the graininess divided out."""
+    cp = tv.ControlProblem.from_variational(p)
+    h, _ = solver._control_derivatives(cp)(x.delta_values, x.values, float(x.values[-1]))
+    return h
+
+
+def objective_derivatives(
+    p: tv.VariationalProblem, y: np.ndarray, eps: float = 2e-4
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of ``objective`` over the free values ``x[1:] = y``
+    by central differences of its values alone."""
+
+    def value(w):
+        return tv.objective(p, tv.GridFunction(p.scale, np.concatenate(([p.alpha], w))))
+
+    steps = eps * np.eye(y.size)
+    grad = np.array([(value(y + e) - value(y - e)) / (2 * eps) for e in steps])
+    hess = np.array([
+        [(value(y + a + b) - value(y + a - b) - value(y - a + b) + value(y - a - b))
+         / (4 * eps * eps) for b in steps]
+        for a in steps
+    ])
+    return grad, 0.5 * (hess + hess.T)
 
 
 # -- random expressions for the differentiation checks ------------------------

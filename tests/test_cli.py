@@ -352,6 +352,14 @@ class TestVerifyCommand:
         self._write_candidate(cand, short, np.zeros(3), np.zeros(3), np.zeros(3))
         assert main(["verify", str(control_file), str(cand)]) == 1
 
+    def test_non_numeric_cell_exits_one(self, control_file, tmp_path, capsys):
+        cand = tmp_path / "cand.csv"
+        cand.write_text("t,x\n0,0\n1,abc\n2,0\n3,0\n")
+        assert main(["verify", str(control_file), str(cand)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "x cell at row 1: 'abc'" in err
+
     def test_time_column_mismatch_exits_one(self, control_file, tmp_path):
         shifted = tv.TimeScale.from_points([0, 1, 2, 3.5])
         cand = tmp_path / "cand.csv"

@@ -2,6 +2,7 @@
 
 import gc
 import math
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -9,24 +10,19 @@ import pytest
 
 import tsvar as tv
 import tsvar.solver as solver
-from tsvar.solver import (
-    _consistent_state,
-    _eliminate,
-    _Hessian,
-    _shifted_newton_step,
-    _variational_newton,
-    _variational_value_and_grad,
-)
+from tsvar.solver import _consistent_state, _riccati_step, _shifted_control_step
 from helpers import (
     admissible_grid,
     endpoint_penalty_control,
     endpoint_tracking_control,
     minimal_length_problem,
     minimal_slope_root,
+    objective_derivatives,
     random_quadratic_control,
     random_quadratic_problem,
     random_scale,
     reference_costate,
+    stationarity_residual,
 )
 
 # near the limit of what value-based line searches resolve; analytic
@@ -102,94 +98,135 @@ class TestSolveVariational:
         assert sol.report.sup_norm == fresh.sup_norm
 
     def test_gradient_endpoint_coordinate_is_transversality(self):
+        # the gradient over x[1:] is h_i - h_{i+1} with h_m = 0, so its end
+        # coordinate is the last h of the control form g = u
         rng = np.random.default_rng(17)
         for _ in range(20):
             p = random_quadratic_problem(rng)
             x = admissible_grid(rng, p)
-            _, grad = _variational_value_and_grad(p)(x.values[1:])
+            h = stationarity_residual(p, x)
             tc = tv.transversality_residual(p, x)
-            assert grad[-1] == pytest.approx(tc, abs=1e-10)
+            assert h[-1] == pytest.approx(tc, abs=1e-10)
 
     def test_gradient_interior_is_scaled_el_residual(self):
         rng = np.random.default_rng(18)
         p = random_quadratic_problem(rng)
         x = admissible_grid(rng, p)
-        _, grad = _variational_value_and_grad(p)(x.values[1:])
+        h = stationarity_residual(p, x)
         el = tv.euler_lagrange_residual(p, x)
         mu = p.scale.mu_values
         for i in range(p.scale.n - 2):
-            assert grad[i] == pytest.approx(-mu[i] * el[i], abs=1e-10)
+            assert (h[i + 1] - h[i]) / mu[i] == pytest.approx(el[i], abs=1e-10)
 
 
-def dense(h):
-    """The bordered-tridiagonal Hessian as a full matrix."""
-    k = h.diag.size
-    full = np.zeros((k + 1, k + 1))
-    i = np.arange(k)
-    full[i, i] = h.diag
-    full[i[:-1], i[1:]] = full[i[1:], i[:-1]] = h.off
-    full[i, k] = full[k, i] = h.border
-    full[k, k] = h.corner
-    return full
+def random_stages(rng, k, curvature):
+    """Stages of a ``k``-step reduced problem: dynamics ``alpha, beta, gamma``
+    and ``W_i = R_i'R_i`` plus ``curvature_i`` in ``W_uu``."""
+    r = rng.uniform(-1.0, 1.0, (k, 3, 3))
+    w = r.transpose(0, 2, 1) @ r
+    w[:, 1, 1] += curvature
+    dynamics = (rng.uniform(0.5, 1.5, k), rng.uniform(0.2, 1.0, k) * rng.choice([-1.0, 1.0], k),
+                rng.uniform(-0.3, 0.3, k))
+    entries = (w[:, 0, 0], w[:, 0, 1], w[:, 0, 2], w[:, 1, 1], w[:, 1, 2], w[:, 2, 2])
+    return [col.tolist() for col in (*dynamics, *entries)]
 
 
-def random_hessian(rng, k):
-    return _Hessian(
-        rng.uniform(2.0, 3.0, k), rng.uniform(-1.0, 1.0, k - 1),
-        rng.uniform(-1.0, 1.0, k), float(rng.uniform(1.0, 3.0)),
-    )
+def dense_reduced_hessian(stages):
+    """The Hessian of ``sum 1/2 s_i' W_i s_i`` over the controls, built densely:
+    ``e_{i+1} = alpha_i e_i + beta_i du_i + gamma_i dz`` from ``e_0 = 0`` and
+    ``e_m = dz`` make ``s_i = (e_{i+1}, du_i, dz)`` linear in ``du``."""
+    alpha, beta, gamma, wxx, wxu, wxz, wuu, wuz, wzz = map(np.asarray, stages)
+    m = alpha.size
+    e = np.zeros((m + 1, m + 1))  # e_i over (du, dz)
+    for i in range(m):
+        e[i + 1] = alpha[i] * e[i]
+        e[i + 1, i] += beta[i]
+        e[i + 1, m] += gamma[i]
+    # e_m = dz fixes dz as a linear function of du
+    to_full = np.vstack((np.eye(m), e[m, :m] / (1.0 - e[m, m])))
+    hess = np.zeros((m + 1, m + 1))
+    for i in range(m):
+        s = np.zeros((3, m + 1))
+        s[0], s[1, i], s[2, m] = e[i + 1], 1.0, 1.0
+        w = np.array([[wxx[i], wxu[i], wxz[i]], [wxu[i], wuu[i], wuz[i]],
+                      [wxz[i], wuz[i], wzz[i]]])
+        hess += s.T @ w @ s
+    return to_full.T @ hess @ to_full
 
 
 class TestStructuredNewton:
-    def test_hessian_matches_central_differences_of_the_gradient(self):
+    def test_newton_step_matches_central_differences(self):
+        # the unshifted step of the control form g = u, mapped to the grid
+        # values, is the Newton step of the objective over x[1:]
         f = tv.parse("sqrt(1 + v^2) + x*v*z + cos(x)*z + t*x^2 + (z - 1)^2*v^2")
         rng = np.random.default_rng(53)
-        eps = 1e-6
         worst = 0.0
         for _ in range(10):
             p = tv.VariationalProblem(random_scale(rng), f, float(rng.uniform(-1, 1)))
-            grad = lambda y: _variational_value_and_grad(p)(y)[1]  # noqa: E731
-            y = rng.uniform(-1.0, 1.0, p.scale.n - 1)
-            g, h = _variational_newton(p)(y)
-            assert np.array_equal(g, grad(y))
-            fd = np.empty((y.size, y.size))
-            for j in range(y.size):
-                e = np.zeros(y.size)
-                e[j] = eps
-                fd[:, j] = (grad(y + e) - grad(y - e)) / (2 * eps)
-            worst = max(worst, float(np.max(np.abs(dense(h) - fd))))
-        assert worst <= 1e-7
+            x = admissible_grid(rng, p)
+            mu = p.scale.mu_values[:-1]
+            cp = tv.ControlProblem.from_variational(p)
+            h, stages = solver._control_derivatives(cp)(x.delta_values, x.values, x.values[-1])
+            du, _, _ = _riccati_step(stages, (mu * h).tolist(), 0.0)
+            grad, hess = objective_derivatives(p, x.values[1:])
+            gap = np.max(np.abs(h - np.append(h[1:], 0.0) - grad))
+            assert gap <= 1e-6 * max(1.0, np.max(np.abs(grad)))
+            want = np.linalg.solve(hess, -grad)
+            worst = max(worst, float(np.max(np.abs(np.cumsum(mu * du) - want))
+                                     / max(1.0, np.max(np.abs(want)))))
+        assert worst <= 1e-5
 
     @pytest.mark.parametrize("k", [1, 2, 7, 40])
     def test_elimination_matches_dense_solve(self, k):
+        # half the draws have stages of negative curvature in u; the step is
+        # computed either way, and called definite exactly when it is
         rng = np.random.default_rng(k)
-        h = random_hessian(rng, k)
-        r = rng.standard_normal(k + 1)
-        for tau in (0.0, 0.75):
-            d, pivots = _eliminate(h, r, tau)
-            want = np.linalg.solve(dense(h) + tau * np.eye(k + 1), r)
-            assert len(pivots) == k + 1
-            assert np.max(np.abs(d - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+        seen = set()
+        for draw in range(20):
+            low = 0.1 if draw % 2 else -1.5
+            stages = random_stages(rng, k, rng.uniform(low, 0.5, k))
+            r = rng.standard_normal(k)
+            for tau in (0.0, 0.75):
+                d, definite, cond = _riccati_step(stages, r.tolist(), tau)
+                hess = dense_reduced_hessian(stages) + tau * np.eye(k)
+                want = np.linalg.solve(hess, -r)
+                assert np.max(np.abs(d - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+                assert definite == (np.linalg.eigvalsh(hess)[0] > 0.0)
+                assert 1.0 <= cond < math.inf
+                seen.add(definite)
+        assert seen == {True, False}
 
-    def test_elimination_stops_at_a_non_positive_pivot(self):
-        h = _Hessian(np.array([2.0, -1.0, 3.0]), np.zeros(2), np.zeros(3), 1.0)
-        d, pivots = _eliminate(h, np.ones(4), positive=True)
-        assert d is None and pivots == [2.0, -1.0]
-        d, _ = _eliminate(h, np.ones(4))
-        assert d == pytest.approx([0.5, -1.0, 1 / 3, 1.0])
+    def test_definite_with_a_negative_stage_pivot(self):
+        # one stage, e_1 = du + 0*dz = dz: the pivot is W_uu = -1, yet the
+        # reduced Hessian W_uu + 2 W_uz + W_zz = 1 is positive definite
+        stages = [[1.0], [1.0], [0.0], [0.0], [0.0], [0.0], [-1.0], [0.0], [2.0]]
+        d, definite, _ = _riccati_step(stages, [3.0], 0.0)
+        assert definite
+        assert d.tolist() == [-3.0]
+        assert dense_reduced_hessian(stages).tolist() == [[1.0]]
+
+    def test_elimination_stops_at_a_zero_pivot(self):
+        # the last stage, eliminated first, has no curvature: its pivot is 0
+        stages = random_stages(np.random.default_rng(7), 3, np.zeros(3))
+        for col in stages[3:]:
+            col[-1] = 0.0
+        d, definite, cond = _riccati_step(stages, [1.0, 1.0, 1.0], 0.0)
+        assert d is None and not definite and cond == math.inf
 
     def test_shift_gives_a_descent_direction_on_an_indefinite_hessian(self):
         rng = np.random.default_rng(61)
         for k in (1, 5, 30):
-            h = random_hessian(rng, k)
-            h.diag[0] = -1.0
-            g = rng.standard_normal(k + 1)
-            d = _shifted_newton_step(h, g)
-            assert float(g @ d) < 0.0
+            stages = random_stages(rng, k, np.full(k, 0.2))
+            stages[6][0] = -2.0 - sum(abs(v[0]) for v in stages[3:])
+            hess = dense_reduced_hessian(stages)
+            assert np.linalg.eigvalsh(hess)[0] < 0.0
+            r = rng.standard_normal(k)
+            d = _shifted_control_step(stages, r)
+            assert float(r @ d) < 0.0
             # d solves a shifted system H + tau I with tau making it positive definite
-            tau = float(np.median((-g - dense(h) @ d) / d))
-            assert np.allclose(dense(h) @ d + tau * d, -g)
-            assert np.min(np.linalg.eigvalsh(dense(h) + tau * np.eye(k + 1))) > 0.0
+            tau = float(np.median((-r - hess @ d) / d))
+            assert np.allclose(hess @ d + tau * d, -r)
+            assert np.min(np.linalg.eigvalsh(hess + tau * np.eye(k))) > 0.0
 
     @pytest.mark.parametrize("n", [180, 3200, 20000])
     def test_penalized_length_takes_few_newton_steps(self, n):
@@ -201,15 +238,24 @@ class TestStructuredNewton:
         assert sol.iterations <= 8
         assert abs(sol.slope - minimal_slope_root(3.0)) <= 1e-7
 
+    @pytest.mark.parametrize("beta, n", [(1.0, 800), (2.0, 20000)])
+    def test_long_running_sums_do_not_stall_the_line_search(self, beta, n):
+        # the state is a running sum of n slopes; with plain summation its
+        # rounding drift made the Armijo test refuse steps near the optimum
+        # (10 steps at n = 800, no convergence at n = 20000)
+        sol = tv.solve_variational(minimal_length_problem(beta, n))
+        assert sol.converged
+        assert sol.iterations <= 4
+
     def test_non_convex_integrand_converges(self):
         ts = tv.TimeScale.integer_range(0, 8)
         p = tv.VariationalProblem(ts, tv.parse("sqrt(1+v^2) + 2*(z-1)^2 + cos(x)"), 0.0)
         sol = tv.solve_variational(p)
         assert sol.converged
         assert sol.report.sup_norm <= 1e-8
-        # a local minimizer: the exact Hessian there is positive definite
-        _, h = _variational_newton(p)(sol.x.values[1:])
-        assert np.min(np.linalg.eigvalsh(dense(h))) > 0.0
+        # a local minimizer: the Hessian there is positive definite
+        _, hess = objective_derivatives(p, sol.x.values[1:])
+        assert np.min(np.linalg.eigvalsh(hess)) > 0.1
 
 
 class TestSolveStationarity:
@@ -374,13 +420,31 @@ class TestSolveControl:
         value = solver._control_objective(p)
         hu, stages = solver._control_derivatives(p)(start, *value(start)[1:])
         gradient = ts.mu_values[:-1] * hu
-        assert solver._riccati_step(stages, gradient.tolist(), 0.0) is None
+        _, definite, _ = _riccati_step(stages, gradient.tolist(), 0.0)
+        assert not definite
         sol = tv.solve_control(p)
         assert sol.converged
         assert sol.report.sup_norm <= 1e-9
         assert np.all(12.0 * sol.u.values[:-1] ** 2 - 4.0 > 0.0)  # a local minimizer
         assert sol.objective_value < value(start)[0]
 
+
+    @pytest.mark.parametrize("w", [0.1, 0.5, 0.9])
+    def test_definite_step_with_negative_pivots_is_accepted(self, w):
+        # at the minimizer the reduced Hessian is positive definite (central
+        # differences give a smallest eigenvalue of 0.57/0.49/0.78), though a
+        # stage pivot is negative; refusing the unshifted step there cost
+        # linear convergence: 21/19/27 steps, not 5/7/8
+        ts = tv.TimeScale.integer_range(0, 8)
+        f = tv.parse(f"sqrt(1+v^2) + 2*(z-1)^2 + {w!r}*cos(x)")
+        p = tv.ControlProblem.from_variational(tv.VariationalProblem(ts, f, 0.0))
+        sol = tv.solve_control(p)
+        assert sol.converged
+        assert sol.iterations <= 8
+        xv, u = sol.x.values, sol.u.values[:-1]
+        hu, stages = solver._control_derivatives(p)(u, xv, float(xv[-1]))
+        _, definite, _ = _riccati_step(stages, (ts.mu_values[:-1] * hu).tolist(), 0.0)
+        assert definite
 
 class TestControlInternals:
     def test_one_newton_step_reaches_the_oracle(self):
@@ -485,6 +549,22 @@ class TestControlInternals:
         assert report.hamiltonian_transversality == fresh.hamiltonian_transversality
         assert report.sup_norm == fresh.sup_norm
 
+    def test_state_of_g_equal_u_is_a_compensated_running_sum(self):
+        # over 20000 equal steps the roundings of a plain running sum add up;
+        # the compensated one stays within about one of the exactly rounded sums
+        ts = tv.TimeScale.uniform(0.0, 1.0, 20001)
+        p = tv.ControlProblem(ts, tv.parse("u^2"), tv.parse("u"), 0.3)
+        u = np.full(ts.n - 1, 0.7)
+        steps = ts.mu_values[:-1] * u
+        total, exact = Fraction(0.3), [0.3]
+        for step in steps.tolist():
+            total += Fraction(step)
+            exact.append(float(total))
+        exact = np.array(exact)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(np.cumsum(np.append(0.3, steps)) - exact)) > 100 * eps
+        assert np.max(np.abs(solver._propagate_state(p, u, 0.0) - exact)) <= 2 * eps
+
     def test_state_without_end_value_is_propagated_once(self, monkeypatch):
         ts = tv.TimeScale.uniform(0, 1, 21)
         p = tv.ControlProblem(ts, tv.parse("u^2"), tv.parse("u - 0.5*x"), 1.0)
@@ -514,6 +594,22 @@ class TestControlInternals:
             lam = tv.recover_costate(p, x, u, zeta)
             assert np.array_equal(lam, reference_costate(p, x, u, zeta))
 
+
+    def test_recover_costate_of_g_equal_u_matches_reference_sweeps(self):
+        # every denominator is 1, so the sweeps are compensated running sums:
+        # the same values as the reference loop up to its rounding drift
+        rng = np.random.default_rng(11)
+        f = tv.parse("u^2 + x*z + sin(x)*z^2 + t*u")
+        eps = np.finfo(float).eps
+        for _ in range(20):
+            ts = random_scale(rng, max_points=12, min_gap=0.2)
+            p = tv.ControlProblem(ts, f, tv.parse("u"), float(rng.uniform(-1, 1)))
+            x = rng.uniform(-1.0, 1.0, ts.n)
+            u = rng.uniform(-1.0, 1.0, ts.n - 1)
+            zeta = float(rng.uniform(-1.0, 1.0))
+            lam = tv.recover_costate(p, x, u, zeta)
+            ref = reference_costate(p, x, u, zeta)
+            assert np.max(np.abs(lam - ref)) <= 16 * ts.n * eps * max(1.0, np.max(np.abs(ref)))
 
 class TestBruteForceOracle:
     def test_integer_endpoint_penalty(self):
