@@ -107,11 +107,9 @@ def _parse_sections(path: Path) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-def _take(section: dict, key: str, where: str, required: bool = True):
+def _take(section: dict, key: str, where: str):
     if key not in section:
-        if required:
-            raise ProblemFileError(f"section [{where}] is missing key {key!r}")
-        return None, -1
+        raise ProblemFileError(f"section [{where}] is missing key {key!r}")
     return section.pop(key)
 
 

@@ -5,7 +5,10 @@ Variational problems get the Euler-Lagrange residual on the interior
 differentiation points and a single transversality residual that couples the
 boundary term with the delta integral of the ``z``-partial.  Control problems
 get the four Hamiltonian families (state, costate, stationarity,
-transversality) built from ``H = f + lam*g``.
+transversality) built from ``H = f + lam*g``.  A report has one
+``transversality`` scalar for either class.  The sufficiency screen's
+sampling is fixed (64 affinity probes of ``g``, 256 midpoint pairs of ``f``
+from ``[-8, 8]^3``); only its seed is a parameter.
 
 Multiplier grids hold sigma-shifted samples: ``lam.values[i]`` is the
 multiplier composed with the forward jump, sampled at ``t_i``.  The sample at
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -48,9 +50,9 @@ __all__ = [
 class ResidualReport:
     """Per-point residuals of the necessary conditions plus summary norm.
 
-    Variational reports fill ``el_residuals`` and ``transversality``; control
-    reports fill the three Hamiltonian arrays and their transversality
-    scalar.  ``sup_norm`` is the largest magnitude among everything present.
+    Variational reports fill ``el_residuals``, control reports the three
+    Hamiltonian arrays; both fill the ``transversality`` scalar of their
+    family.  ``sup_norm`` is the largest magnitude among everything present.
     """
 
     scale: TimeScale
@@ -59,7 +61,6 @@ class ResidualReport:
     state_residuals: np.ndarray | None = None
     costate_residuals: np.ndarray | None = None
     stationarity_residuals: np.ndarray | None = None
-    hamiltonian_transversality: float | None = None
     sup_norm: float = math.nan
 
     def _families(self):
@@ -75,8 +76,6 @@ class ResidualReport:
                 out[name] = [float(r) for r in arr]
         if self.transversality is not None:
             out["transversality"] = float(self.transversality)
-        if self.hamiltonian_transversality is not None:
-            out["transversality"] = float(self.hamiltonian_transversality)
         return out
 
     def to_table(self) -> str:
@@ -90,9 +89,8 @@ class ResidualReport:
             for _, arr in cols:
                 row.append(f"{arr[i]:16.6e}" if i < len(arr) else f"{'-':>16s}")
             lines.append("  ".join(row))
-        tc = self.transversality if self.transversality is not None else self.hamiltonian_transversality
-        if tc is not None:
-            lines.append(f"{'transversality':>16s}  {tc:16.6e}")
+        if self.transversality is not None:
+            lines.append(f"{'transversality':>16s}  {self.transversality:16.6e}")
         lines.append(f"{'sup norm':>16s}  {self.sup_norm:16.6e}")
         return "\n".join(lines)
 
@@ -234,7 +232,7 @@ def hamiltonian_residuals(
         state_residuals=state,
         costate_residuals=costate,
         stationarity_residuals=stationarity,
-        hamiltonian_transversality=tc,
+        transversality=tc,
         sup_norm=_sup([state, costate, stationarity], [tc]),
     )
 
@@ -284,7 +282,20 @@ class SufficiencyVerdict:
         return self.status == "sufficient"
 
 
-def _linearity_check(p: ControlProblem, rng: np.random.Generator, probes: int = 64):
+# The sampled screen: affinity probes of g, and midpoint-convexity point
+# pairs of f drawn from the box.
+_PROBES = 64
+_SAMPLES = 256
+_BOX = (-8.0, 8.0)
+
+# The ``sufficient`` verdict, one object shared by every solution that gets it.
+_PASSED = SufficiencyVerdict(
+    "sufficient",
+    f"dynamics linear in (x, u, z); cost passed {_SAMPLES} midpoint-convexity probes",
+)
+
+
+def _linearity_check(p: ControlProblem, rng: np.random.Generator):
     """Second differences of ``g`` vanish and ``g(t, 0, 0, 0) = 0``."""
     g = ex.compile_fn(p.g)
     pts = p.scale.points
@@ -296,7 +307,7 @@ def _linearity_check(p: ControlProblem, rng: np.random.Generator, probes: int = 
                 f"dynamics are affine but not linear: g(t,0,0,0) = {val:.3e} at t = {t!r}",
                 (t, (0.0, 0.0, 0.0)),
             )
-    for _ in range(probes):
+    for _ in range(_PROBES):
         t = float(rng.choice(pts[:-1]))
         w = rng.uniform(-4.0, 4.0, size=3)
         d = rng.uniform(-2.0, 2.0, size=3)
@@ -314,18 +325,13 @@ def _linearity_check(p: ControlProblem, rng: np.random.Generator, probes: int = 
     return None
 
 
-def sufficiency_check(
-    p: ControlProblem,
-    samples: int = 256,
-    box: tuple[float, float] = (-8.0, 8.0),
-    seed: int = 0,
-) -> SufficiencyVerdict:
+def sufficiency_check(p: ControlProblem, seed: int = 0) -> SufficiencyVerdict:
     """Screen the problem against the global-minimizer sufficient conditions.
 
     ``sufficient`` when the dynamics pass an exact linearity test in
     ``(x, u, z)`` and the running cost passes randomized midpoint-convexity
-    sampling on ``samples`` point pairs drawn from ``box``; otherwise
-    ``inconclusive`` with a witness.
+    sampling on 256 point pairs drawn from ``[-8, 8]^3``, by a generator
+    seeded with ``seed``; otherwise ``inconclusive`` with a witness.
     """
     rng = np.random.default_rng(seed)
     failed = _linearity_check(p, rng)
@@ -333,9 +339,9 @@ def sufficiency_check(
         return failed
 
     f = ex.compile_fn(p.f)
-    lo, hi = box
+    lo, hi = _BOX
     pts = p.scale.points
-    for _ in range(int(samples)):
+    for _ in range(_SAMPLES):
         t = float(rng.choice(pts[:-1]))
         a = rng.uniform(lo, hi, size=3)
         b = rng.uniform(lo, hi, size=3)
@@ -357,24 +363,9 @@ def sufficiency_check(
                 f"midpoint convexity violated by {fm - 0.5 * (fa + fb):.3e}",
                 (t, tuple(a), tuple(b)),
             )
-    return _passed(samples)
+    return _PASSED
 
 
-@lru_cache(maxsize=8)
-def _passed(samples: int) -> SufficiencyVerdict:
-    """The ``sufficient`` verdict, one object per sample count, shared by
-    every solution that gets it."""
-    return SufficiencyVerdict(
-        "sufficient",
-        f"dynamics linear in (x, u, z); cost passed {samples} midpoint-convexity probes",
-    )
-
-
-def sufficiency_check_variational(
-    p: VariationalProblem,
-    samples: int = 256,
-    box: tuple[float, float] = (-8.0, 8.0),
-    seed: int = 0,
-) -> SufficiencyVerdict:
+def sufficiency_check_variational(p: VariationalProblem, seed: int = 0) -> SufficiencyVerdict:
     """Sufficiency screen of the equivalent control form (``g = u``)."""
-    return sufficiency_check(ControlProblem.from_variational(p), samples, box, seed)
+    return sufficiency_check(ControlProblem.from_variational(p), seed)

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _INIT_RTOL = 1e-12
+_DYNAMICS_ATOL = 1e-9  # dynamics residual ``objective_control`` allows, plus mu where dense
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -144,21 +145,13 @@ def objective(p: VariationalProblem, x: GridFunction) -> float:
     return integrate_terms(p.scale, pointwise(p.f)(terms(p.scale, x.values))[0])
 
 
-def objective_control(
-    p: ControlProblem,
-    x: GridFunction,
-    u: GridFunction,
-    *,
-    dynamics_atol: float = 1e-9,
-    dynamics_htol: float = 1.0,
-) -> float:
+def objective_control(p: ControlProblem, x: GridFunction, u: GridFunction) -> float:
     """Delta-integral running cost of a state/control pair.
 
     The pair must satisfy the discrete dynamics at every differentiation
-    point.  Points sampling a dense interval get extra slack
-    ``dynamics_htol * mu(t)``, since a trajectory transcribed from a
-    continuum solution carries an O(mu) residual there; on genuinely
-    discrete points only ``dynamics_atol`` applies.
+    point, up to 1e-9.  Points sampling a dense interval get extra slack
+    ``mu(t)``, since a trajectory transcribed from a continuum solution
+    carries an O(mu) residual there.
     """
     _check_admissible(p, x)
     require_same_scale(x, u, "state and control")
@@ -166,7 +159,7 @@ def objective_control(
     mu = ts.mu_values[:-1]
     cols = terms(ts, x.values, u=u.values)
     res = np.abs(np.diff(x.values) / mu - pointwise(p.g)(cols)[0])
-    slack = dynamics_atol + np.where(ts.dense_mask[:-1], dynamics_htol * mu, 0.0)
+    slack = _DYNAMICS_ATOL + np.where(ts.dense_mask[:-1], mu, 0.0)
     worst = np.where(res > slack, res, 0.0)
     if worst.any():
         i = int(np.argmax(worst))

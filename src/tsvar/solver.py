@@ -9,15 +9,16 @@ The core reduces to the control samples: the state grid is rebuilt by
 forward propagation, each step solved exactly for the sigma-shifted state
 (a compensated running sum for ``g = u``, in closed form when ``g`` is
 affine in ``x``, by scalar Newton otherwise), the end value is closed by a
-scalar consistency solve (one propagation when ``g`` has no ``z``), and the
-gradient ``mu h``, with ``h = f_u + lam g_u``, comes from the discrete
-adjoint, whose multipliers are precisely the sigma-shifted costate samples
-of the Hamiltonian system.  The exact reduced Hessian is that of the
-Lagrangian over the linearized dynamics: stage ``i`` couples the state
-change at ``sigma(t_i)``, the control change and the end-value change, so a
-backward Riccati sweep over the stages, with the end value as one border,
-solves each Newton step in O(n) and reads the Hessian's definiteness off
-the inertia of its pivots.  No solver forms an n-by-n matrix.
+secant solve (one propagation when ``g`` has no ``z``, three when it is
+affine in ``z``), and the gradient ``mu h``, with ``h = f_u + lam g_u``,
+comes from the discrete adjoint, whose multipliers are precisely the
+sigma-shifted costate samples of the Hamiltonian system.  The exact reduced
+Hessian is that of the Lagrangian over the linearized dynamics: stage ``i``
+couples the state change at ``sigma(t_i)``, the control change and the
+end-value change, so a backward Riccati sweep over the stages, with the end
+value as one border, solves each Newton step in O(n) and reads the
+Hessian's definiteness off the inertia of its pivots.  No solver forms an
+n-by-n matrix.
 
 ``solve_control`` and ``solve_variational`` add a multiple of the identity
 where the reduced Hessian is not positive definite and backtrack on the
@@ -35,7 +36,9 @@ norm of the residual system, ``(h_{i+1} - h_i) / mu_i`` and ``h_{m-1}``.
 
 Every pointwise evaluation (objectives, gradients, Hessians, costate
 partials, the coefficients of affine state steps) goes through the kernel of
-:mod:`tsvar.problem`, one batch over all integrand terms.  The two true
+:mod:`tsvar.problem`, one batch over all integrand terms.  At each Newton
+iterate one batch of the first and second partials of ``f`` and ``g`` gives
+the multipliers, ``h`` and the Hessian stages alike.  The two true
 recurrences, the state steps and the backward sweep of ``recover_costate``,
 then run over plain floats; only a state step whose ``g`` is not affine in
 ``x`` calls compiled ``g`` point by point.
@@ -56,7 +59,6 @@ from . import expr as ex
 from .conditions import (
     ResidualReport,
     SufficiencyVerdict,
-    _hamiltonian,
     hamiltonian_residuals,
     sufficiency_check,
     sufficiency_check_variational,
@@ -67,7 +69,7 @@ from .problem import (
     ControlProblem, VariationalProblem, integrate_terms, objective, objective_control,
     pointwise, terms,
 )
-from .timescale import GridFunction
+from .timescale import GridFunction, TimeScale
 
 __all__ = [
     "SolveOptions", "Solution", "SweepRow",
@@ -383,37 +385,26 @@ def _consistent_state(p: ControlProblem, u: np.ndarray) -> tuple[np.ndarray, flo
     """Close the end value: find ``zeta`` with ``x(T; u, zeta) = zeta``.
 
     Dynamics without ``z`` need one propagation, whose end value is
-    ``zeta``.  Otherwise an affine probe solves linear couplings in one shot,
-    and secant iteration on the scalar mismatch handles the rest.
+    ``zeta``.  Otherwise secant iteration on the scalar mismatch runs from
+    ``zeta = 0`` and ``1``; its first step solves an affine coupling exactly,
+    in three propagations.
     """
-    x0 = _propagate_state(p, u, 0.0)
+    x = _propagate_state(p, u, 0.0)
     gz = ex.diff(p.g, "z")
     if isinstance(gz, ex.Const) and gz.value == 0.0:
-        return x0, float(x0[-1])
-    x1 = _propagate_state(p, u, 1.0)
-    q = x1[-1] - x0[-1]
-    if abs(1.0 - q) > 1e-13:
-        zeta = x0[-1] / (1.0 - q)
-        x = _propagate_state(p, u, zeta)
-        if abs(x[-1] - zeta) <= _CONSISTENCY_TOL * max(1.0, abs(zeta)):
-            return x, float(zeta)
-        za, fa = 1.0, float(x1[-1] - 1.0)
-        zb, fb = float(zeta), float(x[-1] - zeta)
-    else:
-        za, fa = 0.0, float(x0[-1])
-        zb, fb = 1.0, float(x1[-1] - 1.0)
-        x = x1
-    # secant iteration for end-value couplings that are not affine
+        return x, float(x[-1])
+    za, fa = 0.0, float(x[-1])
+    zb = 1.0
+    x = _propagate_state(p, u, zb)
+    fb = float(x[-1] - zb)
     for _ in range(_CONSISTENCY_STEPS):
         if abs(fb) <= _CONSISTENCY_TOL * max(1.0, abs(zb)):
             return x, zb
         if fb == fa:
             raise SolveError("end-value consistency iteration stalled")
-        zn = zb - fb * (zb - za) / (fb - fa)
-        za, fa = zb, fb
-        zb = zn
+        za, fa, zb = zb, fb, zb - fb * (zb - za) / (fb - fa)
         x = _propagate_state(p, u, zb)
-        fb = x[-1] - zb
+        fb = float(x[-1] - zb)
     raise SolveError("end-value consistency did not converge")
 
 
@@ -423,16 +414,27 @@ def recover_costate(
     """Sigma-shifted multiplier samples solving the costate recurrence plus
     the transversality equation.
 
-    Both are affine in the multiplier, so two backward sweeps (end sample 0
-    and 1) over the same partials ``f_x, g_x, f_z, g_z``, evaluated once per
-    point, determine the exact solution.
+    One kernel batch evaluates the partials ``g_x, f_x, f_z, g_z`` at every
+    point; :func:`_costate` solves for the multipliers.
     """
     ts = p.scale
-    mu = ts.mu_values[:-1]
-    k = ts.n - 2
-    gx, fx, fz, gz = pointwise(
+    partials = pointwise(
         ex.diff(p.g, "x"), ex.diff(p.f, "x"), ex.diff(p.f, "z"), ex.diff(p.g, "z")
     )(terms(ts, x, u=u, z=zeta))
+    return _costate(ts, *partials)
+
+
+def _costate(
+    ts: TimeScale, gx: np.ndarray, fx: np.ndarray, fz: np.ndarray, gz: np.ndarray
+) -> np.ndarray:
+    """The multipliers from the partials at every term.
+
+    The costate recurrence and the transversality equation are both affine
+    in the multiplier, so two backward sweeps (end sample 0 and 1) over the
+    same partials determine the exact solution.
+    """
+    mu = ts.mu_values[:-1]
+    k = ts.n - 2
     denom = 1.0 - mu[:k] * gx[:k]
     singular = np.flatnonzero(np.abs(denom) < _SINGULAR)
     if singular.size:
@@ -471,28 +473,35 @@ def _control_derivatives(p: ControlProblem):
     """``(u, x, zeta) -> (h_u, stages)``: the stationarity residual and the
     stage data of the Newton step at a feasible iterate.
 
-    With the multipliers of :func:`recover_costate`, one kernel batch gives
-    ``h_u = f_u + lam g_u``, which is the reduced gradient ``r = mu h_u``
-    with the graininess divided out, and, per stage ``i``, the
-    linearized dynamics ``e_{i+1} = alpha_i e_i + beta_i du_i + gamma_i dz``
-    of ``x_{i+1} = x_i + mu_i g(t_i, x_{i+1}, u_i, z)`` and the entries
-    ``xx, xu, xz, uu, uz, zz`` of ``W_i = mu_i`` times the Hessian of
-    ``f + lam_i g`` over ``(x_{i+1}, u_i, z)``.  The stages are float lists
-    for :func:`_riccati_step`.
+    One kernel batch gives the first partials of ``f`` and ``g`` over
+    ``(x, u, z)`` and their second partials; the multipliers follow from
+    them by :func:`_costate`.  Then ``h_u = f_u + lam g_u``, which is the
+    reduced gradient ``r = mu h_u`` with the graininess divided out, and,
+    per stage ``i``, the linearized dynamics
+    ``e_{i+1} = alpha_i e_i + beta_i du_i + gamma_i dz`` of
+    ``x_{i+1} = x_i + mu_i g(t_i, x_{i+1}, u_i, z)`` and the entries
+    ``xx, xu, xz, uu, uz, zz`` of ``W_i = mu_i (f'' + lam_i g'')``, the
+    Hessian of the Hamiltonian over ``(x_{i+1}, u_i, z)``.  The stages are
+    float lists for :func:`_riccati_step`.
     """
-    H = _hamiltonian(p)
     kernel = pointwise(
-        *(ex.diff(p.g, a) for a in "xuz"), ex.diff(H, "u"),
-        *(ex.diff(ex.diff(H, ab[0]), ab[1]) for ab in ("xx", "xu", "xz", "uu", "uz", "zz")),
+        *(ex.diff(e, a) for e in (p.f, p.g) for a in "xuz"),
+        *(ex.diff(ex.diff(e, a), b) for e in (p.f, p.g)
+          for a, b in ("xx", "xu", "xz", "uu", "uz", "zz")),
     )
     ts = p.scale
     mu = ts.mu_values[:-1]
 
     def derivatives(u: np.ndarray, x: np.ndarray, zeta: float) -> tuple[np.ndarray, list]:
-        lam = recover_costate(p, x, u, zeta)
-        gx, gu, gz, hu, *w = kernel(terms(ts, x, u=u, lam=lam, z=zeta))
+        rows = kernel(terms(ts, x, u=u, z=zeta))
+        fx, fu, fz, gx, gu, gz = rows[:6]
+        lam = _costate(ts, gx, fx, fz, gz)
+        hu = fu + lam * gu
+        w = mu * (rows[6:12] + lam * rows[12:])
+        if not (np.isfinite(hu).all() and np.isfinite(w).all()):
+            raise ValueError("a partial of the Hamiltonian is not finite")
         alpha = 1.0 / (1.0 - mu * gx)
-        stages = (alpha, mu * gu * alpha, mu * gz * alpha, *(mu * wk for wk in w))
+        stages = (alpha, mu * gu * alpha, mu * gz * alpha, *w)
         return hu, [col.tolist() for col in stages]
 
     return derivatives
@@ -867,7 +876,6 @@ def sweep(
     problem_factory: Callable[[float], VariationalProblem | ControlProblem],
     values: Sequence[float],
     opts: SolveOptions | None = None,
-    warm_start: bool = True,
 ) -> list[SweepRow]:
     """One solve per parameter value, in input order, warm-starting each solve
     from the previous solution when the scales match.
@@ -883,12 +891,11 @@ def sweep(
         try:
             prob = problem_factory(float(val))
             if isinstance(prob, ControlProblem):
-                u0 = prev.u if (warm_start and prev is not None and prev.u is not None
+                u0 = prev.u if (prev is not None and prev.u is not None
                                 and prev.u.scale.matches(prob.scale)) else None
                 sol = solve_control(prob, opts, u0=u0)
             else:
-                x0 = prev.x if (warm_start and prev is not None
-                                and prev.x.scale.matches(prob.scale)) else None
+                x0 = prev.x if prev is not None and prev.x.scale.matches(prob.scale) else None
                 sol = solve_variational(prob, opts, x0=x0)
         except (TsvarError, *_DOMAIN_ERRORS) as exc:
             rows.append(SweepRow(float(val), math.nan, math.nan, math.nan, False,

@@ -28,6 +28,9 @@ __all__ = ["DEDUP_RTOL", "TimeScale", "GridFunction"]
 #: Constructor points closer than this (relative) tolerance collapse into one,
 #: so point identity is by index and never by floating-point comparison.
 DEDUP_RTOL = 1e-12
+_INDEX_RTOL = 1e-9  # relative distance at which ``index_of`` accepts a point
+_UNIFORM_RTOL = 1e-12  # gap spread, relative to the span, of a uniform sampling
+_INTEGER_ATOL = 1e-9  # distance of an integer-grid point from its integer
 
 
 def _dedupe(points: np.ndarray) -> np.ndarray:
@@ -68,14 +71,14 @@ class TimeScale:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_points(cls, points: Iterable[float], dense: bool = False) -> "TimeScale":
-        """Explicit point set; input is sorted and near-duplicates are merged."""
+    def from_points(cls, points: Iterable[float]) -> "TimeScale":
+        """Explicit discrete point set; input is sorted and near-duplicates
+        are merged."""
         pts = np.sort(np.asarray(list(points), dtype=float))
         if pts.size == 0:
             raise ValueError("empty point list")
         pts = _dedupe(pts)
-        mask = np.full(pts.shape, bool(dense))
-        return cls(pts, mask)
+        return cls(pts, np.zeros(pts.shape, dtype=bool))
 
     @classmethod
     def integer_range(cls, a: int, b: int) -> "TimeScale":
@@ -137,10 +140,11 @@ class TimeScale:
         """Same point set (exact equality; points are index-identified)."""
         return self is other or np.array_equal(self.points, other.points)
 
-    def index_of(self, t: float, rtol: float = 1e-9) -> int:
-        """Index of the point equal to ``t`` up to ``rtol``; raises otherwise."""
+    def index_of(self, t: float) -> int:
+        """Index of the point equal to ``t`` up to a relative 1e-9; raises
+        otherwise."""
         i = int(np.argmin(np.abs(self.points - t)))
-        if abs(self.points[i] - t) <= rtol * max(1.0, abs(t)):
+        if abs(self.points[i] - t) <= _INDEX_RTOL * max(1.0, abs(t)):
             return i
         raise ValueError(f"{t!r} is not a point of this time scale")
 
@@ -192,17 +196,17 @@ class TimeScale:
         ok_rho_sigma = all(self.rho(self.sigma(i)) == i for i in range(0, self.n - 1))
         return ok_sigma_rho and ok_rho_sigma
 
-    def is_uniform_sampling(self, rtol: float = 1e-12) -> bool:
+    def is_uniform_sampling(self) -> bool:
         """All points flagged dense and equally spaced: a usable real-line surrogate."""
         if not bool(self.dense_mask.all()):
             return False
         gaps = np.diff(self.points)
         span = self.b - self.a
-        return bool(np.max(np.abs(gaps - gaps[0])) <= rtol * max(1.0, span))
+        return bool(np.max(np.abs(gaps - gaps[0])) <= _UNIFORM_RTOL * max(1.0, span))
 
-    def is_integer_grid(self, rtol: float = 1e-9) -> bool:
+    def is_integer_grid(self) -> bool:
         rounded = np.round(self.points)
-        if np.max(np.abs(self.points - rounded)) > rtol:
+        if np.max(np.abs(self.points - rounded)) > _INTEGER_ATOL:
             return False
         return bool(np.all(np.diff(rounded) == 1.0))
 

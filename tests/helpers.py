@@ -82,6 +82,25 @@ def reference_costate(p: tv.ControlProblem, x, u, zeta: float) -> np.ndarray:
     return lam0 + lam_end * (lam1 - lam0)
 
 
+def hamiltonian_stages(p: tv.ControlProblem, u, x, zeta: float) -> tuple[np.ndarray, list]:
+    """``h_u`` and the nine Newton stage columns from the Hamiltonian form:
+    with the multipliers of ``tv.recover_costate``, one batch of the partials
+    of ``g`` and of ``H = f + lam*g``, ``diff(H, "u")`` and the six
+    ``diff(diff(H, a), b)``.  The solver evaluates partials of ``f`` and ``g``
+    alone and combines them with the multipliers afterwards."""
+    H = tv.expr.Binary("add", p.f, tv.expr.Binary("mul", tv.expr.Var("lam"), p.g))
+    ts = p.scale
+    mu = ts.mu_values[:-1]
+    lam = tv.recover_costate(p, x, u, zeta)
+    kernel = tv.problem.pointwise(
+        *(tv.diff(p.g, a) for a in "xuz"), tv.diff(H, "u"),
+        *(tv.diff(tv.diff(H, a), b) for a, b in ("xx", "xu", "xz", "uu", "uz", "zz")),
+    )
+    gx, gu, gz, hu, *w = kernel(tv.problem.terms(ts, x, u=u, lam=lam, z=zeta))
+    alpha = 1.0 / (1.0 - mu * gx)
+    return hu, [alpha, mu * gu * alpha, mu * gz * alpha, *(mu * wk for wk in w)]
+
+
 def random_scale(rng: np.random.Generator, max_points: int = 8, min_gap: float = 0.1) -> tv.TimeScale:
     """Random discrete scale with gaps bounded away from zero."""
     n = int(rng.integers(3, max_points + 1))

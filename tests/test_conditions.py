@@ -176,7 +176,7 @@ class TestHamiltonianResiduals:
         rep = tv.hamiltonian_residuals(p, x, u, lam)
         assert np.max(np.abs(rep.costate_residuals)) <= 1e-10
         assert np.max(np.abs(rep.stationarity_residuals)) <= 1e-10
-        assert abs(rep.hamiltonian_transversality) <= 1e-10
+        assert abs(rep.transversality) <= 1e-10
         # state equation keeps the first-order sampling residual
         assert np.max(np.abs(rep.state_residuals)) <= 2.0 / 101
 
@@ -218,7 +218,7 @@ class TestHamiltonianResiduals:
             assert np.max(np.abs(rep.state_residuals)) <= 1e-12
             assert np.max(np.abs(rep.stationarity_residuals)) <= 1e-12
             assert rep.costate_residuals == pytest.approx(-el, abs=1e-10)
-            assert rep.hamiltonian_transversality == pytest.approx(-tc, abs=1e-10)
+            assert rep.transversality == pytest.approx(-tc, abs=1e-10)
 
     def test_oracle_minimizers_have_tiny_residuals(self):
         rng = np.random.default_rng(41)

@@ -15,6 +15,7 @@ from helpers import (
     admissible_grid,
     endpoint_penalty_control,
     endpoint_tracking_control,
+    hamiltonian_stages,
     minimal_length_problem,
     minimal_slope_root,
     objective_derivatives,
@@ -338,8 +339,8 @@ class TestSolveControl:
         assert sol.report.sup_norm <= 1e-7
 
     def test_nonlinear_end_value_coupling(self):
-        # quadratic z-dependence in g: the end-value consistency solve has to
-        # fall back from the affine probe to secant iteration
+        # quadratic z-dependence in g: the end-value consistency solve needs
+        # secant steps beyond the first, which solves affine couplings only
         ts = tv.TimeScale.uniform(0, 1, 51)
         p = tv.ControlProblem(ts, tv.parse("u^2 + (z-2)^2"), tv.parse("u + z^2*t/4"), 1.0)
         sol = tv.solve_control(p, tv.SolveOptions(max_iterations=2000))
@@ -546,7 +547,6 @@ class TestControlInternals:
             a, b = getattr(report, name), getattr(fresh, name)
             assert (a is None and b is None) or np.array_equal(a, b)
         assert report.transversality == fresh.transversality
-        assert report.hamiltonian_transversality == fresh.hamiltonian_transversality
         assert report.sup_norm == fresh.sup_norm
 
     def test_state_of_g_equal_u_is_a_compensated_running_sum(self):
@@ -594,6 +594,26 @@ class TestControlInternals:
             lam = tv.recover_costate(p, x, u, zeta)
             assert np.array_equal(lam, reference_costate(p, x, u, zeta))
 
+
+    def test_one_batch_stages_match_the_hamiltonian_form(self):
+        # the partials of f and g, combined with the multipliers afterwards,
+        # give the bits of the partials of H = f + lam*g; every second partial
+        # of f and g but g_uu and g_uz is non-zero here
+        rng = np.random.default_rng(13)
+        f = tv.parse("u^2 + x*z + sin(x)*z^2 + t*u + x^2*u^2/4 + u*z^2/3")
+        g = tv.parse("u + 0.2*x*z + sin(x)*u/4 + z^2*t/8")
+        for _ in range(20):
+            ts = random_scale(rng, max_points=12, min_gap=0.2)
+            p = tv.ControlProblem(ts, f, g, float(rng.uniform(-1, 1)))
+            x = rng.uniform(-1.0, 1.0, ts.n)
+            u = rng.uniform(-1.0, 1.0, ts.n - 1)
+            zeta = float(rng.uniform(-1.0, 1.0))
+            h, stages = solver._control_derivatives(p)(u, x, zeta)
+            h_ref, ref = hamiltonian_stages(p, u, x, zeta)
+            assert np.array_equal(h, h_ref)
+            assert len(stages) == len(ref) == 9
+            for col, col_ref in zip(stages, ref):
+                assert col == col_ref.tolist()
 
     def test_recover_costate_of_g_equal_u_matches_reference_sweeps(self):
         # every denominator is 1, so the sweeps are compensated running sums:
@@ -718,6 +738,24 @@ class TestSweep:
             info = cached.cache_info()
             assert info.maxsize is not None and info.misses > info.maxsize
             assert info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize("case", ["variational", "control"])
+    def test_one_solve_fits_in_a_quarter_of_the_expression_caches(self, case):
+        # a solve and its report, from empty caches; measured: 96 diff and 10
+        # compile_fn entries (variational), 86 and 9 (control)
+        tv.expr.diff.cache_clear()
+        tv.expr.compile_fn.cache_clear()
+        if case == "variational":
+            scale = tv.TimeScale.integer_range(0, 8)
+            f = tv.parse("sqrt(1 + v^2) + 2*(z - 1)^2 + 0.5*cos(x)")
+            tv.solve_variational(tv.VariationalProblem(scale, f, 0.0)).report
+        else:
+            p = tv.ControlProblem(tv.TimeScale.uniform(0.0, 1.0, 200),
+                                  tv.parse("u^2 + x^2 + 3*(z - 1)^2"), tv.parse("u - 0.5*x"), 0.0)
+            tv.solve_control(p).lam_and_report()
+        for cached in (tv.expr.diff, tv.expr.compile_fn):
+            info = cached.cache_info()
+            assert info.currsize <= info.maxsize / 4
 
     def test_large_penalty_limit(self):
         rows = tv.sweep(
