@@ -262,40 +262,50 @@ def load_problem_file(path: str | Path) -> ProblemFile:
 
 
 # -- output writers -----------------------------------------------------------
+#
+# Both files are written a column at a time, with a fixed byte format.
+# ``solution.json`` is ``json.dumps(solution_to_dict(...), indent=2)`` plus a
+# newline: floats in their shortest repr, NaN grid samples as ``null``,
+# non-finite residuals as ``NaN``/``Infinity``.  ``solution.csv`` has CRLF
+# line ends, every number as ``%.17g`` and an empty cell where a column has
+# no value (a NaN sample, a missing family, a residual past the family's end).
 
 
 _Derived = tuple[GridFunction | None, ResidualReport]  # ``Solution.lam_and_report()``
 
 
-def _solution_rows(sol: Solution, derived: _Derived) -> list[list[str]]:
-    ts = sol.x.scale
-    n = ts.n
-    lam, report = derived
-    el = report.el_residuals
-    rows = []
-    for i in range(n):
-        rows.append([
-            _fmt(float(ts.points[i])),
-            _fmt(float(sol.x.values[i])),
-            _fmt(float(sol.u.values[i])) if sol.u is not None else "",
-            _fmt(float(lam.values[i])) if lam is not None else "",
-            _fmt(float(el[i])) if el is not None and i < len(el) else "",
-        ])
-    return rows
+def _csv_column(values, n: int) -> list[str]:
+    """``n`` cells: each value as ``%.17g``, NaN and the rows past the end empty."""
+    if values is None:
+        return [""] * n
+    cells = ["" if v != v else _FMT % v for v in np.asarray(values, dtype=float).tolist()]
+    return cells + [""] * (n - len(cells))
 
 
 def write_solution_csv(path: Path, sol: Solution, derived: _Derived | None = None) -> None:
     """Write the solution table; ``derived`` defaults to ``sol.lam_and_report()``."""
+    lam, report = derived or sol.lam_and_report()
+    n = sol.x.scale.n
+    columns = [
+        _csv_column(sol.x.scale.points, n),
+        _csv_column(sol.x.values, n),
+        _csv_column(None if sol.u is None else sol.u.values, n),
+        _csv_column(None if lam is None else lam.values, n),
+        _csv_column(report.el_residuals, n),
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(["t", "x", "u", "lambda_sigma", "el_residual"])
-        writer.writerows(_solution_rows(sol, derived or sol.lam_and_report()))
+        writer.writerows(zip(*columns))
 
 
 def _grid_list(g: GridFunction | None):
     if g is None:
         return None
-    return [None if math.isnan(v) else float(v) for v in g.values]
+    out = g.values.tolist()
+    for i in np.flatnonzero(np.isnan(g.values)).tolist():
+        out[i] = None
+    return out
 
 
 def solution_to_dict(sol: Solution, problem_type: str, derived: _Derived | None = None) -> dict:
@@ -311,8 +321,8 @@ def solution_to_dict(sol: Solution, problem_type: str, derived: _Derived | None 
             "reason": sol.verdict.reason,
         },
         "grids": {
-            "t": [float(t) for t in sol.x.scale.points],
-            "x": [float(v) for v in sol.x.values],
+            "t": sol.x.scale.points.tolist(),
+            "x": sol.x.values.tolist(),
             "u": _grid_list(sol.u),
             "lambda_sigma": _grid_list(lam),
         },
@@ -321,11 +331,32 @@ def solution_to_dict(sol: Solution, problem_type: str, derived: _Derived | None 
     }
 
 
+def _json_chunks(obj, pad: str = "\n"):
+    """The text of ``json.dumps(obj, indent=2)`` in pieces, one per list.
+
+    Each list is encoded by one C-encoder call.  Lists hold only numbers and
+    ``None``, whose tokens never contain ``", "``, so every ``", "`` of the
+    compact encoding is an item separator.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        sep = "{"
+        for key, value in obj.items():
+            yield f"{sep}{inner}{json.dumps(key)}: "
+            yield from _json_chunks(value, inner)
+            sep = ","
+        yield pad + "}"
+    elif isinstance(obj, list) and obj:
+        yield "[" + inner + json.dumps(obj)[1:-1].replace(", ", "," + inner) + pad + "]"
+    else:
+        yield json.dumps(obj)
+
+
 def write_solution_json(
     path: Path, sol: Solution, problem_type: str, derived: _Derived | None = None
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(solution_to_dict(sol, problem_type, derived), fh, indent=2)
+        fh.writelines(_json_chunks(solution_to_dict(sol, problem_type, derived)))
         fh.write("\n")
 
 

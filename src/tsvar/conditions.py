@@ -73,7 +73,7 @@ class ResidualReport:
         out: dict = {"sup_norm": self.sup_norm}
         for name, arr in self._families():
             if arr is not None:
-                out[name] = [float(r) for r in arr]
+                out[name] = np.asarray(arr, dtype=float).tolist()
         if self.transversality is not None:
             out["transversality"] = float(self.transversality)
         return out
@@ -296,27 +296,39 @@ _PASSED = SufficiencyVerdict(
 
 
 def _linearity_check(p: ControlProblem, rng: np.random.Generator):
-    """Second differences of ``g`` vanish and ``g(t, 0, 0, 0) = 0``."""
+    """Second differences of ``g`` vanish and ``g(t, 0, 0, 0) = 0``.
+
+    The origin test evaluates every differentiation point in one array call;
+    the first point where ``g`` is not finite or not zero is the witness.
+    """
+    ts = p.scale.points[:-1]
+    with np.errstate(all="ignore"):
+        origin = np.broadcast_to(ex.compile_fn(p.g, array=True)(ts), ts.shape)
+    bad = np.flatnonzero(~(np.abs(origin) <= 1e-12))
+    if bad.size:
+        t, val = float(ts[bad[0]]), float(origin[bad[0]])
+        why = "dynamics are affine but not linear" if math.isfinite(val) else "dynamics undefined"
+        return SufficiencyVerdict(
+            "inconclusive", f"{why}: g(t,0,0,0) = {val:.3e} at t = {t!r}", (t, (0.0, 0.0, 0.0))
+        )
     g = ex.compile_fn(p.g)
-    pts = p.scale.points
-    for t in pts[:-1].tolist():
-        val = g(t, 0.0, 0.0, 0.0, 0.0)
-        if abs(val) > 1e-12:
-            return SufficiencyVerdict(
-                "inconclusive",
-                f"dynamics are affine but not linear: g(t,0,0,0) = {val:.3e} at t = {t!r}",
-                (t, (0.0, 0.0, 0.0)),
-            )
     for _ in range(_PROBES):
-        t = float(rng.choice(pts[:-1]))
+        t = float(rng.choice(ts))
         w = rng.uniform(-4.0, 4.0, size=3)
         d = rng.uniform(-2.0, 2.0, size=3)
-        f0 = g(t, w[0], 0.0, w[2], w[1])
-        fp = g(t, w[0] + d[0], 0.0, w[2] + d[2], w[1] + d[1])
-        fm = g(t, w[0] - d[0], 0.0, w[2] - d[2], w[1] - d[1])
+        try:
+            f0 = g(t, w[0], 0.0, w[2], w[1])
+            fp = g(t, w[0] + d[0], 0.0, w[2] + d[2], w[1] + d[1])
+            fm = g(t, w[0] - d[0], 0.0, w[2] - d[2], w[1] - d[1])
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            return SufficiencyVerdict(
+                "inconclusive",
+                f"dynamics undefined inside the probing box: {exc}",
+                (t, tuple(w), tuple(d)),
+            )
         second = fp - 2.0 * f0 + fm
         scale = 1.0 + abs(f0) + abs(fp) + abs(fm)
-        if abs(second) > 1e-9 * scale:
+        if not abs(second) <= 1e-9 * scale:  # a NaN difference fails too
             return SufficiencyVerdict(
                 "inconclusive",
                 f"dynamics fail the affinity probe: second difference {second:.3e}",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 
 import numpy as np
@@ -262,3 +264,78 @@ def central_difference(e: tv.Expr, env: dict, name: str) -> float | None:
         if best is None or abs(fd - sym) < abs(best - sym):
             best = fd
     return best
+
+
+# -- reference output writers ---------------------------------------------------
+#
+# The per-cell writers that ``tsvar solve`` used before it wrote a column at a
+# time: ``json.dump(indent=2)`` over per-element ``float()`` lists, and one
+# ``%.17g`` call per CSV cell.  The tests pin the current writers' bytes to these.
+
+
+def _reference_fmt(v) -> str:
+    if v is None or (isinstance(v, float) and math.isnan(v)):
+        return ""
+    return "%.17g" % v
+
+
+def reference_solution_csv(path, sol, derived=None) -> None:
+    lam, report = derived or sol.lam_and_report()
+    ts = sol.x.scale
+    el = report.el_residuals
+    rows = []
+    for i in range(ts.n):
+        rows.append([
+            _reference_fmt(float(ts.points[i])),
+            _reference_fmt(float(sol.x.values[i])),
+            _reference_fmt(float(sol.u.values[i])) if sol.u is not None else "",
+            _reference_fmt(float(lam.values[i])) if lam is not None else "",
+            _reference_fmt(float(el[i])) if el is not None and i < len(el) else "",
+        ])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(["t", "x", "u", "lambda_sigma", "el_residual"])
+        writer.writerows(rows)
+
+
+def _reference_grid(g):
+    if g is None:
+        return None
+    return [None if math.isnan(v) else float(v) for v in g.values]
+
+
+def _reference_residuals(report) -> dict:
+    out = {"sup_norm": report.sup_norm}
+    for name, arr in (
+        ("euler_lagrange", report.el_residuals),
+        ("state", report.state_residuals),
+        ("costate", report.costate_residuals),
+        ("stationarity", report.stationarity_residuals),
+    ):
+        if arr is not None:
+            out[name] = [float(r) for r in arr]
+    if report.transversality is not None:
+        out["transversality"] = float(report.transversality)
+    return out
+
+
+def reference_solution_json(path, sol, problem_type: str, derived=None) -> None:
+    lam, report = derived or sol.lam_and_report()
+    doc = {
+        "problem_type": problem_type,
+        "converged": sol.converged,
+        "iterations": sol.iterations,
+        "objective": sol.objective_value,
+        "sufficiency": {"status": sol.verdict.status, "reason": sol.verdict.reason},
+        "grids": {
+            "t": [float(t) for t in sol.x.scale.points],
+            "x": [float(v) for v in sol.x.values],
+            "u": _reference_grid(sol.u),
+            "lambda_sigma": _reference_grid(lam),
+        },
+        "residuals": _reference_residuals(report),
+        "message": sol.message,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import tsvar as tv
-from tsvar.cli import load_problem_file, main
-from helpers import minimal_slope_root
+from tsvar.cli import load_problem_file, main, write_solution_csv, write_solution_json
+from helpers import minimal_slope_root, reference_solution_csv, reference_solution_json
 
 PENALIZED_LENGTH = """\
 [timescale]
@@ -286,6 +286,71 @@ class TestSolveCommand:
         main(["solve", str(length_file), "--out-dir", str(b)])
         assert (a / "solution.csv").read_bytes() == (b / "solution.csv").read_bytes()
         assert (a / "solution.json").read_bytes() == (b / "solution.json").read_bytes()
+
+
+_SCALES = {
+    "uniform": lambda: tv.TimeScale.uniform(0.0, 1.0, 41),
+    "integers": lambda: tv.TimeScale.integer_range(0, 8),
+    "qgrid": lambda: tv.TimeScale.q_grid(1.5, 0, 9, True),
+}
+
+
+def _solved(kind: str, scale: str):
+    ts = _SCALES[scale]()
+    if kind == "control":
+        p = tv.ControlProblem(ts, tv.parse("u^2 + x^2 + 3*(z - 1)^2"), tv.parse("u - 0.5*x"), 0.0)
+        return tv.solve_control(p)
+    p = tv.VariationalProblem(ts, tv.parse("sqrt(1 + v^2) + 2*(z - 1)^2 + 0.5*cos(x)"), 0.0)
+    return tv.solve_variational(p)
+
+
+def _written(tmp_path, sol, problem_type, derived, writers):
+    csv_writer, json_writer = writers
+    csv_writer(tmp_path / "solution.csv", sol, derived)
+    json_writer(tmp_path / "solution.json", sol, problem_type, derived)
+    return (tmp_path / "solution.csv").read_bytes(), (tmp_path / "solution.json").read_bytes()
+
+
+class TestSolutionWriters:
+    """The column-wise writers write the bytes of the per-cell reference writers."""
+
+    CURRENT = (write_solution_csv, write_solution_json)
+    REFERENCE = (reference_solution_csv, reference_solution_json)
+
+    @pytest.mark.parametrize("scale", sorted(_SCALES))
+    @pytest.mark.parametrize("kind", ["control", "variational"])
+    @pytest.mark.parametrize("explicit", [False, True], ids=["derived=None", "derived"])
+    def test_bytes_match_the_reference(self, tmp_path, kind, scale, explicit):
+        sol = _solved(kind, scale)
+        derived = sol.lam_and_report() if explicit else None
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        ours = _written(tmp_path / "a", sol, kind, derived, self.CURRENT)
+        ref = _written(tmp_path / "b", sol, kind, derived, self.REFERENCE)
+        assert ours == ref
+
+    def test_non_finite_and_empty_residuals(self, tmp_path):
+        sol = _solved("control", "integers")
+        ts = sol.x.scale
+        lam = tv.GridFunction(ts, np.where(np.arange(ts.n) % 3 == 1, math.nan, -0.25 * ts.points))
+        report = tv.ResidualReport(
+            scale=ts,
+            el_residuals=np.array([math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1]),
+            transversality=-math.inf,
+            state_residuals=np.array([]),
+            costate_residuals=np.array([math.nan, 1e300]),
+            sup_norm=math.nan,
+        )
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        ours = _written(tmp_path / "a", sol, "control", (lam, report), self.CURRENT)
+        ref = _written(tmp_path / "b", sol, "control", (lam, report), self.REFERENCE)
+        assert ours == ref
+        text = ours[1].decode()
+        assert '"sup_norm": NaN' in text and '"state": []' in text
+        assert '"transversality": -Infinity' in text and "    Infinity," in text
+        assert "    null," in text
+        assert b",inf\r\n" in ours[0] and b",-0\r\n" in ours[0]
 
 
 class TestVerifyCommand:

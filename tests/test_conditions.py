@@ -292,6 +292,28 @@ class TestSufficiency:
         verdict = tv.sufficiency_check(p)
         assert not verdict.sufficient
 
+    def test_undefined_dynamics_at_the_origin_are_inconclusive(self):
+        # sqrt(t - 4) is undefined at t = 0..3: the first such t is the witness
+        ts = tv.TimeScale.integer_range(0, 8)
+        p = tv.ControlProblem(ts, tv.parse("u^2"), tv.parse("u + sqrt(t - 4)"), 0.0)
+        verdict = tv.sufficiency_check(p)
+        assert verdict.status == "inconclusive"
+        assert verdict.witness == (0.0, (0.0, 0.0, 0.0))
+        assert "g(t,0,0,0) = nan at t = 0.0" in verdict.reason
+
+    def test_origin_witness_is_the_first_nonzero_point(self):
+        ts = tv.TimeScale.integer_range(0, 8)
+        p = tv.ControlProblem(ts, tv.parse("u^2"), tv.parse("u + sqrt(t)*(t - 3)^2"), 0.0)
+        verdict = tv.sufficiency_check(p)
+        assert verdict.witness == (1.0, (0.0, 0.0, 0.0))
+        assert "g(t,0,0,0) = 4.000e+00 at t = 1.0" in verdict.reason
+
+    def test_dynamics_undefined_inside_the_probing_box_are_inconclusive(self, zgrid):
+        p = tv.ControlProblem(zgrid, tv.parse("u^2"), tv.parse("sqrt(x + 1) - 1"), 0.0)
+        verdict = tv.sufficiency_check(p)
+        assert verdict.status == "inconclusive"
+        assert "undefined inside the probing box" in verdict.reason
+
     def test_verdict_is_deterministic(self, zgrid):
         p = endpoint_penalty_control(zgrid)
         one = tv.sufficiency_check(p, seed=3)
