@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +39,7 @@ __all__ = ["ProblemFile", "load_problem_file", "main", "console_main"]
 
 _SECTIONS = ("timescale", "problem", "solver")
 _RESERVED = set(ex.VARIABLES) | set(ex.FUNCTIONS)
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # the expression tokenizer's names
 _FMT = "%.17g"
 
 
@@ -190,11 +192,15 @@ def _parse_params(text: str, lineno: int) -> dict[str, float]:
             raise ProblemFileError(f"line {lineno}: params entries look like name=value")
         name, value = item.split("=", 1)
         name = name.strip()
+        if not _NAME.fullmatch(name):
+            raise ProblemFileError(f"line {lineno}: parameter name {name!r} is not an identifier")
         if name in _RESERVED:
             raise ProblemFileError(
                 f"line {lineno}: parameter name {name!r} collides with a reserved "
                 "variable or function"
             )
+        if name in params:
+            raise ProblemFileError(f"line {lineno}: duplicate parameter {name!r}")
         params[name] = _to_float(value.strip(), name, lineno)
     return params
 
@@ -293,10 +299,10 @@ def write_solution_csv(path: Path, sol: Solution, derived: _Derived | None = Non
         _csv_column(None if lam is None else lam.values, n),
         _csv_column(report.el_residuals, n),
     ]
+    # no cell needs quoting: numbers, and empty cells
+    lines = ["t,x,u,lambda_sigma,el_residual", *map(",".join, zip(*columns)), ""]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["t", "x", "u", "lambda_sigma", "el_residual"])
-        writer.writerows(zip(*columns))
+        fh.write("\r\n".join(lines))
 
 
 def _grid_list(g: GridFunction | None):
@@ -416,12 +422,15 @@ def _read_candidate(path: Path, scale: TimeScale):
     t = column("t")
     if t is None or column("x") is None:
         raise ProblemFileError(f"candidate {path} has empty t or x columns")
-    for i, tv in enumerate(t):
-        if abs(tv - scale.points[i]) > 1e-9 * max(1.0, abs(scale.points[i])):
-            raise ProblemFileError(
-                f"candidate time column mismatches the scale at row {i}: "
-                f"{float(tv)!r} vs {float(scale.points[i])!r}"
-            )
+    pts = scale.points
+    # negated, so that a blank cell (NaN) is a mismatch too
+    bad = np.flatnonzero(~(np.abs(t - pts) <= 1e-9 * np.maximum(1.0, np.abs(pts))))
+    if bad.size:
+        i = int(bad[0])
+        raise ProblemFileError(
+            f"candidate time column mismatches the scale at row {i}: "
+            f"{float(t[i])!r} vs {float(pts[i])!r}"
+        )
     return column("x"), column("u"), column("lambda_sigma")
 
 

@@ -36,12 +36,15 @@ norm of the residual system, ``(h_{i+1} - h_i) / mu_i`` and ``h_{m-1}``.
 
 Every pointwise evaluation (objectives, gradients, Hessians, costate
 partials, the coefficients of affine state steps) goes through the kernel of
-:mod:`tsvar.problem`, one batch over all integrand terms.  At each Newton
-iterate one batch of the first and second partials of ``f`` and ``g`` gives
-the multipliers, ``h`` and the Hessian stages alike.  The two true
-recurrences, the state steps and the backward sweep of ``recover_costate``,
-then run over plain floats; only a state step whose ``g`` is not affine in
-``x`` calls compiled ``g`` point by point.
+:mod:`tsvar.problem`, one batch over all integrand terms.  Each solve builds
+one :class:`_Core` of its control problem, which looks up every partial and
+builds every kernel once; its state, end-value, objective and derivative
+evaluations only run them.  At each Newton iterate one batch of the first
+and second partials of ``f`` and ``g`` gives the multipliers, ``h`` and the
+Hessian stages alike; :func:`recover_costate` reads its partials from the
+same batch.  The two true recurrences, the state steps and the backward
+costate sweeps, then run over plain floats; only a state step whose ``g`` is
+not affine in ``x`` calls compiled ``g`` point by point.
 
 A returned :class:`Solution` keeps its problem and grids; its multipliers
 and residual report are recomputed from them on each read.
@@ -245,10 +248,10 @@ def solve_stationarity(
     opts = opts or SolveOptions()
     cp, w = _control_form(p, x0)
     mu = p.scale.mu_values[:-1]
-    derivatives = _control_derivatives(cp)
+    core = _Core(cp)
 
     def evaluate(w):
-        return derivatives(w, *_consistent_state(cp, w))
+        return core.derivatives(w, *core.consistent(w))
 
     def merit(h: np.ndarray) -> float:
         return max(float(np.max(np.abs((h[1:] - h[:-1]) / mu[:-1]))), abs(float(h[-1])))
@@ -279,7 +282,7 @@ def solve_stationarity(
             break
         w, (h, stages) = found
     ok = bool(merit(h) < opts.gradient_tolerance)
-    J, x, _ = _control_objective(cp)(w)
+    J, x, _ = core.value(w)
     return _variational_solution(
         p, cp, x, J, opts, ok, iters, "stationarity residual tolerance not reached"
     )
@@ -288,29 +291,116 @@ def solve_stationarity(
 # -- the Newton core: control problems ---------------------------------------
 
 
-def _propagate_state(p: ControlProblem, u: np.ndarray, zeta: float) -> np.ndarray:
-    """Forward state propagation, each step solved exactly for the shifted state.
+class _Core:
+    """What the Newton core derives from a control problem, built once per solve.
 
-    Step ``i`` solves ``x_{i+1} = x_i + mu_i g(t_i, x_{i+1}, u_i, zeta)``.
-    When ``g`` is affine in ``x``, one kernel batch gives ``a = g(t, 0, u, z)``
-    and ``b = g_x``, and the steps are the linear recurrence
-    ``x_{i+1} = (x_i + mu_i a_i) / (1 - mu_i b_i)``; a step is singular where
-    ``1 - mu_i b_i`` vanishes (the dynamics are not regressive there).
-    Otherwise each step is a safeguarded scalar Newton solve.  A singular or
-    failed step raises ``SolveError`` naming ``t``.
+    Building it looks up every partial and builds every kernel: the state
+    step (one ``pointwise(g, g_x)`` batch when ``g`` is affine in ``x``,
+    compiled scalar ``g`` and ``g_x`` for the Newton step otherwise), whether
+    ``g`` has ``z``, the cost ``pointwise(f)``, and ``partials``, one batch
+    of the first partials of ``f`` and ``g`` over ``(x, u, z)`` and then
+    their second partials ``xx, xu, xz, uu, uz, zz``.  The methods only
+    evaluate them.
     """
-    ts = p.scale
-    mu = ts.mu_values[:-1]
-    gx = ex.diff(p.g, "x")
-    if "x" in ex.variables(gx):
-        return _propagate_newton(p, u, zeta, gx)
-    a, b = pointwise(p.g, gx)(terms(ts, np.zeros(ts.n), u=u, z=zeta))
-    denom = 1.0 - mu * b
-    singular = np.flatnonzero(np.abs(denom) < _SINGULAR)
-    if singular.size:
-        t = float(ts.points[singular[0]])
-        raise SolveError(f"implicit state step singular (1 - mu*g_x = 0) at t = {t!r}")
-    return _recurrence(float(p.alpha), mu * a, denom)
+
+    def __init__(self, p: ControlProblem):
+        self.p, self.ts, self.mu = p, p.scale, p.scale.mu_values[:-1]
+        gx = ex.diff(p.g, "x")
+        self.roots = (ex.compile_fn(p.g), ex.compile_fn(gx)) if "x" in ex.variables(gx) else None
+        self.affine = None if self.roots else pointwise(p.g, gx)
+        gz = ex.diff(p.g, "z")
+        self.coupled = not (isinstance(gz, ex.Const) and gz.value == 0.0)
+        self.cost = pointwise(p.f)
+        self.partials = pointwise(
+            *(ex.diff(e, a) for e in (p.f, p.g) for a in "xuz"),
+            *(ex.diff(ex.diff(e, a), b) for e in (p.f, p.g)
+              for a, b in ("xx", "xu", "xz", "uu", "uz", "zz")),
+        )
+
+    def state(self, u: np.ndarray, zeta: float) -> np.ndarray:
+        """Forward state propagation, each step solved exactly for the shifted state.
+
+        Step ``i`` solves ``x_{i+1} = x_i + mu_i g(t_i, x_{i+1}, u_i, zeta)``.
+        When ``g`` is affine in ``x``, one kernel batch gives ``a = g(t, 0, u, z)``
+        and ``b = g_x``, and the steps are the linear recurrence
+        ``x_{i+1} = (x_i + mu_i a_i) / (1 - mu_i b_i)``; a step is singular where
+        ``1 - mu_i b_i`` vanishes (the dynamics are not regressive there).
+        Otherwise each step is a safeguarded scalar Newton solve.  A singular or
+        failed step raises ``SolveError`` naming ``t``.
+        """
+        ts, mu = self.ts, self.mu
+        if self.roots:
+            x = [float(self.p.alpha)]
+            for t, mu_i, ui in zip(ts.points[:-1].tolist(), mu.tolist(),
+                                   np.asarray(u, dtype=float).tolist()):
+                y = _newton_root(*self.roots, t, x[-1], mu_i, ui, zeta)
+                if y is None:
+                    raise SolveError(f"implicit state step found no solution at t = {t!r}")
+                x.append(y)
+            return np.array(x)
+        a, b = self.affine(terms(ts, np.zeros(ts.n), u=u, z=zeta))
+        denom = 1.0 - mu * b
+        singular = np.flatnonzero(np.abs(denom) < _SINGULAR)
+        if singular.size:
+            t = float(ts.points[singular[0]])
+            raise SolveError(f"implicit state step singular (1 - mu*g_x = 0) at t = {t!r}")
+        return _recurrence(float(self.p.alpha), mu * a, denom)
+
+    def consistent(self, u: np.ndarray) -> tuple[np.ndarray, float]:
+        """Close the end value: find ``zeta`` with ``x(T; u, zeta) = zeta``.
+
+        Dynamics without ``z`` need one propagation, whose end value is
+        ``zeta``.  Otherwise secant iteration on the scalar mismatch runs from
+        ``zeta = 0`` and ``1``; its first step solves an affine coupling exactly,
+        in three propagations.
+        """
+        x = self.state(u, 0.0)
+        if not self.coupled:
+            return x, float(x[-1])
+        za, fa = 0.0, float(x[-1])
+        zb = 1.0
+        x = self.state(u, zb)
+        fb = float(x[-1] - zb)
+        for _ in range(_CONSISTENCY_STEPS):
+            if abs(fb) <= _CONSISTENCY_TOL * max(1.0, abs(zb)):
+                return x, zb
+            if fb == fa:
+                raise SolveError("end-value consistency iteration stalled")
+            za, fa, zb = zb, fb, zb - fb * (zb - za) / (fb - fa)
+            x = self.state(u, zb)
+            fb = float(x[-1] - zb)
+        raise SolveError("end-value consistency did not converge")
+
+    def value(self, u: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """``(J, x, zeta)``: the reduced objective with its consistent state."""
+        x, zeta = self.consistent(u)
+        return integrate_terms(self.ts, self.cost(terms(self.ts, x, u=u, z=zeta))[0]), x, zeta
+
+    def derivatives(self, u: np.ndarray, x: np.ndarray, zeta: float) -> tuple[np.ndarray, list]:
+        """``(h_u, stages)``: the stationarity residual and the stage data of
+        the Newton step at a feasible iterate.
+
+        The multipliers follow from the batch of ``partials`` by
+        :func:`_costate`.  Then ``h_u = f_u + lam g_u``, which is the
+        reduced gradient ``r = mu h_u`` with the graininess divided out, and,
+        per stage ``i``, the linearized dynamics
+        ``e_{i+1} = alpha_i e_i + beta_i du_i + gamma_i dz`` of
+        ``x_{i+1} = x_i + mu_i g(t_i, x_{i+1}, u_i, z)`` and the entries
+        ``xx, xu, xz, uu, uz, zz`` of ``W_i = mu_i (f'' + lam_i g'')``, the
+        Hessian of the Hamiltonian over ``(x_{i+1}, u_i, z)``.  The stages are
+        float lists for :func:`_riccati_step`.
+        """
+        ts, mu = self.ts, self.mu
+        rows = self.partials(terms(ts, x, u=u, z=zeta))
+        fx, fu, fz, gx, gu, gz = rows[:6]
+        lam = _costate(ts, gx, fx, fz, gz)
+        hu = fu + lam * gu
+        w = mu * (rows[6:12] + lam * rows[12:])
+        if not (np.isfinite(hu).all() and np.isfinite(w).all()):
+            raise ValueError("a partial of the Hamiltonian is not finite")
+        alpha = 1.0 / (1.0 - mu * gx)
+        stages = (alpha, mu * gu * alpha, mu * gz * alpha, *w)
+        return hu, [col.tolist() for col in stages]
 
 
 def _recurrence(y0: float, steps: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -334,20 +424,6 @@ def _recurrence(y0: float, steps: np.ndarray, denom: np.ndarray) -> np.ndarray:
     for step, d in zip(steps.tolist(), denom.tolist()):
         y.append((y[-1] + step) / d)
     return np.array(y)
-
-
-def _propagate_newton(p: ControlProblem, u: np.ndarray, zeta: float, gx: ex.Expr) -> np.ndarray:
-    """The state steps of a ``g`` that is not affine in ``x``, one scalar root each."""
-    g, dg = ex.compile_fn(p.g), ex.compile_fn(gx)
-    ts = p.scale
-    x = [float(p.alpha)]
-    for t, mu, ui in zip(ts.points[:-1].tolist(), ts.mu_values[:-1].tolist(),
-                         np.asarray(u, dtype=float).tolist()):
-        y = _newton_root(g, dg, t, x[-1], mu, ui, zeta)
-        if y is None:
-            raise SolveError(f"implicit state step found no solution at t = {t!r}")
-        x.append(y)
-    return np.array(x)
 
 
 def _newton_root(g, dg, t: float, xi: float, mu: float, ui: float, zeta: float) -> float | None:
@@ -381,47 +457,17 @@ def _newton_root(g, dg, t: float, xi: float, mu: float, ui: float, zeta: float) 
     return None
 
 
-def _consistent_state(p: ControlProblem, u: np.ndarray) -> tuple[np.ndarray, float]:
-    """Close the end value: find ``zeta`` with ``x(T; u, zeta) = zeta``.
-
-    Dynamics without ``z`` need one propagation, whose end value is
-    ``zeta``.  Otherwise secant iteration on the scalar mismatch runs from
-    ``zeta = 0`` and ``1``; its first step solves an affine coupling exactly,
-    in three propagations.
-    """
-    x = _propagate_state(p, u, 0.0)
-    gz = ex.diff(p.g, "z")
-    if isinstance(gz, ex.Const) and gz.value == 0.0:
-        return x, float(x[-1])
-    za, fa = 0.0, float(x[-1])
-    zb = 1.0
-    x = _propagate_state(p, u, zb)
-    fb = float(x[-1] - zb)
-    for _ in range(_CONSISTENCY_STEPS):
-        if abs(fb) <= _CONSISTENCY_TOL * max(1.0, abs(zb)):
-            return x, zb
-        if fb == fa:
-            raise SolveError("end-value consistency iteration stalled")
-        za, fa, zb = zb, fb, zb - fb * (zb - za) / (fb - fa)
-        x = _propagate_state(p, u, zb)
-        fb = float(x[-1] - zb)
-    raise SolveError("end-value consistency did not converge")
-
-
 def recover_costate(
     p: ControlProblem, x: np.ndarray, u: np.ndarray, zeta: float
 ) -> np.ndarray:
     """Sigma-shifted multiplier samples solving the costate recurrence plus
     the transversality equation.
 
-    One kernel batch evaluates the partials ``g_x, f_x, f_z, g_z`` at every
+    The batch of the core's partials gives ``f_x, f_z, g_x, g_z`` at every
     point; :func:`_costate` solves for the multipliers.
     """
-    ts = p.scale
-    partials = pointwise(
-        ex.diff(p.g, "x"), ex.diff(p.f, "x"), ex.diff(p.f, "z"), ex.diff(p.g, "z")
-    )(terms(ts, x, u=u, z=zeta))
-    return _costate(ts, *partials)
+    fx, _, fz, gx, _, gz = _Core(p).partials(terms(p.scale, x, u=u, z=zeta))[:6]
+    return _costate(p.scale, gx, fx, fz, gz)
 
 
 def _costate(
@@ -455,56 +501,6 @@ def _costate(
         raise SolveError("multiplier transversality equation is degenerate")
     lam_end = r0 / (1.0 - slope)
     return lam0 + lam_end * (lam1 - lam0)
-
-
-def _control_objective(p: ControlProblem):
-    """``u -> (J, x, zeta)``: the reduced objective with its consistent state."""
-    cost = pointwise(p.f)
-    ts = p.scale
-
-    def value(u: np.ndarray) -> tuple[float, np.ndarray, float]:
-        x, zeta = _consistent_state(p, u)
-        return integrate_terms(ts, cost(terms(ts, x, u=u, z=zeta))[0]), x, zeta
-
-    return value
-
-
-def _control_derivatives(p: ControlProblem):
-    """``(u, x, zeta) -> (h_u, stages)``: the stationarity residual and the
-    stage data of the Newton step at a feasible iterate.
-
-    One kernel batch gives the first partials of ``f`` and ``g`` over
-    ``(x, u, z)`` and their second partials; the multipliers follow from
-    them by :func:`_costate`.  Then ``h_u = f_u + lam g_u``, which is the
-    reduced gradient ``r = mu h_u`` with the graininess divided out, and,
-    per stage ``i``, the linearized dynamics
-    ``e_{i+1} = alpha_i e_i + beta_i du_i + gamma_i dz`` of
-    ``x_{i+1} = x_i + mu_i g(t_i, x_{i+1}, u_i, z)`` and the entries
-    ``xx, xu, xz, uu, uz, zz`` of ``W_i = mu_i (f'' + lam_i g'')``, the
-    Hessian of the Hamiltonian over ``(x_{i+1}, u_i, z)``.  The stages are
-    float lists for :func:`_riccati_step`.
-    """
-    kernel = pointwise(
-        *(ex.diff(e, a) for e in (p.f, p.g) for a in "xuz"),
-        *(ex.diff(ex.diff(e, a), b) for e in (p.f, p.g)
-          for a, b in ("xx", "xu", "xz", "uu", "uz", "zz")),
-    )
-    ts = p.scale
-    mu = ts.mu_values[:-1]
-
-    def derivatives(u: np.ndarray, x: np.ndarray, zeta: float) -> tuple[np.ndarray, list]:
-        rows = kernel(terms(ts, x, u=u, z=zeta))
-        fx, fu, fz, gx, gu, gz = rows[:6]
-        lam = _costate(ts, gx, fx, fz, gz)
-        hu = fu + lam * gu
-        w = mu * (rows[6:12] + lam * rows[12:])
-        if not (np.isfinite(hu).all() and np.isfinite(w).all()):
-            raise ValueError("a partial of the Hamiltonian is not finite")
-        alpha = 1.0 / (1.0 - mu * gx)
-        stages = (alpha, mu * gu * alpha, mu * gz * alpha, *w)
-        return hu, [col.tolist() for col in stages]
-
-    return derivatives
 
 
 def _riccati_step(
@@ -632,11 +628,10 @@ def _minimize(
     stopping rule holds.
     """
     mu = p.scale.mu_values[:-1]
-    value = _control_objective(p)
-    derivatives = _control_derivatives(p)
+    core = _Core(p)
     try:
-        J, x_arr, zeta = value(w)
-        hu, stages = derivatives(w, x_arr, zeta)
+        J, x_arr, zeta = core.value(w)
+        hu, stages = core.derivatives(w, x_arr, zeta)
     except _DOMAIN_ERRORS as exc:
         raise SolveError(f"objective undefined at the starting point: {exc}") from exc
     iters = 0
@@ -651,10 +646,10 @@ def _minimize(
 
         def armijo(trial, step):
             try:
-                Jn, xn, zn = value(trial)
+                Jn, xn, zn = core.value(trial)
                 if not Jn <= J + _ARMIJO * step * gd + slack:
                     return None
-                return (Jn, xn, *derivatives(trial, xn, zn))
+                return (Jn, xn, *core.derivatives(trial, xn, zn))
             except SolveError:
                 return None
 
@@ -744,19 +739,18 @@ def _oracle_variational(p: VariationalProblem) -> np.ndarray:
     return np.linalg.solve(A, -b)
 
 
-def _oracle_control(p: ControlProblem) -> tuple[np.ndarray, float]:
-    ts = p.scale
+def _oracle_control(core: _Core) -> tuple[np.ndarray, float]:
+    ts = core.ts
     m = ts.n  # controls plus the end value
-    cost = pointwise(p.f)
 
     def value(w):
         u, zeta = w[:-1], float(w[-1])
-        x = _propagate_state(p, u, zeta)
-        return integrate_terms(ts, cost(terms(ts, x, u=u, z=zeta))[0])
+        x = core.state(u, zeta)
+        return integrate_terms(ts, core.cost(terms(ts, x, u=u, z=zeta))[0])
 
     def constraint(w):
         u, zeta = w[:-1], float(w[-1])
-        x = _propagate_state(p, u, zeta)
+        x = core.state(u, zeta)
         return x[-1] - zeta
 
     A, b, _ = _polarize_quadratic(value, m)
@@ -829,18 +823,18 @@ def brute_force_oracle(
     if not isinstance(p, ControlProblem):
         raise OracleError(f"unsupported problem type {type(p).__name__}")
     quad = _is_quadratic(p.f, ("x", "u", "z")) and _is_affine_dynamics(p)
+    core = _Core(p)
     if quad:
-        w, zeta = _oracle_control(p)
+        w, zeta = _oracle_control(core)
     elif allow_grid_search:
-        value = _control_objective(p)
-        w = _grid_search(lambda v: value(v)[0], p.scale.n - 1, box)
-        _, zeta = _consistent_state(p, w)
+        w = _grid_search(lambda v: core.value(v)[0], p.scale.n - 1, box)
+        _, zeta = core.consistent(w)
     else:
         raise OracleError(
             "oracle needs a quadratic cost and affine dynamics; "
             "pass allow_grid_search=True otherwise"
         )
-    x = GridFunction(p.scale, _propagate_state(p, w, zeta))
+    x = GridFunction(p.scale, core.state(w, zeta))
     u = GridFunction(p.scale, np.append(w, np.nan))
     return Solution(
         problem=p, x=x, u=u,

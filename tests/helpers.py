@@ -170,7 +170,7 @@ def stationarity_residual(p: tv.VariationalProblem, x: tv.GridFunction) -> np.nd
     """``h = f_v + lam`` of the control form ``g = u`` at the slopes of ``x``:
     the gradient over the slopes with the graininess divided out."""
     cp = tv.ControlProblem.from_variational(p)
-    h, _ = solver._control_derivatives(cp)(x.delta_values, x.values, float(x.values[-1]))
+    h, _ = solver._Core(cp).derivatives(x.delta_values, x.values, float(x.values[-1]))
     return h
 
 

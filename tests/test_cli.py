@@ -131,6 +131,21 @@ class TestProblemFiles:
         with pytest.raises(tv.ProblemFileError, match="reserved"):
             load_problem_file(path)
 
+    def test_duplicate_parameter_rejected(self, tmp_path):
+        # the second binding used to win silently
+        path = tmp_path / "bad.toml"
+        path.write_text(PENALIZED_LENGTH.replace("beta = 1", "beta = 1.0, beta = 5.0"))
+        with pytest.raises(tv.ProblemFileError, match=r"line 11: duplicate parameter 'beta'"):
+            load_problem_file(path)
+
+    def test_parameter_name_must_be_an_identifier(self, tmp_path):
+        # no expression can name '2q', so sweeping it would repeat one row
+        path = tmp_path / "bad.toml"
+        path.write_text(PENALIZED_LENGTH.replace("beta = 1", "beta = 1, 2q = 3"))
+        with pytest.raises(tv.ProblemFileError, match=r"line 11: parameter name '2q' is not"):
+            load_problem_file(path)
+        assert main(["sweep", str(path), "--param", "2q", "--values", "1,2"]) == 1
+
     def test_malformed_section_named_in_error(self, tmp_path):
         path = tmp_path / "bad.toml"
         path.write_text("[nonsense]\nk = 1\n")
@@ -410,6 +425,17 @@ class TestVerifyCommand:
         self._write_candidate(cand, pf.scale, 5 / 16 * pf.scale.points, np.full(4, 5 / 16), lam)
         assert main(["verify", str(control_file), str(cand)]) == 3
         assert "verdict: FAIL (2*u + lam is nan at t = 1.0)" in capsys.readouterr().out
+
+    def test_blank_time_cell_exits_one(self, control_file, tmp_path, capsys):
+        # a blank cell parses as NaN, which no tolerance test may let through
+        out = tmp_path / "out"
+        assert main(["solve", str(control_file), "--out-dir", str(out)]) == 0
+        lines = (out / "solution.csv").read_text().splitlines()
+        lines[2] = lines[2][lines[2].index(","):]
+        cand = tmp_path / "cand.csv"
+        cand.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(control_file), str(cand)]) == 1
+        assert "time column mismatches the scale at row 1: nan vs 1.0" in capsys.readouterr().err
 
     def test_wrong_point_count_exits_one(self, control_file, tmp_path):
         short = tv.TimeScale.integer_range(0, 2)

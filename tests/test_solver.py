@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 import tsvar as tv
-import tsvar.solver as solver
-from tsvar.solver import _consistent_state, _riccati_step, _shifted_control_step
+from tsvar.solver import _Core, _riccati_step, _shifted_control_step
 from helpers import (
     admissible_grid,
     endpoint_penalty_control,
@@ -167,7 +166,7 @@ class TestStructuredNewton:
             x = admissible_grid(rng, p)
             mu = p.scale.mu_values[:-1]
             cp = tv.ControlProblem.from_variational(p)
-            h, stages = solver._control_derivatives(cp)(x.delta_values, x.values, x.values[-1])
+            h, stages = _Core(cp).derivatives(x.delta_values, x.values, x.values[-1])
             du, _, _ = _riccati_step(stages, (mu * h).tolist(), 0.0)
             grad, hess = objective_derivatives(p, x.values[1:])
             gap = np.max(np.abs(h - np.append(h[1:], 0.0) - grad))
@@ -418,8 +417,8 @@ class TestSolveControl:
         ts = tv.TimeScale.uniform(0, 1, 21)
         p = tv.ControlProblem(ts, tv.parse("u^4 - 2*u^2 + (z-1)^2"), tv.parse("u"), 0.0)
         start = np.zeros(ts.n - 1)
-        value = solver._control_objective(p)
-        hu, stages = solver._control_derivatives(p)(start, *value(start)[1:])
+        core = _Core(p)
+        hu, stages = core.derivatives(start, *core.value(start)[1:])
         gradient = ts.mu_values[:-1] * hu
         _, definite, _ = _riccati_step(stages, gradient.tolist(), 0.0)
         assert not definite
@@ -427,7 +426,7 @@ class TestSolveControl:
         assert sol.converged
         assert sol.report.sup_norm <= 1e-9
         assert np.all(12.0 * sol.u.values[:-1] ** 2 - 4.0 > 0.0)  # a local minimizer
-        assert sol.objective_value < value(start)[0]
+        assert sol.objective_value < core.value(start)[0]
 
 
     @pytest.mark.parametrize("w", [0.1, 0.5, 0.9])
@@ -443,7 +442,7 @@ class TestSolveControl:
         assert sol.converged
         assert sol.iterations <= 8
         xv, u = sol.x.values, sol.u.values[:-1]
-        hu, stages = solver._control_derivatives(p)(u, xv, float(xv[-1]))
+        hu, stages = _Core(p).derivatives(u, xv, float(xv[-1]))
         _, definite, _ = _riccati_step(stages, (ts.mu_values[:-1] * hu).tolist(), 0.0)
         assert definite
 
@@ -480,7 +479,7 @@ class TestControlInternals:
         ts = tv.TimeScale.integer_range(0, 2)
         p = tv.ControlProblem(ts, tv.parse("u^2"), tv.parse("u + x^2"), 1.0)
         with pytest.raises(tv.SolveError, match=r"implicit state step .*at t = 0\.0"):
-            solver._propagate_state(p, np.ones(2), 0.0)
+            _Core(p).state(np.ones(2), 0.0)
 
     def test_kept_control_solution_is_lean(self):
         # a kept solution holds its grids x, u, lam and the scale's points
@@ -563,23 +562,47 @@ class TestControlInternals:
         exact = np.array(exact)
         eps = np.finfo(float).eps
         assert np.max(np.abs(np.cumsum(np.append(0.3, steps)) - exact)) > 100 * eps
-        assert np.max(np.abs(solver._propagate_state(p, u, 0.0) - exact)) <= 2 * eps
+        assert np.max(np.abs(_Core(p).state(u, 0.0) - exact)) <= 2 * eps
 
     def test_state_without_end_value_is_propagated_once(self, monkeypatch):
         ts = tv.TimeScale.uniform(0, 1, 21)
         p = tv.ControlProblem(ts, tv.parse("u^2"), tv.parse("u - 0.5*x"), 1.0)
-        original = solver._propagate_state
+        original = _Core.state
         results = []
 
         def counted(*args, **kwargs):
             results.append(original(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(solver, "_propagate_state", counted)
-        x, zeta = _consistent_state(p, np.linspace(-1.0, 1.0, ts.n - 1))
+        monkeypatch.setattr(_Core, "state", counted)
+        x, zeta = _Core(p).consistent(np.linspace(-1.0, 1.0, ts.n - 1))
         assert len(results) == 1
         assert x is results[0]
         assert zeta == x[-1]
+
+    def test_set_up_calls_do_not_grow_with_the_iterations(self, monkeypatch):
+        # every partial is looked up and every kernel built once per solve, so
+        # a 2-step and a 4-step solve make the same diff and compile_fn calls
+        ts = tv.TimeScale.uniform(0, 1, 40)
+        p = tv.ControlProblem(ts, tv.parse("u^2 + x^2 + exp(u) + 3*(z-1)^2"),
+                              tv.parse("u - 0.5*x + 0.2*z*t"), 0.0)
+        assert tv.solve_control(p).iterations == 4  # and the caches are warm
+        calls = {"diff": 0, "compile_fn": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(tv.expr, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(tv.expr, name, counted)
+        seen = []
+        for opts in (tv.SolveOptions(max_iterations=2), tv.SolveOptions()):
+            calls.update(diff=0, compile_fn=0)
+            sol = tv.solve_control(p, opts)
+            seen.append((sol.iterations, dict(calls)))
+        (short, short_calls), (full, full_calls) = seen
+        assert (short, full) == (2, 4)
+        assert short_calls == full_calls
+        assert full_calls["compile_fn"] > 0
 
     def test_recover_costate_matches_reference_sweeps(self):
         rng = np.random.default_rng(11)
@@ -608,7 +631,7 @@ class TestControlInternals:
             x = rng.uniform(-1.0, 1.0, ts.n)
             u = rng.uniform(-1.0, 1.0, ts.n - 1)
             zeta = float(rng.uniform(-1.0, 1.0))
-            h, stages = solver._control_derivatives(p)(u, x, zeta)
+            h, stages = _Core(p).derivatives(u, x, zeta)
             h_ref, ref = hamiltonian_stages(p, u, x, zeta)
             assert np.array_equal(h, h_ref)
             assert len(stages) == len(ref) == 9
