@@ -240,7 +240,6 @@ def load_problem_file(path: str | Path) -> ProblemFile:
     for key, conv in (
         ("max_iterations", _to_int),
         ("gradient_tolerance", _to_float),
-        ("step_tolerance", _to_float),
         ("seed", _to_int),
     ):
         if key in solver:

@@ -5,10 +5,12 @@ Variational problems get the Euler-Lagrange residual on the interior
 differentiation points and a single transversality residual that couples the
 boundary term with the delta integral of the ``z``-partial.  Control problems
 get the four Hamiltonian families (state, costate, stationarity,
-transversality) built from ``H = f + lam*g``.  A report has one
-``transversality`` scalar for either class.  The sufficiency screen's
-sampling is fixed (64 affinity probes of ``g``, 256 midpoint pairs of ``f``
-from ``[-8, 8]^3``); only its seed is a parameter.
+transversality) of ``H = f + lam*g``, whose partials ``f_a + lam*g_a`` are
+formed by array arithmetic from one batch of the first partials of
+:func:`tsvar.problem.partials`.  A report has one ``transversality`` scalar
+for either class.  The sufficiency screen's sampling is fixed (64 affinity
+probes of ``g``, 256 midpoint pairs of ``f`` from ``[-8, 8]^3``); only its
+seed is a parameter.
 
 Multiplier grids hold sigma-shifted samples: ``lam.values[i]`` is the
 multiplier composed with the forward jump, sampled at ``t_i``.  The sample at
@@ -27,7 +29,8 @@ import numpy as np
 from . import expr as ex
 from .errors import ScaleMismatchError
 from .problem import (
-    ControlProblem, VariationalProblem, _check_admissible, integrate_terms, pointwise, terms,
+    ControlProblem, VariationalProblem, _check_admissible, _is_zero, integrate_terms, partials,
+    pointwise, terms,
 )
 from .timescale import GridFunction, TimeScale, require_same_scale
 
@@ -197,8 +200,24 @@ def variational_residuals(p: VariationalProblem, x: GridFunction) -> ResidualRep
 # -- Hamiltonian conditions ----------------------------------------------------
 
 
-def _hamiltonian(p: ControlProblem) -> ex.Expr:
-    return ex.Binary("add", p.f, ex.Binary("mul", ex.Var("lam"), p.g))
+def _hamiltonian_partials(p: ControlProblem, x, u, lam, axes: str, *extra) -> list:
+    """Rows of ``H_a = f_a + lam*g_a`` for ``a`` in ``axes``, then those of
+    ``extra``, from one batch of the partials of ``f`` and ``g``.  A term that
+    ``diff(f + lam*g, a)`` folds away (``g_a`` or ``f_a`` the constant 0) is
+    left out, so each row has the bits of the compiled ``diff(H, a)``; a row
+    that is not finite raises ``ValueError`` naming ``H_a``."""
+    d, k = partials(p), len(axes)
+    fs = [d["xuz".index(a)] for a in axes]
+    gs = [d["xuz".index(a) + 3] for a in axes]
+    rows = list(pointwise(*fs, *gs, *extra)(terms(p.scale, x.values, u=u.values)))
+    lv = lam.values[:-1]
+    for j, (fa, ga, fr, gr) in enumerate(zip(fs, gs, rows, rows[k:])):
+        h = rows[j] = fr if _is_zero(ga) else lv * gr if _is_zero(fa) else fr + lv * gr
+        bad = np.flatnonzero(~np.isfinite(h))
+        if bad.size:
+            text = ex.to_text(ex._add(fa, ex._mul(ex.Var("lam"), ga)))
+            raise ValueError(f"{text} is {h[bad[0]]} at t = {float(p.scale.points[bad[0]])!r}")
+    return rows[:k] + rows[2 * k:]
 
 
 def hamiltonian_residuals(
@@ -215,13 +234,10 @@ def hamiltonian_residuals(
     _check_admissible(p, x)
     require_same_scale(x, u, "state and control")
     require_same_scale(x, lam, "state and multiplier")
-    H = _hamiltonian(p)
     ts = p.scale
     mu, xv, lv = ts.mu_values[:-1], x.values, lam.values
-    hx, hu, hlam, hz = pointwise(*(ex.diff(H, a) for a in ("x", "u", "lam", "z")))(
-        terms(ts, xv, u=u.values, lam=lv)
-    )
-    state = np.diff(xv) / mu - hlam
+    hx, hu, hz, g = _hamiltonian_partials(p, x, u, lam, "xuz", p.g)
+    state = np.diff(xv) / mu - g
     stationarity = hu.copy()  # a row alone, not a view that keeps the whole batch alive
     costate = np.diff(lv[:-1]) / mu[:-1] + hx[:-1]
     k = ts.n - 2
@@ -254,11 +270,8 @@ def transversality_residual_control_classical(
         raise ScaleMismatchError(
             "classical multiplier transversality needs a uniform dense sampling"
         )
-    ts = p.scale
-    (hz,) = pointwise(ex.diff(_hamiltonian(p), "z"))(
-        terms(ts, x.values, u=u.values, lam=lam.values)
-    )
-    return float(lam.values[ts.n - 2]) - integrate_terms(ts, hz)
+    (hz,) = _hamiltonian_partials(p, x, u, lam, "z")
+    return float(lam.values[p.scale.n - 2]) - integrate_terms(p.scale, hz)
 
 
 # -- sufficiency ---------------------------------------------------------------

@@ -37,8 +37,8 @@ _BINARY_OPS = ("add", "sub", "mul", "div", "pow")
 # Cache bounds: a sweep builds a new expression per value, and one solve
 # with its residual report, from empty caches, fills 96 ``diff`` and 10
 # ``compile_fn`` entries for ``sqrt(1 + v^2) + 2*(z - 1)^2 + 0.5*cos(x)`` (a
-# variational solve runs the control core on its ``g = u`` form), and 86 and
-# 9 for the control problem ``u^2 + x^2 + 3*(z - 1)^2``, ``g = u - 0.5*x``.
+# variational solve runs the control core on its ``g = u`` form), and 59 and
+# 7 for the control problem ``u^2 + x^2 + 3*(z - 1)^2``, ``g = u - 0.5*x``.
 _DIFF_CACHE_SIZE = 1024
 _COMPILE_CACHE_SIZE = 256
 

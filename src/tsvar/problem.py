@@ -10,7 +10,8 @@ error on discrete scales.
 Every pointwise evaluation in the package goes through one kernel here:
 :func:`terms` lays out the integrand terms ``i = 0 .. n-2`` as numpy
 columns, :func:`pointwise` evaluates expressions on all of them at once, and
-:func:`integrate_terms` sums graininess-weighted term values exactly.
+:func:`integrate_terms` sums graininess-weighted term values exactly.  Every
+partial of a control problem's ``f`` and ``g`` comes from :func:`partials`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .timescale import GridFunction, TimeScale, require_same_scale
 
 __all__ = [
     "VariationalProblem", "ControlProblem", "objective", "objective_control", "norm1",
-    "terms", "pointwise", "integrate_terms",
+    "terms", "pointwise", "integrate_terms", "partials",
 ]
 
 _INIT_RTOL = 1e-12
@@ -122,6 +123,21 @@ def pointwise(*exprs: ex.Expr) -> Callable[[tuple], np.ndarray]:
         return out
 
     return evaluate
+
+
+def partials(p: ControlProblem) -> tuple[ex.Expr, ...]:
+    """The first partials of ``f``, then of ``g``, over ``(x, u, z)``; then
+    the second partials ``xx, xu, xz, uu, uz, zz`` of ``f``, then of ``g``
+    (mixed partials are equal, so six stand for all nine)."""
+    return (
+        *(ex.diff(e, a) for e in (p.f, p.g) for a in "xuz"),
+        *(ex.diff(ex.diff(e, a), b) for e in (p.f, p.g)
+          for a, b in ("xx", "xu", "xz", "uu", "uz", "zz")),
+    )
+
+
+def _is_zero(e: ex.Expr) -> bool:
+    return isinstance(e, ex.Const) and e.value == 0.0
 
 
 def integrate_terms(scale: TimeScale, values: np.ndarray) -> float:

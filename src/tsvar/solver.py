@@ -34,17 +34,15 @@ condition emerges as a first-order condition rather than being imposed.
 ``solve_stationarity`` takes the unshifted steps and backtracks on the sup
 norm of the residual system, ``(h_{i+1} - h_i) / mu_i`` and ``h_{m-1}``.
 
-Every pointwise evaluation (objectives, gradients, Hessians, costate
-partials, the coefficients of affine state steps) goes through the kernel of
-:mod:`tsvar.problem`, one batch over all integrand terms.  Each solve builds
-one :class:`_Core` of its control problem, which looks up every partial and
-builds every kernel once; its state, end-value, objective and derivative
-evaluations only run them.  At each Newton iterate one batch of the first
-and second partials of ``f`` and ``g`` gives the multipliers, ``h`` and the
-Hessian stages alike; :func:`recover_costate` reads its partials from the
-same batch.  The two true recurrences, the state steps and the backward
-costate sweeps, then run over plain floats; only a state step whose ``g`` is
-not affine in ``x`` calls compiled ``g`` point by point.
+Every pointwise evaluation goes through the kernel of :mod:`tsvar.problem`,
+one batch over all integrand terms, and every partial of ``f`` and ``g``
+(the oracle's guards included) comes from :func:`tsvar.problem.partials`.
+Each solve builds one :class:`_Core`, which builds every kernel once.  At
+each Newton iterate one batch of the 18 partials gives the multipliers,
+``h`` and the Hessian stages alike; :func:`recover_costate` evaluates only
+the four first partials it reads.  The two true recurrences, the state
+steps and the backward costate sweeps, run over plain floats; only a state
+step whose ``g`` is not affine in ``x`` calls compiled ``g`` point by point.
 
 A returned :class:`Solution` keeps its problem and grids; its multipliers
 and residual report are recomputed from them on each read.
@@ -69,8 +67,8 @@ from .conditions import (
 )
 from .errors import OracleError, SingularJacobianError, SolveError, TsvarError
 from .problem import (
-    ControlProblem, VariationalProblem, integrate_terms, objective, objective_control,
-    pointwise, terms,
+    ControlProblem, VariationalProblem, _is_zero, integrate_terms, objective, objective_control,
+    partials, pointwise, terms,
 )
 from .timescale import GridFunction, TimeScale
 
@@ -86,21 +84,20 @@ _SINGULAR = 1e-13  # |1 - mu g_x| below this: the state or costate step has no u
 _NEWTON_STEPS = 50  # per implicit state step; Newton converges in a few
 _CONSISTENCY_STEPS = 50  # secant steps of the end-value consistency solve
 _CONSISTENCY_TOL = 1e-12  # relative end-value mismatch that closes it
+_STEP_TOLERANCE = 1e-12  # a backtracking line search gives up below this step size
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     max_iterations: int = 500
     gradient_tolerance: float = 1e-9
-    step_tolerance: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        for name in ("gradient_tolerance", "step_tolerance"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        if self.gradient_tolerance <= 0.0:
+            raise ValueError("gradient_tolerance must be positive")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -156,15 +153,15 @@ class Solution:
 # -- variational solves: the control form g = u ---------------------------------
 
 
-def _backtrack(y: np.ndarray, d: np.ndarray, opts: SolveOptions, try_step):
+def _backtrack(y: np.ndarray, d: np.ndarray, try_step):
     """Halve the step from 1 until ``try_step(trial, step)`` returns a state.
 
     Domain errors at a trial point shrink the step instead of failing.
     Returns ``(trial, state)``, or ``None`` once the step is below
-    ``step_tolerance``.
+    ``_STEP_TOLERANCE``.
     """
     step = 1.0
-    while step * np.max(np.abs(d)) >= opts.step_tolerance:
+    while step * np.max(np.abs(d)) >= _STEP_TOLERANCE:
         trial = y + step * d
         try:
             state = try_step(trial, step)
@@ -277,7 +274,7 @@ def solve_stationarity(
                 return state
             return None
 
-        found = _backtrack(w, d, opts, decrease)
+        found = _backtrack(w, d, decrease)
         if found is None:
             break
         w, (h, stages) = found
@@ -294,28 +291,21 @@ def solve_stationarity(
 class _Core:
     """What the Newton core derives from a control problem, built once per solve.
 
-    Building it looks up every partial and builds every kernel: the state
-    step (one ``pointwise(g, g_x)`` batch when ``g`` is affine in ``x``,
+    The state step (``pointwise(g, g_x)`` when ``g`` is affine in ``x``,
     compiled scalar ``g`` and ``g_x`` for the Newton step otherwise), whether
-    ``g`` has ``z``, the cost ``pointwise(f)``, and ``partials``, one batch
-    of the first partials of ``f`` and ``g`` over ``(x, u, z)`` and then
-    their second partials ``xx, xu, xz, uu, uz, zz``.  The methods only
-    evaluate them.
+    ``g`` has ``z``, the cost ``pointwise(f)`` and ``partials``, the batch of
+    :func:`tsvar.problem.partials`.  The methods only evaluate them.
     """
 
     def __init__(self, p: ControlProblem):
         self.p, self.ts, self.mu = p, p.scale, p.scale.mu_values[:-1]
-        gx = ex.diff(p.g, "x")
+        d = partials(p)
+        gx, gz = d[3], d[5]
         self.roots = (ex.compile_fn(p.g), ex.compile_fn(gx)) if "x" in ex.variables(gx) else None
         self.affine = None if self.roots else pointwise(p.g, gx)
-        gz = ex.diff(p.g, "z")
-        self.coupled = not (isinstance(gz, ex.Const) and gz.value == 0.0)
+        self.coupled = not _is_zero(gz)
         self.cost = pointwise(p.f)
-        self.partials = pointwise(
-            *(ex.diff(e, a) for e in (p.f, p.g) for a in "xuz"),
-            *(ex.diff(ex.diff(e, a), b) for e in (p.f, p.g)
-              for a, b in ("xx", "xu", "xz", "uu", "uz", "zz")),
-        )
+        self.partials = pointwise(*d)
 
     def state(self, u: np.ndarray, zeta: float) -> np.ndarray:
         """Forward state propagation, each step solved exactly for the shifted state.
@@ -463,10 +453,11 @@ def recover_costate(
     """Sigma-shifted multiplier samples solving the costate recurrence plus
     the transversality equation.
 
-    The batch of the core's partials gives ``f_x, f_z, g_x, g_z`` at every
-    point; :func:`_costate` solves for the multipliers.
+    One batch gives ``f_x, f_z, g_x, g_z`` at every point, and no other
+    partial; :func:`_costate` solves for the multipliers.
     """
-    fx, _, fz, gx, _, gz = _Core(p).partials(terms(p.scale, x, u=u, z=zeta))[:6]
+    d = partials(p)
+    fx, fz, gx, gz = pointwise(d[0], d[2], d[3], d[5])(terms(p.scale, x, u=u, z=zeta))
     return _costate(p.scale, gx, fx, fz, gz)
 
 
@@ -653,7 +644,7 @@ def _minimize(
             except SolveError:
                 return None
 
-        found = _backtrack(w, d, opts, armijo)
+        found = _backtrack(w, d, armijo)
         if found is None:
             break
         w, (J, x_arr, hu, stages) = found
@@ -684,29 +675,16 @@ def solve_control(
     n = p.scale.n
     w = np.zeros(n - 1) if u0 is None else np.array(u0.values[: n - 1], dtype=float)
     shown = None if on_accept is None else (lambda w, x, J: on_accept(w.copy(), J))
-    w, x_arr, _, iters, ok = _minimize(p, w, opts, _sup, shown)
-    x = GridFunction(p.scale, x_arr)
-    u = GridFunction(p.scale, np.append(w, np.nan))
+    w, x_arr, J, iters, ok = _minimize(p, w, opts, _sup, shown)
     return Solution(
-        problem=p, x=x, u=u,
-        objective_value=objective_control(p, x, u),
-        verdict=sufficiency_check(p, seed=opts.seed),
+        problem=p, x=GridFunction(p.scale, x_arr), u=GridFunction(p.scale, np.append(w, np.nan)),
+        objective_value=J, verdict=sufficiency_check(p, seed=opts.seed),
         converged=ok, iterations=iters,
         message="" if ok else "gradient tolerance not reached",
     )
 
 
 # -- brute-force oracle ---------------------------------------------------------
-
-
-def _is_quadratic(e: ex.Expr, names: tuple[str, ...]) -> bool:
-    """All second partials over ``names`` are functions of ``t`` alone."""
-    for a in names:
-        for b in names:
-            dd = ex.diff(ex.diff(e, a), b)
-            if ex.variables(dd) - {"t"}:
-                return False
-    return True
 
 
 def _polarize_quadratic(fun, m: int):
@@ -805,8 +783,13 @@ def brute_force_oracle(
     """
     if p.scale.n > 8:
         raise OracleError("oracle supports at most 8 scale points")
-    if isinstance(p, VariationalProblem):
-        quad = _is_quadratic(p.f, ("x", "v", "z"))
+    if not isinstance(p, (VariationalProblem, ControlProblem)):
+        raise OracleError(f"unsupported problem type {type(p).__name__}")
+    variational = isinstance(p, VariationalProblem)
+    # quadratic cost and affine dynamics in (x, u, z), on the control form
+    second = partials(ControlProblem.from_variational(p) if variational else p)[6:]
+    quad = all(ex.variables(e) <= {"t"} for e in second[:6]) and all(map(_is_zero, second[6:]))
+    if variational:
         if quad:
             y = _oracle_variational(p)
         elif allow_grid_search:
@@ -820,9 +803,6 @@ def brute_force_oracle(
             verdict=sufficiency_check_variational(p),
             converged=True, iterations=0, message="oracle",
         )
-    if not isinstance(p, ControlProblem):
-        raise OracleError(f"unsupported problem type {type(p).__name__}")
-    quad = _is_quadratic(p.f, ("x", "u", "z")) and _is_affine_dynamics(p)
     core = _Core(p)
     if quad:
         w, zeta = _oracle_control(core)
@@ -842,15 +822,6 @@ def brute_force_oracle(
         verdict=sufficiency_check(p),
         converged=True, iterations=0, message="oracle",
     )
-
-
-def _is_affine_dynamics(p: ControlProblem) -> bool:
-    for a in ("x", "u", "z"):
-        for b in ("x", "u", "z"):
-            dd = ex.diff(ex.diff(p.g, a), b)
-            if not (isinstance(dd, ex.Const) and dd.value == 0.0):
-                return False
-    return True
 
 
 # -- parameter sweep -------------------------------------------------------------

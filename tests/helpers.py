@@ -103,6 +103,38 @@ def hamiltonian_stages(p: tv.ControlProblem, u, x, zeta: float) -> tuple[np.ndar
     return hu, [alpha, mu * gu * alpha, mu * gz * alpha, *(mu * wk for wk in w)]
 
 
+def reference_hamiltonian_residuals(p: tv.ControlProblem, x, u, lam) -> tv.ResidualReport:
+    """The Hamiltonian report in its symbolic form: one batch of
+    ``diff(H, a)`` for ``a`` in ``x, u, lam, z`` with ``H = f + lam*g``.
+    ``tv.hamiltonian_residuals`` evaluates the partials of ``f`` and ``g``
+    alone and forms those of ``H`` by array arithmetic."""
+    H = tv.expr.Binary("add", p.f, tv.expr.Binary("mul", tv.expr.Var("lam"), p.g))
+    ts = p.scale
+    mu, xv, lv = ts.mu_values[:-1], x.values, lam.values
+    hx, hu, hlam, hz = tv.problem.pointwise(*(tv.diff(H, a) for a in ("x", "u", "lam", "z")))(
+        tv.problem.terms(ts, xv, u=u.values, lam=lv)
+    )
+    state = np.diff(xv) / mu - hlam
+    costate = np.diff(lv[:-1]) / mu[:-1] + hx[:-1]
+    k = ts.n - 2
+    tc = float(lv[k] - mu[k] * hx[k] - tv.problem.integrate_terms(ts, hz))
+    sup = max([0.0, *(float(np.max(np.abs(a))) for a in (state, costate, hu) if len(a)), abs(tc)])
+    return tv.ResidualReport(
+        scale=ts, state_residuals=state, costate_residuals=costate,
+        stationarity_residuals=hu, transversality=tc, sup_norm=sup,
+    )
+
+
+def reference_transversality_control_classical(p: tv.ControlProblem, x, u, lam) -> float:
+    """End multiplier minus the integral of ``diff(H, "z")``, ``H = f + lam*g``."""
+    H = tv.expr.Binary("add", p.f, tv.expr.Binary("mul", tv.expr.Var("lam"), p.g))
+    ts = p.scale
+    (hz,) = tv.problem.pointwise(tv.diff(H, "z"))(
+        tv.problem.terms(ts, x.values, u=u.values, lam=lam.values)
+    )
+    return float(lam.values[ts.n - 2]) - tv.problem.integrate_terms(ts, hz)
+
+
 def random_scale(rng: np.random.Generator, max_points: int = 8, min_gap: float = 0.1) -> tv.TimeScale:
     """Random discrete scale with gaps bounded away from zero."""
     n = int(rng.integers(3, max_points + 1))

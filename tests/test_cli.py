@@ -181,6 +181,14 @@ class TestProblemFiles:
         with pytest.raises(tv.ProblemFileError, match="unexpected key 'finite_difference_step'"):
             load_problem_file(path)
 
+    def test_step_tolerance_is_an_unexpected_key(self, tmp_path):
+        # the line search's step floor is a constant of the solver now
+        path = tmp_path / "old.toml"
+        path.write_text(PENALIZED_LENGTH + "step_tolerance = 1e-12\n")
+        with pytest.raises(tv.ProblemFileError,
+                           match=r"line 15: unexpected key 'step_tolerance' in \[solver\]"):
+            load_problem_file(path)
+
     def test_too_few_points_is_a_load_error(self, tmp_path):
         path = tmp_path / "tiny.toml"
         path.write_text(
@@ -425,6 +433,20 @@ class TestVerifyCommand:
         self._write_candidate(cand, pf.scale, 5 / 16 * pf.scale.points, np.full(4, 5 / 16), lam)
         assert main(["verify", str(control_file), str(cand)]) == 3
         assert "verdict: FAIL (2*u + lam is nan at t = 1.0)" in capsys.readouterr().out
+
+    def test_minimizer_passes_where_an_unused_second_partial_is_infinite(self, tmp_path, capsys):
+        # f_xx = 0.75/sqrt(x) is infinite at x = 0, but the costate and the
+        # report read first partials only, and x = u = 0 is the minimizer
+        path = tmp_path / "pow.toml"
+        path.write_text(
+            "[timescale]\nkind = integers\na = 0\nb = 4\n\n"
+            "[problem]\ntype = control\nf = u^2 + x^1.5\ng = u\nalpha = 0\n"
+        )
+        scale = tv.TimeScale.integer_range(0, 4)
+        cand = tmp_path / "cand.csv"
+        self._write_candidate(cand, scale, np.zeros(5), np.zeros(5))
+        assert main(["verify", str(path), str(cand)]) == 0
+        assert "verdict: PASS (sup 0.000000e+00" in capsys.readouterr().out
 
     def test_blank_time_cell_exits_one(self, control_file, tmp_path, capsys):
         # a blank cell parses as NaN, which no tolerance test may let through

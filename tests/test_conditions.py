@@ -12,6 +12,8 @@ from helpers import (
     minimal_slope_root,
     random_quadratic_problem,
     random_scale,
+    reference_hamiltonian_residuals,
+    reference_transversality_control_classical,
 )
 
 
@@ -226,6 +228,67 @@ class TestHamiltonianResiduals:
             p = random_quadratic_problem(rng, random_scale(rng, max_points=6))
             sol = tv.brute_force_oracle(p)
             assert sol.report.sup_norm <= 1e-9
+
+
+def same_bits(a, b) -> bool:
+    """Equal values with equal sign bits, so ``-0.0`` differs from ``0.0``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# f and g pairs for the bit-for-bit checks: g with z, x*z and sin(x)*u terms,
+# and partials that fold to the constant 0 or 1 (f without u, g = u, g without z)
+HAMILTONIAN_FORMS = [
+    ("u^2 + x^2 + 3*(z - 1)^2", "u - 0.5*x"),
+    ("u^2 + x^2 + 3*(z - 1)^2", "u - 0.5*x + 0.2*z"),
+    ("(u - x)^2 + exp(0.3*x) + t*(z - 1)^2", "u + 0.3*x*z - 0.1*t"),
+    ("u^2 + cos(x) + z*u", "sin(x)*u + 0.5*u - 0.2*x"),
+    ("x^2 + t*x*z", "u"),
+    ("u^4/4 + x*u", "u*z + sin(x)*u"),
+]
+
+
+class TestHamiltonianBits:
+    """The report forms the partials of H = f + lam*g from those of f and g;
+    it must keep every bit of the symbolic ``diff(H, a)`` form."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "integers", "qgrid"])
+    def test_report_matches_the_symbolic_form(self, kind):
+        scale = {
+            "uniform": tv.TimeScale.uniform(0.0, 1.0, 9),
+            "integers": tv.TimeScale.integer_range(0, 7),
+            "qgrid": tv.TimeScale.q_grid(1.5, 0, 6, include_zero=True),
+        }[kind]
+        rng = np.random.default_rng(53)
+        n = scale.n
+        for f, g in HAMILTONIAN_FORMS:
+            p = tv.ControlProblem(scale, tv.parse(f), tv.parse(g), 0.25)
+            for _ in range(5):
+                xv = np.append(p.alpha, rng.uniform(-1.5, 1.5, n - 1))
+                uv, lv = rng.uniform(-2.0, 2.0, (2, n))
+                # signed zeros, where a folded term would otherwise show
+                uv[1], lv[2], lv[3] = -0.0, -0.0, 0.0
+                x, u, lam = (tv.GridFunction(scale, v) for v in (xv, uv, lv))
+                got = tv.hamiltonian_residuals(p, x, u, lam)
+                ref = reference_hamiltonian_residuals(p, x, u, lam)
+                for name in ("state_residuals", "costate_residuals", "stationarity_residuals",
+                             "transversality", "sup_norm"):
+                    assert same_bits(getattr(got, name), getattr(ref, name)), (f, g, name)
+
+    def test_classical_transversality_matches_the_symbolic_form(self):
+        scale = tv.TimeScale.uniform(-1.0, 1.0, 11)
+        rng = np.random.default_rng(59)
+        for f, g in HAMILTONIAN_FORMS:
+            p = tv.ControlProblem(scale, tv.parse(f), tv.parse(g), 0.0)
+            for _ in range(5):
+                xv = np.append(0.0, rng.uniform(-1.5, 1.5, scale.n - 1))
+                uv, lv = rng.uniform(-2.0, 2.0, (2, scale.n))
+                lv[4] = -0.0
+                x, u, lam = (tv.GridFunction(scale, v) for v in (xv, uv, lv))
+                assert same_bits(
+                    tv.transversality_residual_control_classical(p, x, u, lam),
+                    reference_transversality_control_classical(p, x, u, lam),
+                ), (f, g)
 
 
 class TestControlClassicalTransversality:

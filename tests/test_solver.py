@@ -402,6 +402,26 @@ class TestSolveControl:
         assert sol.report.stationarity_residuals is not None
         assert sol.report.el_residuals is None
 
+    @pytest.mark.parametrize("g, exact", [("u - 0.5*x", True), ("u - 0.5*x + 0.2*z*t", False)])
+    def test_objective_is_the_value_the_solve_minimized(self, monkeypatch, g, exact):
+        # the solve reports the objective its last accepted iterate was valued
+        # at, without a second valuation; without z in g that is every bit of
+        # objective_control, with z the end value closes to 1e-12
+        p = tv.ControlProblem(tv.TimeScale.q_grid(1.5, 0, 6, include_zero=True),
+                              tv.parse("u^2 + x^2 + 3*(z - 1)^2"), tv.parse(g), 0.0)
+
+        def second_valuation(*args):
+            raise AssertionError("solve_control valued the objective again")
+
+        monkeypatch.setattr(tv.solver, "objective_control", second_valuation)
+        sol = tv.solve_control(p)
+        monkeypatch.undo()
+        again = tv.objective_control(p, sol.x, sol.u)
+        if exact:
+            assert sol.objective_value == again
+        else:
+            assert sol.objective_value == pytest.approx(again, rel=1e-11)
+
     def test_iteration_cap_is_reported(self):
         # a cost that is not quadratic needs more than one Newton step
         ts = tv.TimeScale.uniform(0, 1, 41)
@@ -692,6 +712,26 @@ class TestBruteForceOracle:
         slow = tv.brute_force_oracle(p, allow_grid_search=True, box=(-2.0, 2.0))
         fast = tv.solve_variational(p, TIGHT)
         assert np.max(np.abs(slow.x.values - fast.x.values)) <= 1e-5
+
+    @pytest.mark.parametrize("f, g", [
+        ("u^2 + x^2 + 3*(z - 1)^2", "u + x*u"),  # dynamics not affine
+        ("u^2 + x^4", "u"),  # cost not quadratic
+    ])
+    def test_control_guards_reject_without_opt_in(self, f, g):
+        p = tv.ControlProblem(tv.TimeScale.integer_range(0, 4), tv.parse(f), tv.parse(g), 0.5)
+        with pytest.raises(tv.OracleError, match="grid_search"):
+            tv.brute_force_oracle(p)
+
+    def test_control_guards_accept_quadratic_cost_and_affine_dynamics(self):
+        ts = tv.TimeScale.from_points([0.0, 0.5, 1.5, 2.0, 3.5])
+        p = tv.ControlProblem(
+            ts, tv.parse("u^2 + x^2 + 3*(z - 1)^2"), tv.parse("u - 0.5*x + 0.2*z"), 0.0
+        )
+        oracle = tv.brute_force_oracle(p)
+        direct = tv.solve_control(p, TIGHT)
+        assert direct.converged
+        assert np.max(np.abs(direct.x.values - oracle.x.values)) <= 1e-9
+        assert np.max(np.abs(direct.u.values[:-1] - oracle.u.values[:-1])) <= 1e-9
 
     def test_oracle_agrees_with_both_solvers(self):
         rng = np.random.default_rng(37)
