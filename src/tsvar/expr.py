@@ -38,7 +38,11 @@ _BINARY_OPS = ("add", "sub", "mul", "div", "pow")
 # with its residual report, from empty caches, fills 96 ``diff`` and 10
 # ``compile_fn`` entries for ``sqrt(1 + v^2) + 2*(z - 1)^2 + 0.5*cos(x)`` (a
 # variational solve runs the control core on its ``g = u`` form), and 59 and
-# 7 for the control problem ``u^2 + x^2 + 3*(z - 1)^2``, ``g = u - 0.5*x``.
+# 7 for the control problem ``u^2 + x^2 + 3*(z - 1)^2``, ``g = u - 0.5*x``;
+# each of those kernels has a shape of its own.  ``compile_fn`` keeps one
+# kernel per tree but compiles one source per shape, the tree with its
+# constants as names: sweep rows that differ only in a constant share every
+# shape, so a sweep compiles as often as one row.
 _DIFF_CACHE_SIZE = 1024
 _COMPILE_CACHE_SIZE = 256
 
@@ -485,17 +489,20 @@ def diff(e: Expr, wrt: str) -> Expr:
 # -- compilation --------------------------------------------------------------
 
 
-def _py_src(e: Expr) -> str:
+def _py_src(e: Expr, consts: list) -> str:
+    """Python source of ``e`` with each ``Const`` spelled ``_c<k>``, its
+    value appended to ``consts`` at index ``k``."""
     if isinstance(e, Const):
-        return f"({e.value!r})"
+        consts.append(e.value)
+        return f"_c{len(consts) - 1}"
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Unary):
         if e.op == "neg":
-            return f"(-{_py_src(e.arg)})"
-        return f"{e.op}({_py_src(e.arg)})"
+            return f"(-{_py_src(e.arg, consts)})"
+        return f"{e.op}({_py_src(e.arg, consts)})"
     assert isinstance(e, Binary)
-    a, b = _py_src(e.left), _py_src(e.right)
+    a, b = _py_src(e.left, consts), _py_src(e.right, consts)
     if e.op == "pow":
         return f"_pow({a}, {b})"
     sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[e.op]
@@ -513,8 +520,22 @@ _ARRAY_NS = {
 
 
 @lru_cache(maxsize=_COMPILE_CACHE_SIZE)
+def _compile_shape(src: str, array: bool) -> Callable[..., Callable[..., float]]:
+    """The factory ``src`` defines: given the constants, it returns the kernel."""
+    ns = dict(_ARRAY_NS if array else _SCALAR_NS)
+    exec(compile(src, "<expr>", "exec"), ns)  # noqa: S102 - generated from our own AST
+    return ns["_bind"]
+
+
+@lru_cache(maxsize=_COMPILE_CACHE_SIZE)
 def compile_fn(e: Expr, array: bool = False) -> Callable[..., float]:
     """Compile to a positional callable ``f(t, x, v, z, u, lam)``.
+
+    The source is compiled once per shape: each constant is a name, bound
+    as a closure cell of the returned kernel, so trees that differ only in
+    their constants share one code object.  Arithmetic on the bound doubles
+    gives the same bits as the literals did.  ``compile_fn.cache_clear()``
+    empties the shapes too.
 
     Domain failures surface as ``ValueError`` / ``ZeroDivisionError`` /
     ``OverflowError`` from the math library; callers on hot paths catch
@@ -523,7 +544,19 @@ def compile_fn(e: Expr, array: bool = False) -> Callable[..., float]:
     functions: domain failures become NaN or infinite entries (with numpy's
     floating-point warnings), which the caller checks for.
     """
-    src = f"def _f(t=0.0, x=0.0, v=0.0, z=0.0, u=0.0, lam=0.0):\n    return {_py_src(e)}\n"
-    ns = dict(_ARRAY_NS if array else _SCALAR_NS)
-    exec(compile(src, "<expr>", "exec"), ns)  # noqa: S102 - generated from our own AST
-    return ns["_f"]
+    consts: list = []
+    body = _py_src(e, consts)
+    names = "".join(f"_c{k}, " for k in range(len(consts)))
+    src = (f"def _bind({names}):\n"
+           f"    def _f(t=0.0, x=0.0, v=0.0, z=0.0, u=0.0, lam=0.0):\n"
+           f"        return {body}\n"
+           f"    return _f\n")
+    return _compile_shape(src, array)(*consts)
+
+
+def _clear_compiled(clear_kernels=compile_fn.cache_clear) -> None:
+    clear_kernels()
+    _compile_shape.cache_clear()
+
+
+compile_fn.cache_clear = _clear_compiled

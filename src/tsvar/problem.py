@@ -33,6 +33,7 @@ __all__ = [
 
 _INIT_RTOL = 1e-12
 _DYNAMICS_ATOL = 1e-9  # dynamics residual ``objective_control`` allows, plus mu where dense
+_DYNAMICS_ROUNDING = 4.0 * np.finfo(float).eps  # times (|x_i| + |x_{i+1}|) / mu_i, also allowed
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -165,17 +166,20 @@ def objective_control(p: ControlProblem, x: GridFunction, u: GridFunction) -> fl
     """Delta-integral running cost of a state/control pair.
 
     The pair must satisfy the discrete dynamics at every differentiation
-    point, up to 1e-9.  Points sampling a dense interval get extra slack
-    ``mu(t)``, since a trajectory transcribed from a continuum solution
-    carries an O(mu) residual there.
+    point, up to 1e-9 plus the rounding of the difference quotient, a few
+    ulps of ``(|x_i| + |x_{i+1}|) / mu_i``.  Points sampling a dense
+    interval get extra slack ``mu(t)``, since a trajectory transcribed from
+    a continuum solution carries an O(mu) residual there.
     """
     _check_admissible(p, x)
     require_same_scale(x, u, "state and control")
     ts = p.scale
     mu = ts.mu_values[:-1]
-    cols = terms(ts, x.values, u=u.values)
-    res = np.abs(np.diff(x.values) / mu - pointwise(p.g)(cols)[0])
-    slack = _DYNAMICS_ATOL + np.where(ts.dense_mask[:-1], mu, 0.0)
+    xv = x.values
+    cols = terms(ts, xv, u=u.values)
+    res = np.abs(np.diff(xv) / mu - pointwise(p.g)(cols)[0])
+    rounding = _DYNAMICS_ROUNDING * (np.abs(xv[:-1]) + np.abs(xv[1:])) / mu
+    slack = _DYNAMICS_ATOL + rounding + np.where(ts.dense_mask[:-1], mu, 0.0)
     worst = np.where(res > slack, res, 0.0)
     if worst.any():
         i = int(np.argmax(worst))

@@ -709,27 +709,58 @@ def _polarize_quadratic(fun, m: int):
     return A, b, c
 
 
-def _oracle_variational(p: VariationalProblem) -> np.ndarray:
-    A, b, _ = _polarize_quadratic(lambda y: objective(p, _grid(p, y)), p.scale.n - 1)
+def _interpreted_variational(p: VariationalProblem):
+    """The objective over the free values ``x[1:] = y``, each term valued by
+    the interpreted walk of :func:`expr.evaluate`."""
+    pts, mu = p.scale.points[:-1].tolist(), p.scale.mu_values[:-1].tolist()
+
+    def value(y: np.ndarray) -> float:
+        x = [float(p.alpha), *y.tolist()]
+        return math.fsum(h * ex.evaluate(p.f, {"t": t, "x": b, "v": (b - a) / h, "z": x[-1]})
+                         for t, h, a, b in zip(pts, mu, x, x[1:]))
+
+    return value
+
+
+def _interpreted_control(p: ControlProblem, gx: ex.Expr):
+    """``(state, value)`` of a control problem whose ``g`` is affine in
+    ``(x, u, z)`` with the slope ``gx`` in ``t`` alone, by the interpreted walk
+    of :func:`expr.evaluate`: ``x_{i+1} = (x_i + mu_i g(t_i, 0, u_i, zeta)) /
+    (1 - mu_i g_x(t_i))`` and the cost along it, over ``w = (u, zeta)``."""
+    pts, mu = p.scale.points[:-1].tolist(), p.scale.mu_values[:-1].tolist()
+    denom = [1.0 - h * ex.evaluate(gx, {"t": t}) for t, h in zip(pts, mu)]
+    if min(map(abs, denom)) < _SINGULAR:
+        raise OracleError("state step singular (1 - mu*g_x = 0)")
+
+    def state(w: np.ndarray) -> list[float]:
+        *u, zeta = w.tolist()
+        x = [float(p.alpha)]
+        for t, h, d, ui in zip(pts, mu, denom, u):
+            x.append((x[-1] + h * ex.evaluate(p.g, {"t": t, "x": 0.0, "u": ui, "z": zeta})) / d)
+        return x
+
+    def value(w: np.ndarray) -> float:
+        *u, zeta = w.tolist()
+        return math.fsum(h * ex.evaluate(p.f, {"t": t, "x": xi, "u": ui, "z": zeta})
+                         for t, h, xi, ui in zip(pts, mu, state(w)[1:], u))
+
+    return state, value
+
+
+def _oracle_variational(value, m: int) -> np.ndarray:
+    A, b, _ = _polarize_quadratic(value, m)
     eig = np.linalg.eigvalsh(0.5 * (A + A.T))
     if eig[0] <= 1e-10 * max(1.0, abs(eig[-1])):
         raise OracleError("stationary system is not positive definite; no unique minimizer")
     return np.linalg.solve(A, -b)
 
 
-def _oracle_control(core: _Core) -> tuple[np.ndarray, float]:
-    ts = core.ts
-    m = ts.n  # controls plus the end value
-
-    def value(w):
-        u, zeta = w[:-1], float(w[-1])
-        x = core.state(u, zeta)
-        return integrate_terms(ts, core.cost(terms(ts, x, u=u, z=zeta))[0])
+def _oracle_control(state, value, m: int) -> np.ndarray:
+    """The minimizing ``w = (u, zeta)`` under the end-value constraint
+    ``x(T) = zeta``, by one KKT solve."""
 
     def constraint(w):
-        u, zeta = w[:-1], float(w[-1])
-        x = core.state(u, zeta)
-        return x[-1] - zeta
+        return state(w)[-1] - float(w[-1])
 
     A, b, _ = _polarize_quadratic(value, m)
     c0 = constraint(np.zeros(m))
@@ -747,7 +778,7 @@ def _oracle_control(core: _Core) -> tuple[np.ndarray, float]:
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError as exc:
         raise OracleError("degenerate stationarity system") from exc
-    return sol[: m - 1], float(sol[m - 1])
+    return sol[:m]
 
 
 def _grid_search(value, m: int, box: tuple[float, float]) -> np.ndarray:
@@ -779,7 +810,10 @@ def brute_force_oracle(
     Quadratic problems (total degree at most two in the state/control/end
     variables) are solved exactly: the objective is recovered by polarization
     from function values alone and the linear stationarity (or KKT) system is
-    eliminated directly.  Anything else needs ``allow_grid_search``.
+    eliminated directly.  Those values come from the interpreted walk of
+    :func:`expr.evaluate`, with the oracle's own state propagation, so no
+    compiled kernel and no solver code enter the solution.  Anything else
+    needs ``allow_grid_search``, which values points as the solvers do.
     """
     if p.scale.n > 8:
         raise OracleError("oracle supports at most 8 scale points")
@@ -787,38 +821,42 @@ def brute_force_oracle(
         raise OracleError(f"unsupported problem type {type(p).__name__}")
     variational = isinstance(p, VariationalProblem)
     # quadratic cost and affine dynamics in (x, u, z), on the control form
-    second = partials(ControlProblem.from_variational(p) if variational else p)[6:]
-    quad = all(ex.variables(e) <= {"t"} for e in second[:6]) and all(map(_is_zero, second[6:]))
+    d = partials(ControlProblem.from_variational(p) if variational else p)
+    quad = all(ex.variables(e) <= {"t"} for e in d[6:12]) and all(map(_is_zero, d[12:]))
     if variational:
         if quad:
-            y = _oracle_variational(p)
+            value = _interpreted_variational(p)
+            y = _oracle_variational(value, p.scale.n - 1)
         elif allow_grid_search:
-            y = _grid_search(lambda w: objective(p, _grid(p, w)), p.scale.n - 1, box)
+            def value(w):
+                return objective(p, _grid(p, w))
+
+            y = _grid_search(value, p.scale.n - 1, box)
         else:
             raise OracleError("non-quadratic problem; pass allow_grid_search=True")
-        x = _grid(p, y)
         return Solution(
-            problem=p, x=x, u=None,
-            objective_value=objective(p, x),
+            problem=p, x=_grid(p, y), u=None,
+            objective_value=value(y),
             verdict=sufficiency_check_variational(p),
             converged=True, iterations=0, message="oracle",
         )
-    core = _Core(p)
     if quad:
-        w, zeta = _oracle_control(core)
+        state, value = _interpreted_control(p, d[3])
+        w = _oracle_control(state, value, p.scale.n)
+        u, x, J = w[:-1], GridFunction(p.scale, np.array(state(w))), value(w)
     elif allow_grid_search:
-        w = _grid_search(lambda v: core.value(v)[0], p.scale.n - 1, box)
-        _, zeta = core.consistent(w)
+        core = _Core(p)
+        u = _grid_search(lambda v: core.value(v)[0], p.scale.n - 1, box)
+        x = GridFunction(p.scale, core.consistent(u)[0])
+        J = objective_control(p, x, GridFunction(p.scale, np.append(u, np.nan)))
     else:
         raise OracleError(
             "oracle needs a quadratic cost and affine dynamics; "
             "pass allow_grid_search=True otherwise"
         )
-    x = GridFunction(p.scale, core.state(w, zeta))
-    u = GridFunction(p.scale, np.append(w, np.nan))
     return Solution(
-        problem=p, x=x, u=u,
-        objective_value=objective_control(p, x, u),
+        problem=p, x=x, u=GridFunction(p.scale, np.append(u, np.nan)),
+        objective_value=J,
         verdict=sufficiency_check(p),
         converged=True, iterations=0, message="oracle",
     )
@@ -843,11 +881,12 @@ def sweep(
     opts: SolveOptions | None = None,
 ) -> list[SweepRow]:
     """One solve per parameter value, in input order, warm-starting each solve
-    from the previous solution when the scales match.
+    from the previous solution when it converged and the scales match.
 
     A row whose build or solve raises a ``TsvarError`` or a domain error is
     recorded as not converged, with the exception as its ``message``; any
-    other exception is a defect and propagates.
+    other exception is a defect and propagates.  The row after a failed or
+    unconverged one starts cold.
     """
     opts = opts or SolveOptions()
     rows: list[SweepRow] = []
@@ -871,5 +910,5 @@ def sweep(
             SweepRow(float(val), sol.slope, float(sol.x.values[-1]),
                      sol.objective_value, sol.converged)
         )
-        prev = sol
+        prev = sol if sol.converged else None
     return rows

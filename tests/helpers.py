@@ -298,6 +298,39 @@ def central_difference(e: tv.Expr, env: dict, name: str) -> float | None:
     return best
 
 
+# -- reference compiler -----------------------------------------------------------
+#
+# The compiler ``expr.compile_fn`` was before it compiled one source per shape:
+# every constant a literal in the source, one ``compile`` per tree.  The tests
+# pin the current kernels' bits to these.
+
+
+def _reference_py_src(e: tv.Expr) -> str:
+    if isinstance(e, tv.expr.Const):
+        return f"({e.value!r})"
+    if isinstance(e, tv.expr.Var):
+        return e.name
+    if isinstance(e, tv.expr.Unary):
+        if e.op == "neg":
+            return f"(-{_reference_py_src(e.arg)})"
+        return f"{e.op}({_reference_py_src(e.arg)})"
+    a, b = _reference_py_src(e.left), _reference_py_src(e.right)
+    if e.op == "pow":
+        return f"_pow({a}, {b})"
+    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[e.op]
+    return f"({a} {sym} {b})"
+
+
+def reference_compile_fn(e: tv.Expr, array: bool = False):
+    """``f(t, x, v, z, u, lam)`` from source with the constants as literals."""
+    src = f"def _f(t=0.0, x=0.0, v=0.0, z=0.0, u=0.0, lam=0.0):\n    return {_reference_py_src(e)}\n"
+    lib = np if array else math
+    ns = {name: getattr(lib, name) for name in ("sqrt", "exp", "log", "sin", "cos")}
+    ns["_pow"] = np.power if array else math.pow
+    exec(compile(src, "<expr>", "exec"), ns)
+    return ns["_f"]
+
+
 # -- reference output writers ---------------------------------------------------
 #
 # The per-cell writers that ``tsvar solve`` used before it wrote a column at a

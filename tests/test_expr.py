@@ -1,5 +1,6 @@
-"""Parsing, evaluation, differentiation, and the printer round trip."""
+"""Parsing, evaluation, differentiation, compilation, and the printer round trip."""
 
+import builtins
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import tsvar as tv
 from tsvar.expr import Binary, Const, Unary, Var
-from helpers import central_difference, random_expr_and_env
+from helpers import _random_tree, central_difference, random_expr_and_env, reference_compile_fn
 
 VARS = ("t", "x", "v", "z", "u", "lam")
 
@@ -118,6 +119,116 @@ class TestEvaluate:
             e, env = random_expr_and_env(rng)
             fn = tv.compile_fn(e)
             assert fn(**env) == pytest.approx(tv.evaluate(e, env), rel=1e-15, abs=1e-15)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _compile_corpus() -> list:
+    """Trees whose kernels must keep the literal compiler's bits: constant-only
+    subexpressions, fractional and negative constants, the benchmark's sweep
+    integrands with their partials, and random trees."""
+    texts = ["2*3*x", "-(0.5)*x", "exp(-1)*x", "1/3*u", "x^2.5", "x^(-1.5)", "2^x",
+             "-3*x - 0.1*(-z)", "u^2 + exp(0.3*x) + x^2 + 2*(z - 1)^2", "0.5/(0*x)", "7"]
+    corpus = [tv.parse(s) for s in texts]
+    corpus += [Binary("mul", Const(-2.0), Var("x")), Binary("add", Const(-0.0), Var("u")),
+               Binary("mul", Const(-0.0), Var("t")), Const(-1.25)]
+    scale = tv.TimeScale.integer_range(0, 8)
+    sweep_small = tv.ControlProblem.from_variational(tv.VariationalProblem(
+        scale, tv.parse("sqrt(1 + v^2) + 2*(z - 1)^2 + 0.437*cos(x)"), 0.0))
+    ctl_qgrid = tv.ControlProblem(scale, tv.parse("u^2 + 1.3*x^2 + 3*(z - 1)^2"),
+                                  tv.parse("u - 0.5*x"), 0.0)
+    for p in (sweep_small, ctl_qgrid):
+        corpus += [p.f, p.g, *tv.problem.partials(p)]
+    rng = np.random.default_rng(5)
+    corpus += [_random_tree(rng, int(rng.integers(2, 6))) for _ in range(60)]
+    return corpus
+
+
+def _points(n: int = 48) -> dict:
+    """Arguments with signed zeros, tiny and huge magnitudes and domain edges."""
+    rng = np.random.default_rng(9)
+    special = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, -1e-300, 1e300, -1e300,
+                        0.5, 3.0])
+    cols = {}
+    for k, name in enumerate(VARS):
+        vals = np.concatenate((np.roll(special, k), rng.uniform(-3.0, 3.0, n - special.size)))
+        cols[name] = vals
+    return cols
+
+
+class TestCompile:
+    @pytest.mark.parametrize("array", [False, True])
+    def test_kernels_keep_the_bits_of_the_literal_compiler(self, array):
+        cols = _points()
+        args = [cols[name] for name in VARS]
+        for e in _compile_corpus():
+            fn, ref = tv.compile_fn(e, array=array), reference_compile_fn(e, array=array)
+            if array:
+                with np.errstate(all="ignore"):
+                    assert _same_bits(fn(*args), ref(*args)), tv.to_text(e)
+                continue
+            for point in zip(*(a.tolist() for a in args)):
+                try:
+                    want = ref(*point)
+                except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                    with pytest.raises(type(exc)):
+                        fn(*point)
+                    continue
+                assert _same_bits(fn(*point), want), (tv.to_text(e), point)
+
+    def test_trees_that_differ_in_a_constant_share_one_code_object(self):
+        tree = tv.parse("sqrt(1 + v^2) + w*cos(x)", bound=["w"])
+        a, b = (tv.compile_fn(tv.substitute(tree, "w", Const(w))) for w in (0.25, 0.75))
+        assert a is not b and a.__code__ is b.__code__
+        assert a(0.0, 0.0, 0.0) == 1.25 and b(0.0, 0.0, 0.0) == 1.75
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """The sources ``compile`` is called on from now on."""
+        seen = []
+
+        def counted(*args, _compile=builtins.compile, **kwargs):
+            seen.append(args[0])
+            return _compile(*args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", counted)
+        return seen
+
+    def test_a_sweep_compiles_as_often_as_one_row(self, compiles):
+        # 200 rows like those of the sweep_small benchmark workload: one shape
+        # per kernel, so 200 rows make the compile() calls of one (w = 1 would
+        # be a shape of its own, because diff folds a factor of one away)
+        tree = tv.parse("sqrt(1 + v^2) + 2*(z - 1)^2 + w*cos(x)", bound=["w"])
+        scale = tv.TimeScale.integer_range(0, 8)
+
+        def factory(w):
+            return tv.VariationalProblem(scale, tv.substitute(tree, "w", Const(w)), 0.0)
+
+        counts = []
+        for values in ([0.51], np.random.default_rng(1).uniform(0.02, 1.0, 200)):
+            tv.expr.diff.cache_clear()
+            tv.compile_fn.cache_clear()
+            compiles.clear()
+            rows = tv.sweep(factory, values)
+            assert all(r.converged for r in rows)
+            counts.append(len(compiles))
+        assert counts[0] == counts[1] > 0
+
+    def test_cache_clear_empties_the_shapes_too(self, compiles):
+        e = tv.parse("x^2 + 0.125*u")
+        tv.compile_fn(e, array=True)
+        compiles.clear()
+        tv.compile_fn(e, array=True)
+        tv.compile_fn(tv.parse("x^2 + 0.25*u"), array=True)
+        assert compiles == []  # a cached tree, then a cached shape
+        tv.compile_fn.cache_clear()
+        assert tv.expr._compile_shape.cache_info().currsize == 0
+        tv.compile_fn(e, array=True)
+        assert len(compiles) == 1
 
 
 class TestDiff:

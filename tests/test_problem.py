@@ -93,6 +93,17 @@ class TestObjectiveControl:
         u = tv.GridFunction(p.scale, np.full(4, 5 / 16))
         assert tv.objective_control(p, x, u) == pytest.approx(0.3125, abs=1e-15)
 
+    def test_exact_state_of_any_size_meets_the_dynamics(self):
+        # a diverged warm-started solve: its state, propagated exactly, reaches
+        # 1.6e16, where difference quotients round by about 2
+        ts = tv.TimeScale.integer_range(0, 6)
+        sol = None
+        for w in (0.5, 1.0, 2.0, -0.3):
+            p = tv.ControlProblem(ts, tv.parse(f"x^2 + {w!r}*(u - 1)^2"), tv.parse("u"), 0.0)
+            sol = tv.solve_control(p, u0=sol.u if sol else None)
+        assert not sol.converged and np.max(np.abs(sol.x.values)) > 1e16
+        assert tv.objective_control(p, sol.x, sol.u) == sol.objective_value
+
     def test_dynamics_violation_reports_worst_point(self):
         p = endpoint_penalty_control(tv.TimeScale.integer_range(0, 3))
         x = tv.GridFunction.from_callable(p.scale, lambda t: t)

@@ -733,6 +733,30 @@ class TestBruteForceOracle:
         assert np.max(np.abs(direct.x.values - oracle.x.values)) <= 1e-9
         assert np.max(np.abs(direct.u.values[:-1] - oracle.u.values[:-1])) <= 1e-9
 
+    def test_quadratic_branches_use_no_kernel_and_no_core(self, monkeypatch):
+        # the oracle checks the solvers and their compiled kernels, so its
+        # quadratic branches value points by the interpreted walk and
+        # propagate their own state: wrong kernels leave its solutions alone
+        rng = np.random.default_rng(41)
+        problems = [random_quadratic_problem(rng), random_quadratic_control(rng),
+                    random_quadratic_control(rng)]
+        want = [tv.brute_force_oracle(p) for p in problems]
+        compile_fn = tv.expr.compile_fn
+
+        def wrong(e, array=False):
+            fn = compile_fn(e, array)
+            return lambda *args: 2.0 * fn(*args) + 1.0
+
+        def no_core(p):
+            raise AssertionError("the oracle built the solver's core")
+
+        monkeypatch.setattr(tv.expr, "compile_fn", wrong)
+        monkeypatch.setattr(tv.solver, "_Core", no_core)
+        for p, ref in zip(problems, want):
+            sol = tv.brute_force_oracle(p)
+            assert np.array_equal(sol.x.values, ref.x.values)
+            assert sol.objective_value == ref.objective_value
+
     def test_oracle_agrees_with_both_solvers(self):
         rng = np.random.default_rng(37)
         for _ in range(15):
@@ -746,6 +770,21 @@ class TestBruteForceOracle:
 
 
 class TestSweep:
+    def test_a_row_after_an_unconverged_one_starts_cold(self):
+        # the w = -0.3 row diverges (its cost is unbounded below); the w = 4
+        # row must not start from it
+        ts = tv.TimeScale.integer_range(0, 6)
+
+        def factory(w):
+            return tv.ControlProblem(ts, tv.parse(f"x^2 + {w!r}*(u - 1)^2"), tv.parse("u"), 0.0)
+
+        rows = tv.sweep(factory, [0.5, 1.0, 2.0, -0.3, 4.0])
+        assert not rows[3].converged and rows[3].message == ""
+        cold = tv.solve_control(factory(4.0))
+        assert rows[4].converged and cold.converged
+        assert (rows[4].slope, rows[4].endpoint, rows[4].objective) == (
+            cold.slope, float(cold.x.values[-1]), cold.objective_value)
+
     def test_slopes_increase_toward_one(self):
         rows = tv.sweep(
             lambda b: minimal_length_problem(b, 60),
@@ -801,11 +840,15 @@ class TestSweep:
             info = cached.cache_info()
             assert info.maxsize is not None and info.misses > info.maxsize
             assert info.currsize <= info.maxsize
+        # the rows share their shapes, so the compiled sources stay few
+        shapes = tv.expr._compile_shape.cache_info()
+        assert shapes.maxsize is not None and shapes.currsize <= shapes.maxsize
+        assert shapes.misses < 300 / 10
 
     @pytest.mark.parametrize("case", ["variational", "control"])
     def test_one_solve_fits_in_a_quarter_of_the_expression_caches(self, case):
-        # a solve and its report, from empty caches; measured: 96 diff and 10
-        # compile_fn entries (variational), 86 and 9 (control)
+        # a solve and its report, from empty caches; measured: 96 diff, 10
+        # compile_fn and 10 shape entries (variational), 59, 7 and 7 (control)
         tv.expr.diff.cache_clear()
         tv.expr.compile_fn.cache_clear()
         if case == "variational":
@@ -816,7 +859,7 @@ class TestSweep:
             p = tv.ControlProblem(tv.TimeScale.uniform(0.0, 1.0, 200),
                                   tv.parse("u^2 + x^2 + 3*(z - 1)^2"), tv.parse("u - 0.5*x"), 0.0)
             tv.solve_control(p).lam_and_report()
-        for cached in (tv.expr.diff, tv.expr.compile_fn):
+        for cached in (tv.expr.diff, tv.expr.compile_fn, tv.expr._compile_shape):
             info = cached.cache_info()
             assert info.currsize <= info.maxsize / 4
 
