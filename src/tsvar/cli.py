@@ -419,7 +419,8 @@ def _read_candidate(path: Path, scale: TimeScale):
         return out
 
     t = column("t")
-    if t is None or column("x") is None:
+    x = None if t is None else column("x")
+    if x is None:
         raise ProblemFileError(f"candidate {path} has empty t or x columns")
     pts = scale.points
     # negated, so that a blank cell (NaN) is a mismatch too
@@ -430,7 +431,7 @@ def _read_candidate(path: Path, scale: TimeScale):
             f"candidate time column mismatches the scale at row {i}: "
             f"{float(t[i])!r} vs {float(pts[i])!r}"
         )
-    return column("x"), column("u"), column("lambda_sigma")
+    return x, column("u"), column("lambda_sigma")
 
 
 def cmd_verify(args) -> int:

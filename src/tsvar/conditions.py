@@ -308,6 +308,23 @@ _PASSED = SufficiencyVerdict(
 )
 
 
+def _draws(rng: np.random.Generator, ts: np.ndarray, n: int, box_a: tuple, box_b: tuple):
+    """Yield ``n`` samples ``(t, a, b)`` in Python floats: ``t`` from ``ts``,
+    then ``a`` and ``b``, three uniform draws each from ``box_a`` and ``box_b``.
+
+    ``rng.integers(0, len(ts))`` is the call ``rng.choice(ts)`` makes, so the
+    stream is the one ``choice`` and ``uniform(size=3)`` draw, in that order.
+    Float arithmetic on the samples has the bits of numpy's elementwise
+    arithmetic; unlike ``np.float64`` operands, floats make a scalar kernel
+    raise ``ZeroDivisionError`` where it divides by zero.
+    """
+    ts = ts.tolist()
+    k = len(ts)
+    for _ in range(n):
+        t = ts[rng.integers(0, k)]
+        yield t, rng.uniform(*box_a, size=3).tolist(), rng.uniform(*box_b, size=3).tolist()
+
+
 def _linearity_check(p: ControlProblem, rng: np.random.Generator):
     """Second differences of ``g`` vanish and ``g(t, 0, 0, 0) = 0``.
 
@@ -325,14 +342,12 @@ def _linearity_check(p: ControlProblem, rng: np.random.Generator):
             "inconclusive", f"{why}: g(t,0,0,0) = {val:.3e} at t = {t!r}", (t, (0.0, 0.0, 0.0))
         )
     g = ex.compile_fn(p.g)
-    for _ in range(_PROBES):
-        t = float(rng.choice(ts))
-        w = rng.uniform(-4.0, 4.0, size=3)
-        d = rng.uniform(-2.0, 2.0, size=3)
+    for t, w, d in _draws(rng, ts, _PROBES, (-4.0, 4.0), (-2.0, 2.0)):
+        (x, u, z), (dx, du, dz) = w, d
         try:
-            f0 = g(t, w[0], 0.0, w[2], w[1])
-            fp = g(t, w[0] + d[0], 0.0, w[2] + d[2], w[1] + d[1])
-            fm = g(t, w[0] - d[0], 0.0, w[2] - d[2], w[1] - d[1])
+            f0 = g(t, x, 0.0, z, u)
+            fp = g(t, x + dx, 0.0, z + dz, u + du)
+            fm = g(t, x - dx, 0.0, z - dz, u - du)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             return SufficiencyVerdict(
                 "inconclusive",
@@ -364,17 +379,12 @@ def sufficiency_check(p: ControlProblem, seed: int = 0) -> SufficiencyVerdict:
         return failed
 
     f = ex.compile_fn(p.f)
-    lo, hi = _BOX
-    pts = p.scale.points
-    for _ in range(_SAMPLES):
-        t = float(rng.choice(pts[:-1]))
-        a = rng.uniform(lo, hi, size=3)
-        b = rng.uniform(lo, hi, size=3)
-        m = 0.5 * (a + b)
+    for t, a, b in _draws(rng, p.scale.points[:-1], _SAMPLES, _BOX, _BOX):
+        (ax, au, az), (bx, bu, bz) = a, b
         try:
-            fa = f(t, a[0], 0.0, a[2], a[1])
-            fb = f(t, b[0], 0.0, b[2], b[1])
-            fm = f(t, m[0], 0.0, m[2], m[1])
+            fa = f(t, ax, 0.0, az, au)
+            fb = f(t, bx, 0.0, bz, bu)
+            fm = f(t, 0.5 * (ax + bx), 0.0, 0.5 * (az + bz), 0.5 * (au + bu))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             return SufficiencyVerdict(
                 "inconclusive",

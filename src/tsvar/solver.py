@@ -884,7 +884,8 @@ def sweep(
     from the previous solution when it converged and the scales match.
 
     A row whose build or solve raises a ``TsvarError`` or a domain error is
-    recorded as not converged, with the exception as its ``message``; any
+    recorded as not converged, with the exception as its ``message``; a solve
+    that returns unconverged gives its row the solution's ``message``.  Any
     other exception is a defect and propagates.  The row after a failed or
     unconverged one starts cold.
     """
@@ -908,7 +909,7 @@ def sweep(
             continue
         rows.append(
             SweepRow(float(val), sol.slope, float(sol.x.values[-1]),
-                     sol.objective_value, sol.converged)
+                     sol.objective_value, sol.converged, sol.message)
         )
         prev = sol if sol.converged else None
     return rows

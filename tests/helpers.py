@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 import tsvar as tv
+import tsvar.conditions as conditions
 import tsvar.solver as solver
 
 
@@ -404,3 +405,82 @@ def reference_solution_json(path, sol, problem_type: str, derived=None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+# -- reference sufficiency screen -------------------------------------------------
+#
+# ``conditions.sufficiency_check`` as it was before it drew its samples into
+# Python floats: ``rng.choice`` for each ``t``, numpy arrays for the probe
+# points and midpoints, the scalar kernels called on ``np.float64`` elements.
+# The tests pin the current screen's draws, verdicts and witnesses to it.
+
+
+def _reference_linearity_check(p: tv.ControlProblem, rng: np.random.Generator):
+    ts = p.scale.points[:-1]
+    with np.errstate(all="ignore"):
+        origin = np.broadcast_to(tv.expr.compile_fn(p.g, array=True)(ts), ts.shape)
+    bad = np.flatnonzero(~(np.abs(origin) <= 1e-12))
+    if bad.size:
+        t, val = float(ts[bad[0]]), float(origin[bad[0]])
+        why = "dynamics are affine but not linear" if math.isfinite(val) else "dynamics undefined"
+        return tv.SufficiencyVerdict(
+            "inconclusive", f"{why}: g(t,0,0,0) = {val:.3e} at t = {t!r}", (t, (0.0, 0.0, 0.0))
+        )
+    g = tv.expr.compile_fn(p.g)
+    for _ in range(conditions._PROBES):
+        t = float(rng.choice(ts))
+        w = rng.uniform(-4.0, 4.0, size=3)
+        d = rng.uniform(-2.0, 2.0, size=3)
+        try:
+            f0 = g(t, w[0], 0.0, w[2], w[1])
+            fp = g(t, w[0] + d[0], 0.0, w[2] + d[2], w[1] + d[1])
+            fm = g(t, w[0] - d[0], 0.0, w[2] - d[2], w[1] - d[1])
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            return tv.SufficiencyVerdict(
+                "inconclusive",
+                f"dynamics undefined inside the probing box: {exc}",
+                (t, tuple(w), tuple(d)),
+            )
+        second = fp - 2.0 * f0 + fm
+        scale = 1.0 + abs(f0) + abs(fp) + abs(fm)
+        if not abs(second) <= 1e-9 * scale:  # a NaN difference fails too
+            return tv.SufficiencyVerdict(
+                "inconclusive",
+                f"dynamics fail the affinity probe: second difference {second:.3e}",
+                (t, tuple(w), tuple(d)),
+            )
+    return None
+
+
+def reference_sufficiency_check(p: tv.ControlProblem, seed: int = 0) -> tv.SufficiencyVerdict:
+    rng = np.random.default_rng(seed)
+    failed = _reference_linearity_check(p, rng)
+    if failed is not None:
+        return failed
+
+    f = tv.expr.compile_fn(p.f)
+    lo, hi = conditions._BOX
+    pts = p.scale.points
+    for _ in range(conditions._SAMPLES):
+        t = float(rng.choice(pts[:-1]))
+        a = rng.uniform(lo, hi, size=3)
+        b = rng.uniform(lo, hi, size=3)
+        m = 0.5 * (a + b)
+        try:
+            fa = f(t, a[0], 0.0, a[2], a[1])
+            fb = f(t, b[0], 0.0, b[2], b[1])
+            fm = f(t, m[0], 0.0, m[2], m[1])
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            return tv.SufficiencyVerdict(
+                "inconclusive",
+                f"running cost undefined inside the sampling box: {exc}",
+                (t, tuple(a), tuple(b)),
+            )
+        slack = 1e-10 * (1.0 + abs(fa) + abs(fb))
+        if fm > 0.5 * (fa + fb) + slack:
+            return tv.SufficiencyVerdict(
+                "inconclusive",
+                f"midpoint convexity violated by {fm - 0.5 * (fa + fb):.3e}",
+                (t, tuple(a), tuple(b)),
+            )
+    return conditions._PASSED

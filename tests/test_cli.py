@@ -473,6 +473,20 @@ class TestVerifyCommand:
         assert err.startswith("error: ")
         assert "x cell at row 1: 'abc'" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("t,x\n0,\n1,\n2,\n3,\n", "has empty t or x columns"),
+        ("t,x\n,0\n,abc\n,0\n,0\n", "has empty t or x columns"),
+        ("t,x\n0,0\n9,abc\n2,0\n3,0\n", "non-numeric x cell at row 1: 'abc'"),
+        ("t,x,u\n0,0,0\n9,0,0\n2,0,0\n3,0,0\n", "time column mismatches the scale at row 1"),
+    ])
+    def test_candidate_columns_are_checked_in_order(self, control_file, tmp_path, capsys,
+                                                     text, message):
+        # t first, then x (only when t has values), then the time match
+        cand = tmp_path / "cand.csv"
+        cand.write_text(text)
+        assert main(["verify", str(control_file), str(cand)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_time_column_mismatch_exits_one(self, control_file, tmp_path):
         shifted = tv.TimeScale.from_points([0, 1, 2, 3.5])
         cand = tmp_path / "cand.csv"
@@ -534,6 +548,23 @@ class TestSweepCommand:
         assert lines[2] == "1,,,,false"
         assert captured.err.splitlines() == [
             "row 1: SolveError: implicit state step singular (1 - mu*g_x = 0) at t = 0.0"
+        ]
+
+    def test_unconverged_rows_are_explained_on_stderr(self, tmp_path, capsys):
+        # w = -0.1 makes the cost unbounded below: five iterations do not converge
+        path = tmp_path / "c.toml"
+        path.write_text(
+            "[timescale]\nkind = uniform\na = 0\nb = 1\nn = 40\n"
+            "[problem]\ntype = control\nf = w*u^2 + x^2 + 3*(z-1)^2\ng = u - 0.5*x\n"
+            "alpha = 0\nparams = w = 1\n"
+            "[solver]\nmax_iterations = 5\n"
+        )
+        assert main(["sweep", str(path), "--param", "w", "--values", "1,-0.1,1"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["true", "false", "true"]
+        assert captured.err.splitlines() == [
+            "row -0.10000000000000001: gradient tolerance not reached"
         ]
 
     def test_rows_share_the_parsed_subtrees(self, tmp_path):

@@ -13,6 +13,7 @@ from helpers import (
     random_quadratic_problem,
     random_scale,
     reference_hamiltonian_residuals,
+    reference_sufficiency_check,
     reference_transversality_control_classical,
 )
 
@@ -377,11 +378,61 @@ class TestSufficiency:
         assert verdict.status == "inconclusive"
         assert "undefined inside the probing box" in verdict.reason
 
+    def test_cost_undefined_at_a_scale_point_is_inconclusive(self):
+        # u/(t - 4) divides by zero at t = 4, where an np.float64 quotient would
+        # be infinite and pass the midpoint test
+        p = tv.ControlProblem(tv.TimeScale.integer_range(0, 8), tv.parse("u/(t - 4)"),
+                              tv.parse("u"), 0.0)
+        verdict = tv.sufficiency_check(p)
+        assert verdict.reason == "running cost undefined inside the sampling box: float division by zero"
+        assert verdict.witness[0] == 4.0
+
     def test_verdict_is_deterministic(self, zgrid):
         p = endpoint_penalty_control(zgrid)
         one = tv.sufficiency_check(p, seed=3)
         two = tv.sufficiency_check(p, seed=3)
         assert one == two
+
+    _COSTS = ("u^2 + x^2 + 3*(z - 1)^2", "0 - u^2 - x^2", "u^2 + 2*(z - 1)^2 + 0.3*cos(x)",
+              "u^2 - 0.001*u^4", "u^2 + exp(u - 40)", "u^2 + sqrt(x + 4)")
+    _DYNAMICS = ("u", "u - 0.5*x", "u + 1", "u^2", "sqrt(x + 1) - 1", "u + sqrt(t - 4)")
+
+    def test_screen_matches_the_reference_draws(self):
+        """Status, reason and the bits of every witness number equal those of
+        the screen that drew with ``rng.choice`` into numpy arrays."""
+
+        def bits(witness):
+            if isinstance(witness, tuple):
+                return tuple(bits(w) for w in witness)
+            return witness if witness is None else float(witness).hex()
+
+        scales = [tv.TimeScale.integer_range(0, 8), tv.TimeScale.uniform(0.0, 1.0, 120),
+                  tv.TimeScale.q_grid(1.04, 0, 82, include_zero=True)]
+        statuses = set()
+        for ts in scales:
+            for f in self._COSTS:
+                for g in self._DYNAMICS:
+                    p = tv.ControlProblem(ts, tv.parse(f), tv.parse(g), 0.0)
+                    for seed in (0, 1, 2, 31):
+                        got, want = tv.sufficiency_check(p, seed), reference_sufficiency_check(p, seed)
+                        case = (f, g, ts.n, seed)
+                        assert (got.status, got.reason) == (want.status, want.reason), case
+                        assert bits(got.witness) == bits(want.witness), case
+                        statuses.add(" ".join(got.reason.split()[:3]))
+        assert len(statuses) == 7, statuses  # every branch of the screen was taken
+
+    def test_witness_numbers_are_python_floats(self, zgrid):
+        def numbers(witness):
+            for w in witness:
+                yield from numbers(w) if isinstance(w, tuple) else (w,)
+
+        cases = [("u^2", "u^2"), ("u^2", "sqrt(x + 1) - 1"), ("u^2", "u + 1"),
+                 ("0 - u^2", "u"), ("log(u)", "u")]
+        for f, g in cases:
+            verdict = tv.sufficiency_check(tv.ControlProblem(zgrid, tv.parse(f), tv.parse(g), 0.0))
+            assert verdict.witness is not None, (f, g)
+            assert all(type(v) is float for v in numbers(verdict.witness)), (f, g, verdict)
+            assert "np." not in repr(verdict)
 
 
 class TestResidualReport:

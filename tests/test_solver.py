@@ -779,7 +779,7 @@ class TestSweep:
             return tv.ControlProblem(ts, tv.parse(f"x^2 + {w!r}*(u - 1)^2"), tv.parse("u"), 0.0)
 
         rows = tv.sweep(factory, [0.5, 1.0, 2.0, -0.3, 4.0])
-        assert not rows[3].converged and rows[3].message == ""
+        assert not rows[3].converged and rows[3].message == "gradient tolerance not reached"
         cold = tv.solve_control(factory(4.0))
         assert rows[4].converged and cold.converged
         assert (rows[4].slope, rows[4].endpoint, rows[4].objective) == (
