@@ -209,7 +209,7 @@ def load_problem_file(path: str | Path) -> ProblemFile:
     path = Path(path)
     try:
         sections = _parse_sections(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
     for required in ("timescale", "problem"):
         if required not in sections:
@@ -240,7 +240,6 @@ def load_problem_file(path: str | Path) -> ProblemFile:
     for key, conv in (
         ("max_iterations", _to_int),
         ("gradient_tolerance", _to_float),
-        ("seed", _to_int),
     ):
         if key in solver:
             text, lineno = solver.pop(key)
@@ -570,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except TsvarError as exc:
+    except (TsvarError, OSError, UnicodeDecodeError) as exc:  # usage and file errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

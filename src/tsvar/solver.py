@@ -1,9 +1,9 @@
 """Direct solvers for the free end-point problems, plus the exact oracle.
 
-All three solvers run one Newton core, that of the control problem.  A
-variational problem is solved in its control form ``g = u``
-(:meth:`ControlProblem.from_variational`), whose controls are the slopes
-``x_delta``; without a start they are zero, the flat start ``x = alpha``.
+All three solvers work on the control problem.  A variational problem is
+solved in its control form ``g = u`` (:meth:`ControlProblem.from_variational`),
+whose controls are the slopes ``x_delta``; without a start they are zero, the
+flat start ``x = alpha``.
 
 The core reduces to the control samples: the state grid is rebuilt by
 forward propagation, each step solved exactly for the sigma-shifted state
@@ -20,19 +20,18 @@ value as one border, solves each Newton step in O(n) and reads the
 Hessian's definiteness off the inertia of its pivots.  No solver forms an
 n-by-n matrix.
 
+All three run one Newton loop, :func:`_minimize`, with two policies:
 ``solve_control`` and ``solve_variational`` add a multiple of the identity
 where the reduced Hessian is not positive definite and backtrack on the
-objective (Armijo); a trial point where the state or costate cannot be
-solved shrinks the step.  They differ only in the stopping rule, a function
-of ``h``: ``solve_control`` stops on the stationarity residual ``h`` itself,
-and ``solve_variational`` on the gradient over the grid values,
-``h_i - h_{i+1}`` with ``h_m = 0``.  Its interior coordinates are
-graininess-scaled Euler-Lagrange residuals and its end coordinate is
-exactly the transversality expression: the first variation couples every
-point into the free end value through the ``z``-partial, and the boundary
-condition emerges as a first-order condition rather than being imposed.
-``solve_stationarity`` takes the unshifted steps and backtracks on the sup
-norm of the residual system, ``(h_{i+1} - h_i) / mu_i`` and ``h_{m-1}``.
+objective (Armijo); ``solve_stationarity`` takes the unshifted steps and
+backtracks on the sup norm of the residual system, ``(h_{i+1} - h_i) /
+mu_i`` and ``h_{m-1}``.  A trial point where the state, objective or
+costate cannot be evaluated shrinks the step.  The stopping rule is a
+function of ``h``: ``solve_control`` stops on the stationarity residual
+``h`` itself, and ``solve_variational`` on the gradient over the grid
+values, ``h_i - h_{i+1}`` with ``h_m = 0``: graininess-scaled
+Euler-Lagrange residuals and, last, exactly the transversality expression,
+which emerges from the first variation through the ``z``-partial.
 
 Every pointwise evaluation goes through the kernel of :mod:`tsvar.problem`,
 one batch over all integrand terms, and every partial of ``f`` and ``g``
@@ -91,12 +90,11 @@ _STEP_TOLERANCE = 1e-12  # a backtracking line search gives up below this step s
 class SolveOptions:
     max_iterations: int = 500
     gradient_tolerance: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.gradient_tolerance <= 0.0:
+        if not self.gradient_tolerance > 0.0:  # NaN too
             raise ValueError("gradient_tolerance must be positive")
 
 
@@ -153,26 +151,6 @@ class Solution:
 # -- variational solves: the control form g = u ---------------------------------
 
 
-def _backtrack(y: np.ndarray, d: np.ndarray, try_step):
-    """Halve the step from 1 until ``try_step(trial, step)`` returns a state.
-
-    Domain errors at a trial point shrink the step instead of failing.
-    Returns ``(trial, state)``, or ``None`` once the step is below
-    ``_STEP_TOLERANCE``.
-    """
-    step = 1.0
-    while step * np.max(np.abs(d)) >= _STEP_TOLERANCE:
-        trial = y + step * d
-        try:
-            state = try_step(trial, step)
-        except _DOMAIN_ERRORS:
-            state = None
-        if state is not None:
-            return trial, state
-        step *= 0.5
-    return None
-
-
 def _grid(p: VariationalProblem, y: np.ndarray) -> GridFunction:
     return GridFunction(p.scale, np.concatenate(([p.alpha], y)))
 
@@ -194,11 +172,11 @@ def _gradient_sup(h: np.ndarray) -> float:
     return max(float(np.max(np.abs(h[:-1] - h[1:]))), abs(float(h[-1])))
 
 
-def _variational_solution(p, cp, x, J, opts, ok, iters, message) -> Solution:
+def _variational_solution(p, cp, x, J, ok, iters, message) -> Solution:
     return Solution(
         problem=p, x=GridFunction(p.scale, x), u=None,
         objective_value=J,
-        verdict=sufficiency_check(cp, seed=opts.seed),
+        verdict=sufficiency_check(cp),
         converged=ok, iterations=iters,
         message="" if ok else message,
     )
@@ -213,19 +191,18 @@ def solve_variational(
     """Newton minimization over all grid values except the fixed initial one.
 
     The problem is solved in its control form ``g = u``, whose controls are
-    the slopes ``x_delta``; each step is the exact Newton step, shifted where
-    the Hessian is not positive definite, and backtracks until the Armijo
-    condition holds (see :func:`_minimize`).  It stops when the sup of the
-    gradient over the grid values, whose interior coordinates carry a factor
-    ``mu``, is below ``gradient_tolerance``.  ``iterations`` counts Newton
-    steps; ``on_accept`` sees each accepted iterate ``x[1:]`` and its
-    objective value.
+    the slopes ``x_delta``, by :func:`_minimize` with the shifted steps and
+    Armijo's test.  It stops when the sup of the gradient over the grid
+    values, whose interior coordinates carry a factor ``mu``, is below
+    ``gradient_tolerance``.  ``iterations`` counts Newton steps;
+    ``on_accept`` sees each accepted iterate ``x[1:]`` and its objective value.
     """
     opts = opts or SolveOptions()
     cp, w = _control_form(p, x0)
     shown = None if on_accept is None else (lambda w, x, J: on_accept(x[1:].copy(), J))
-    _, x, J, iters, ok = _minimize(cp, w, opts, _gradient_sup, shown)
-    return _variational_solution(p, cp, x, J, opts, ok, iters, "gradient tolerance not reached")
+    _, x, J, iters, ok = _minimize(cp, w, opts, _gradient_sup, _shifted_control_step, _armijo,
+                                   shown)
+    return _variational_solution(p, cp, x, J, ok, iters, "gradient tolerance not reached")
 
 
 def solve_stationarity(
@@ -238,51 +215,26 @@ def solve_stationarity(
     The system's rows are the interior Euler-Lagrange residuals
     ``(h_{i+1} - h_i) / mu_i`` and the transversality residual ``h_{m-1}``,
     with ``h = f_v + lam`` the stationarity residual of the control form
-    ``g = u``; its sup norm is that of the residual report.  Steps are the
-    unshifted Newton steps of :func:`_riccati_step` and backtrack on that
-    sup norm.
+    ``g = u``; its sup norm is that of the residual report.  The loop is
+    :func:`_minimize`'s, with the unshifted steps of :func:`_newton_step` and
+    a line search that accepts a decrease of that sup norm.
     """
     opts = opts or SolveOptions()
     cp, w = _control_form(p, x0)
     mu = p.scale.mu_values[:-1]
-    core = _Core(cp)
-
-    def evaluate(w):
-        return core.derivatives(w, *core.consistent(w))
 
     def merit(h: np.ndarray) -> float:
         return max(float(np.max(np.abs((h[1:] - h[:-1]) / mu[:-1]))), abs(float(h[-1])))
 
-    try:
-        h, stages = evaluate(w)
-    except _DOMAIN_ERRORS as exc:
-        raise SolveError(f"residuals undefined at the starting point: {exc}") from exc
-    iters = 0
-    while iters < opts.max_iterations and merit(h) >= opts.gradient_tolerance:
-        iters += 1
-        d, _, cond = _riccati_step(stages, (mu * h).tolist(), 0.0)
-        if d is None or cond > 1e15 or not np.all(np.isfinite(d)):
-            raise SingularJacobianError(
-                f"singular Jacobian in Newton iteration (cond ~ {cond:.2e})"
-            )
-        base = merit(h)
+    def decrease(J, h, r, d, step, Jn, derivatives):
+        state = derivatives()
+        sup_n = merit(state[0])
+        ok = sup_n < (1.0 - _ARMIJO * step) * merit(h) or sup_n < opts.gradient_tolerance
+        return state if ok else None
 
-        def decrease(trial, step):
-            state = evaluate(trial)
-            sup_n = merit(state[0])
-            if sup_n < (1.0 - _ARMIJO * step) * base or sup_n < opts.gradient_tolerance:
-                return state
-            return None
-
-        found = _backtrack(w, d, decrease)
-        if found is None:
-            break
-        w, (h, stages) = found
-    ok = bool(merit(h) < opts.gradient_tolerance)
-    J, x, _ = core.value(w)
-    return _variational_solution(
-        p, cp, x, J, opts, ok, iters, "stationarity residual tolerance not reached"
-    )
+    _, x, J, iters, ok = _minimize(cp, w, opts, merit, _newton_step, decrease, None)
+    message = "stationarity residual tolerance not reached"
+    return _variational_solution(p, cp, x, J, ok, iters, message)
 
 
 # -- the Newton core: control problems ---------------------------------------
@@ -597,57 +549,76 @@ def _shifted_control_step(stages: list, r: np.ndarray) -> np.ndarray:
     raise SolveError("no shift makes the reduced Hessian positive definite")
 
 
+def _newton_step(stages: list, r: np.ndarray) -> np.ndarray:
+    """The unshifted Newton step; ``SingularJacobianError`` naming ``cond`` at
+    a zero pivot, a condition estimate above 1e15 or a non-finite step."""
+    d, _, cond = _riccati_step(stages, r.tolist(), 0.0)
+    if d is None or cond > 1e15 or not np.all(np.isfinite(d)):
+        raise SingularJacobianError(f"singular Jacobian in Newton iteration (cond ~ {cond:.2e})")
+    return d
+
+
+def _armijo(J, hu, r, d, step, Jn, derivatives):
+    """Armijo's test on the objective along ``d``; a trial that fails it
+    evaluates no partials."""
+    # the epsilon term keeps the test meaningful once the predicted
+    # decrease drops below the rounding of J itself
+    slack = 4.0 * np.finfo(float).eps * (1.0 + abs(J))
+    return derivatives() if Jn <= J + _ARMIJO * step * float(r @ d) + slack else None
+
+
 def _minimize(
     p: ControlProblem,
     w: np.ndarray,
     opts: SolveOptions,
     size: Callable[[np.ndarray], float],
+    step_rule: Callable[[list, np.ndarray], np.ndarray],
+    line_test: Callable,
     on_accept: Callable[[np.ndarray, np.ndarray, float], None] | None,
 ) -> tuple[np.ndarray, np.ndarray, float, int, bool]:
-    """Newton minimization of the reduced objective over the controls ``w``.
+    """The one Newton loop, over the controls ``w`` of the reduced problem.
 
-    The state and the end value follow from the controls, and the
-    multipliers of the backward costate sweep make the gradient
-    ``mu hu``, with ``hu = f_u + lam g_u``, exact.  Each step is the Newton
-    step of this reduced problem (:func:`_riccati_step`), shifted where the
-    reduced Hessian is not positive definite; it backtracks until the Armijo
-    condition holds, and a trial point whose state or costate cannot be
-    solved halves the step.  The iteration stops once ``size(hu)`` is below
-    ``gradient_tolerance``.  ``on_accept(w, x, J)`` sees each accepted
-    iterate, its state and its objective value.  Returns the controls, the
-    state, the objective value, the number of Newton steps and whether the
-    stopping rule holds.
+    The state and the end value follow from the controls, and the backward
+    costate sweep makes the gradient ``r = mu hu``, with ``hu = f_u + lam
+    g_u``, exact.  Two policies are arguments: each step is ``d =
+    step_rule(stages, r)``, and the line search halves it from 1 until
+    ``line_test(J, hu, r, d, step, Jn, derivatives)`` returns the trial's
+    ``(hu, stages)``, got by calling ``derivatives()``, or ``None``.  A trial
+    point whose state, objective or partials cannot be evaluated halves the
+    step too; a step below ``_STEP_TOLERANCE`` ends the loop, as does
+    ``size(hu)`` below ``gradient_tolerance``.  ``on_accept(w, x, J)`` sees
+    each accepted iterate.  Returns the controls, the state, the objective
+    value, the number of Newton steps and whether the stopping rule holds.
     """
     mu = p.scale.mu_values[:-1]
     core = _Core(p)
     try:
         J, x_arr, zeta = core.value(w)
-        hu, stages = core.derivatives(w, x_arr, zeta)
     except _DOMAIN_ERRORS as exc:
         raise SolveError(f"objective undefined at the starting point: {exc}") from exc
+    try:
+        hu, stages = core.derivatives(w, x_arr, zeta)
+    except _DOMAIN_ERRORS as exc:
+        raise SolveError(f"residuals undefined at the starting point: {exc}") from exc
     iters = 0
     while size(hu) >= opts.gradient_tolerance and iters < opts.max_iterations:
         iters += 1
         r = mu * hu
-        d = _shifted_control_step(stages, r)
-        gd = float(r @ d)
-        # the epsilon term keeps the test meaningful once the predicted
-        # decrease drops below the rounding of J itself
-        slack = 4.0 * np.finfo(float).eps * (1.0 + abs(J))
-
-        def armijo(trial, step):
+        d = step_rule(stages, r)
+        step = 1.0
+        while step * np.max(np.abs(d)) >= _STEP_TOLERANCE:
+            trial = w + step * d
             try:
                 Jn, xn, zn = core.value(trial)
-                if not Jn <= J + _ARMIJO * step * gd + slack:
-                    return None
-                return (Jn, xn, *core.derivatives(trial, xn, zn))
-            except SolveError:
-                return None
-
-        found = _backtrack(w, d, armijo)
-        if found is None:
+                found = line_test(J, hu, r, d, step, Jn, lambda: core.derivatives(trial, xn, zn))
+            except (SolveError, *_DOMAIN_ERRORS):
+                found = None
+            if found is not None:
+                break
+            step *= 0.5
+        else:
             break
-        w, (J, x_arr, hu, stages) = found
+        w, x_arr, J, (hu, stages) = trial, xn, Jn, found
         if on_accept is not None:
             on_accept(w, x_arr, J)
     return w, x_arr, J, iters, size(hu) < opts.gradient_tolerance
@@ -663,9 +634,8 @@ def solve_control(
     u0: GridFunction | None = None,
     on_accept: Callable[[np.ndarray, float], None] | None = None,
 ) -> Solution:
-    """Newton minimization over the shifted control samples.
-
-    Steps as in :func:`_minimize`.  The solve stops when the stationarity
+    """Newton minimization over the shifted control samples: :func:`_minimize`
+    with the shifted steps and Armijo's test.  It stops when the stationarity
     residual ``f_u + lam g_u`` is below ``gradient_tolerance``: of the
     report's families it is the one the iteration drives, the others hold by
     construction.  ``iterations`` counts Newton steps; ``on_accept`` sees
@@ -675,10 +645,10 @@ def solve_control(
     n = p.scale.n
     w = np.zeros(n - 1) if u0 is None else np.array(u0.values[: n - 1], dtype=float)
     shown = None if on_accept is None else (lambda w, x, J: on_accept(w.copy(), J))
-    w, x_arr, J, iters, ok = _minimize(p, w, opts, _sup, shown)
+    w, x_arr, J, iters, ok = _minimize(p, w, opts, _sup, _shifted_control_step, _armijo, shown)
     return Solution(
         problem=p, x=GridFunction(p.scale, x_arr), u=GridFunction(p.scale, np.append(w, np.nan)),
-        objective_value=J, verdict=sufficiency_check(p, seed=opts.seed),
+        objective_value=J, verdict=sufficiency_check(p),
         converged=ok, iterations=iters,
         message="" if ok else "gradient tolerance not reached",
     )

@@ -484,3 +484,72 @@ def reference_sufficiency_check(p: tv.ControlProblem, seed: int = 0) -> tv.Suffi
                 (t, tuple(a), tuple(b)),
             )
     return conditions._PASSED
+
+
+# -- the stationarity solver's own Newton loop, before it ran on _minimize -----
+
+
+def _reference_backtrack(y: np.ndarray, d: np.ndarray, try_step):
+    step = 1.0
+    while step * np.max(np.abs(d)) >= solver._STEP_TOLERANCE:
+        trial = y + step * d
+        try:
+            state = try_step(trial, step)
+        except solver._DOMAIN_ERRORS:
+            state = None
+        if state is not None:
+            return trial, state
+        step *= 0.5
+    return None
+
+
+def reference_solve_stationarity(
+    p: tv.VariationalProblem,
+    opts: tv.SolveOptions | None = None,
+    x0: tv.GridFunction | None = None,
+) -> tv.Solution:
+    """``solve_stationarity`` with its own start evaluation, Newton loop and
+    backtracking, the bit reference for the loop it now shares."""
+    opts = opts or tv.SolveOptions()
+    cp, w = solver._control_form(p, x0)
+    mu = p.scale.mu_values[:-1]
+    core = solver._Core(cp)
+
+    def evaluate(w):
+        return core.derivatives(w, *core.consistent(w))
+
+    def merit(h: np.ndarray) -> float:
+        return max(float(np.max(np.abs((h[1:] - h[:-1]) / mu[:-1]))), abs(float(h[-1])))
+
+    try:
+        h, stages = evaluate(w)
+    except solver._DOMAIN_ERRORS as exc:
+        raise tv.SolveError(f"residuals undefined at the starting point: {exc}") from exc
+    iters = 0
+    while iters < opts.max_iterations and merit(h) >= opts.gradient_tolerance:
+        iters += 1
+        d, _, cond = solver._riccati_step(stages, (mu * h).tolist(), 0.0)
+        if d is None or cond > 1e15 or not np.all(np.isfinite(d)):
+            raise tv.SingularJacobianError(
+                f"singular Jacobian in Newton iteration (cond ~ {cond:.2e})"
+            )
+        base = merit(h)
+
+        def decrease(trial, step):
+            state = evaluate(trial)
+            sup_n = merit(state[0])
+            if sup_n < (1.0 - solver._ARMIJO * step) * base or sup_n < opts.gradient_tolerance:
+                return state
+            return None
+
+        found = _reference_backtrack(w, d, decrease)
+        if found is None:
+            break
+        w, (h, stages) = found
+    ok = bool(merit(h) < opts.gradient_tolerance)
+    J, x, _ = core.value(w)
+    return tv.Solution(
+        problem=p, x=tv.GridFunction(p.scale, x), u=None, objective_value=J,
+        verdict=tv.sufficiency_check(cp), converged=ok, iterations=iters,
+        message="" if ok else "stationarity residual tolerance not reached",
+    )

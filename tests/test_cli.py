@@ -189,6 +189,33 @@ class TestProblemFiles:
                            match=r"line 15: unexpected key 'step_tolerance' in \[solver\]"):
             load_problem_file(path)
 
+    def test_seed_is_an_unexpected_key(self, tmp_path, capsys):
+        # the sampled screen runs at its own fixed seed; no option sets it
+        path = tmp_path / "old.toml"
+        path.write_text(PENALIZED_LENGTH + "seed = 0\n")
+        with pytest.raises(tv.ProblemFileError,
+                           match=r"line 15: unexpected key 'seed' in \[solver\]"):
+            load_problem_file(path)
+        assert main(["solve", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert "unexpected key 'seed'" in capsys.readouterr().err
+
+    def test_nan_gradient_tolerance_is_a_load_error(self, tmp_path, capsys):
+        # it used to stop every solve after 0 iterations, unconverged (exit 2)
+        path = tmp_path / "nan.toml"
+        path.write_text(PENALIZED_LENGTH + "gradient_tolerance = nan\n")
+        with pytest.raises(tv.ProblemFileError, match="gradient_tolerance must be positive"):
+            load_problem_file(path)
+        assert main(["solve", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert "gradient_tolerance must be positive" in capsys.readouterr().err
+
+    def test_problem_file_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.toml"
+        path.write_bytes(PENALIZED_LENGTH.encode() + "# r\xe9sum\xe9\n".encode("latin-1"))
+        with pytest.raises(tv.ProblemFileError, match="cannot read .*latin1.toml"):
+            load_problem_file(path)
+        assert main(["solve", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read ")
+
     def test_too_few_points_is_a_load_error(self, tmp_path):
         path = tmp_path / "tiny.toml"
         path.write_text(
@@ -241,6 +268,13 @@ class TestSolveCommand:
         path.write_text("[oops]\n")
         assert main(["solve", str(path)]) == 1
         assert "oops" in capsys.readouterr().err
+
+    def test_out_dir_that_cannot_be_created_exits_one(self, control_file, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["solve", str(control_file), "--out-dir", str(blocker / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "file" in err
 
     def test_non_convergence_exits_two(self, tmp_path):
         path = tmp_path / "hard.toml"
@@ -396,6 +430,17 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_missing_candidate_exits_one(self, control_file, tmp_path, capsys):
+        assert main(["verify", str(control_file), str(tmp_path / "missing.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.csv" in err
+
+    def test_candidate_that_is_not_utf8_exits_one(self, control_file, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("t,x\n0,0\n1,0\n2,0\n3,\xe9\n".encode("latin-1"))
+        assert main(["verify", str(control_file), str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
     def test_sampled_parabola_passes_at_mesh_tolerance(self, tracking_file, tmp_path):
         # the sampled continuum trajectory carries a state-equation residual
         # of h/2 = 5e-3, so the acceptance tolerance must sit above that
@@ -517,6 +562,13 @@ class TestSweepCommand:
         main(["sweep", str(length_file), "--param", "beta", "--values", "2",
               "--out", str(out)])
         assert out.read_text().startswith("value,slope")
+
+    def test_output_file_in_a_missing_directory_exits_one(self, length_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "rows.csv"
+        assert main(["sweep", str(length_file), "--param", "beta", "--values", "2",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rows.csv" in err
 
     def test_control_problem_sweep(self, tmp_path, capsys):
         path = tmp_path / "c.toml"

@@ -2,6 +2,7 @@
 
 import gc
 import math
+from dataclasses import fields
 from fractions import Fraction
 import tracemalloc
 
@@ -22,6 +23,7 @@ from helpers import (
     random_quadratic_problem,
     random_scale,
     reference_costate,
+    reference_solve_stationarity,
     stationarity_residual,
 )
 
@@ -247,6 +249,23 @@ class TestStructuredNewton:
         assert sol.converged
         assert sol.iterations <= 4
 
+    def test_a_refused_trial_evaluates_no_partials(self, monkeypatch):
+        # Armijo's test reads only the objective: the batch of partials runs
+        # at the start and once per accepted step, never at a refused trial
+        calls = {"value": 0, "derivatives": 0}
+        for name in calls:
+            def counted(self, *args, _raw=getattr(_Core, name), _name=name):
+                calls[_name] += 1
+                return _raw(self, *args)
+
+            monkeypatch.setattr(_Core, name, counted)
+        ts = tv.TimeScale.integer_range(0, 8)
+        p = tv.VariationalProblem(ts, tv.parse("sqrt(1+v^2) + 2*(z-1)^2 + cos(x)"), 0.0)
+        steps = []
+        sol = tv.solve_variational(p, on_accept=lambda y, J: steps.append(J))
+        assert sol.converged and len(steps) == sol.iterations
+        assert calls["value"] > calls["derivatives"] == 1 + len(steps)
+
     def test_non_convex_integrand_converges(self):
         ts = tv.TimeScale.integer_range(0, 8)
         p = tv.VariationalProblem(ts, tv.parse("sqrt(1+v^2) + 2*(z-1)^2 + cos(x)"), 0.0)
@@ -287,6 +306,47 @@ class TestSolveStationarity:
         p = tv.VariationalProblem(ts, tv.parse("v"), 0.0)
         with pytest.raises(tv.SingularJacobianError, match="cond"):
             tv.solve_stationarity(p, tv.SolveOptions())
+
+    def test_zero_pivot_at_the_flat_start_is_a_singular_jacobian(self):
+        # w = 1: the flat start x = 0 has an exactly zero Riccati pivot
+        p = tv.VariationalProblem(tv.TimeScale.integer_range(0, 8),
+                                  tv.parse("sqrt(1+v^2) + 2*(z-1)^2 + 1.0*cos(x)"), 0.0)
+        with pytest.raises(tv.SingularJacobianError, match=r"cond ~ inf"):
+            tv.solve_stationarity(p)
+
+    @staticmethod
+    def _outcome(solve, p, opts, x0=None):
+        """Every output bit of a solve, or the type and text of its error."""
+        try:
+            s = solve(p, opts, x0)
+        except (tv.TsvarError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            return type(exc), str(exc)
+        return (s.x.values.tobytes(), float(s.objective_value).hex(), s.iterations,
+                s.converged, s.message, s.verdict.status, s.verdict.reason)
+
+    def test_shared_loop_matches_the_reference_loop(self):
+        # the solver's former loop of its own, kept in helpers, over random
+        # quadratics (from the flat start and from a random one), 61 rows of a
+        # non-convex family and penalized length on long meshes
+        rng = np.random.default_rng(61)
+        cases = []
+        for _ in range(15):
+            p = random_quadratic_problem(rng, random_scale(rng, max_points=7))
+            cases += [(p, tv.SolveOptions(), None), (p, TIGHT, admissible_grid(rng, p))]
+        ts = tv.TimeScale.integer_range(0, 8)
+        capped = tv.SolveOptions(max_iterations=15)  # two rows would run 211 and 500 steps
+        for k in range(61):
+            f = tv.parse(f"sqrt(1+v^2) + 2*(z-1)^2 + ({-3.0 + 0.1 * k!r})*cos(x)")
+            cases.append((tv.VariationalProblem(ts, f, 0.0), capped, None))
+        for n in (60, 180, 800):
+            cases.append((minimal_length_problem(1.0, n), tv.SolveOptions(), None))
+        kinds = set()
+        for p, opts, x0 in cases:
+            got = self._outcome(tv.solve_stationarity, p, opts, x0)
+            assert got == self._outcome(reference_solve_stationarity, p, opts, x0)
+            kinds.add(got[0] if len(got) == 2 else got[3])
+        # converged, unconverged and raising rows were all compared
+        assert kinds == {True, False, tv.SingularJacobianError}
 
 
 class TestSolveControl:
@@ -879,6 +939,14 @@ class TestSolveOptions:
             tv.SolveOptions(max_iterations=0)
         with pytest.raises(ValueError):
             tv.SolveOptions(gradient_tolerance=0.0)
+        # a NaN tolerance would stop every solve after 0 iterations, unconverged
+        with pytest.raises(ValueError, match="gradient_tolerance must be positive"):
+            tv.SolveOptions(gradient_tolerance=math.nan)
+
+    def test_settable_options(self):
+        # the screen runs at sufficiency_check's own seed; no option sets it
+        names = [f.name for f in fields(tv.SolveOptions)]
+        assert names == ["max_iterations", "gradient_tolerance"]
 
     def test_converged_solutions_meet_residual_closure(self):
         # residuals are gradient coordinates divided by the graininess, so on
