@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import re
@@ -278,29 +279,24 @@ def load_problem_file(path: str | Path) -> ProblemFile:
 _Derived = tuple[GridFunction | None, ResidualReport]  # ``Solution.lam_and_report()``
 
 
-def _csv_column(values, n: int) -> list[str]:
-    """``n`` cells: each value as ``%.17g``, NaN and the rows past the end empty."""
-    if values is None:
-        return [""] * n
-    cells = ["" if v != v else _FMT % v for v in np.asarray(values, dtype=float).tolist()]
-    return cells + [""] * (n - len(cells))
+_CSV_ROW = ",".join([_FMT] * 5) + "\r\n"
 
 
 def write_solution_csv(path: Path, sol: Solution, derived: _Derived | None = None) -> None:
     """Write the solution table; ``derived`` defaults to ``sol.lam_and_report()``."""
     lam, report = derived or sol.lam_and_report()
     n = sol.x.scale.n
-    columns = [
-        _csv_column(sol.x.scale.points, n),
-        _csv_column(sol.x.values, n),
-        _csv_column(None if sol.u is None else sol.u.values, n),
-        _csv_column(None if lam is None else lam.values, n),
-        _csv_column(report.el_residuals, n),
-    ]
-    # no cell needs quoting: numbers, and empty cells
-    lines = ["t,x,u,lambda_sigma,el_residual", *map(",".join, zip(*columns)), ""]
+    table = np.full((n, 5), math.nan)  # a NaN cell is written empty
+    columns = (sol.x.scale.points, sol.x.values, None if sol.u is None else sol.u.values,
+               None if lam is None else lam.values, report.el_residuals)
+    for j, values in enumerate(columns):
+        if values is not None:
+            values = np.asarray(values, dtype=float)[:n]
+            table[:len(values), j] = values
+    # ``%.17g`` spells no number but NaN (of either sign) with the letters "nan"
+    body = (_CSV_ROW * n % tuple(table.ravel().tolist())).replace("nan", "")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(lines))
+        fh.write("t,x,u,lambda_sigma,el_residual\r\n" + body)
 
 
 def _grid_list(g: GridFunction | None):
@@ -390,32 +386,41 @@ def cmd_solve(args) -> int:
     return 0 if sol.converged else 2
 
 
+_NAN_IF_BLANK = {"": "nan"}  # ``.get(v, v)``: a blank cell reads as NaN
+
+
 def _read_candidate(path: Path, scale: TimeScale):
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "t" not in reader.fieldnames or "x" not in reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or "t" not in header or "x" not in header:
             raise ProblemFileError(f"candidate {path} needs at least columns t and x")
-        rows = list(reader)
+        rows = [row for row in reader if row]  # blank lines are no rows
     if len(rows) != scale.n:
         raise ProblemFileError(
             f"candidate has {len(rows)} rows but the scale has {scale.n} points"
         )
+    index = {name: j for j, name in enumerate(header)}  # a repeated name reads its last column
+    cells = list(itertools.zip_longest(*rows, fillvalue=""))  # a short row's missing cells are blank
 
     def column(name):
-        if name not in rows[0]:
+        j = index.get(name)
+        if j is None:
             return None
-        vals = [row[name].strip() for row in rows]
-        if all(v == "" for v in vals):
+        vals = list(map(str.strip, cells[j])) if j < len(cells) else []
+        if not any(vals):
             return None
-        out = np.empty(len(vals))
-        for i, v in enumerate(vals):
-            try:
-                out[i] = float(v) if v else math.nan
-            except ValueError:
-                raise ProblemFileError(
-                    f"candidate {path} has a non-numeric {name} cell at row {i}: {v!r}"
-                ) from None
-        return out
+        try:
+            return np.fromiter(map(float, map(_NAN_IF_BLANK.get, vals, vals)), float, len(vals))
+        except ValueError:  # find the cell
+            for i, v in enumerate(vals):
+                try:
+                    float(v or "nan")
+                except ValueError:
+                    raise ProblemFileError(
+                        f"candidate {path} has a non-numeric {name} cell at row {i}: {v!r}"
+                    ) from None
+            raise
 
     t = column("t")
     x = None if t is None else column("x")

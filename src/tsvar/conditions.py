@@ -8,9 +8,10 @@ get the four Hamiltonian families (state, costate, stationarity,
 transversality) of ``H = f + lam*g``, whose partials ``f_a + lam*g_a`` are
 formed by array arithmetic from one batch of the first partials of
 :func:`tsvar.problem.partials`.  A report has one ``transversality`` scalar
-for either class.  The sufficiency screen's sampling is fixed (64 affinity
-probes of ``g``, 256 midpoint pairs of ``f`` from ``[-8, 8]^3``); only its
-seed is a parameter.
+for either class.  The sufficiency screen proves the dynamics linear from
+the second partials of ``g`` and its value at the origin; only the
+convexity of ``f`` is sampled, on 256 midpoint pairs from ``[-8, 8]^3``,
+and only the sampler's seed is a parameter.
 
 Multiplier grids hold sigma-shifted samples: ``lam.values[i]`` is the
 multiplier composed with the forward jump, sampled at ``t_i``.  The sample at
@@ -20,8 +21,10 @@ solvers leave it NaN.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -82,16 +85,22 @@ class ResidualReport:
         return out
 
     def to_table(self) -> str:
-        """Human-readable residual table, one row per scale point."""
-        pts = self.scale.points
-        cols = [(name, arr) for name, arr in self._families() if arr is not None]
-        header = ["t"] + [name for name, _ in cols]
-        lines = ["  ".join(f"{h:>16s}" for h in header)]
-        for i, t in enumerate(pts):
-            row = [f"{t:16.8g}"]
-            for _, arr in cols:
-                row.append(f"{arr[i]:16.6e}" if i < len(arr) else f"{'-':>16s}")
-            lines.append("  ".join(row))
+        """Human-readable residual table, one row per scale point.
+
+        A family shorter than the scale prints ``-`` past its end.  The rows
+        between two family lengths share one format, one ``%`` call a row.
+        """
+        fams = [(name, arr) for name, arr in self._families() if arr is not None]
+        cols = [np.asarray(arr, dtype=float).tolist() for _, arr in fams]
+        lines = ["  ".join("%16s" % h for h in ["t", *(name for name, _ in fams)])]
+        n = self.scale.n
+        rows = list(itertools.islice(
+            itertools.zip_longest(self.scale.points.tolist(), *cols, fillvalue="-"), n))
+        start = 0
+        for end in sorted({len(c) for c in cols if len(c) < n} | {n}):
+            fmt = "  ".join(["%16.8g", *("%16.6e" if len(c) >= end else "%16s" for c in cols)])
+            lines.extend(fmt % row for row in rows[start:end])
+            start = end
         if self.transversality is not None:
             lines.append(f"{'transversality':>16s}  {self.transversality:16.6e}")
         lines.append(f"{'sup norm':>16s}  {self.sup_norm:16.6e}")
@@ -281,9 +290,11 @@ def transversality_residual_control_classical(
 class SufficiencyVerdict:
     """Outcome of the convexity/linearity screen.
 
-    ``sufficient`` upgrades an extremal to a global minimizer; sampling can
-    refute convexity but only heuristically confirm it, so the alternative
-    verdict is ``inconclusive``, with a witness when a check failed.
+    ``sufficient`` upgrades an extremal to a global minimizer.  Linearity of
+    the dynamics is proven from their second partials; convexity of the cost
+    is sampled, which can refute it but only heuristically confirm it.  The
+    alternative verdict is ``inconclusive``, with a witness when a check
+    failed at a point.
     """
 
     status: str  # "sufficient" | "inconclusive"
@@ -295,9 +306,8 @@ class SufficiencyVerdict:
         return self.status == "sufficient"
 
 
-# The sampled screen: affinity probes of g, and midpoint-convexity point
-# pairs of f drawn from the box.
-_PROBES = 64
+# The sampled half of the screen: midpoint-convexity point pairs of f drawn
+# from the box.
 _SAMPLES = 256
 _BOX = (-8.0, 8.0)
 
@@ -308,9 +318,9 @@ _PASSED = SufficiencyVerdict(
 )
 
 
-def _draws(rng: np.random.Generator, ts: np.ndarray, n: int, box_a: tuple, box_b: tuple):
+def _draws(rng: np.random.Generator, ts: np.ndarray, n: int):
     """Yield ``n`` samples ``(t, a, b)`` in Python floats: ``t`` from ``ts``,
-    then ``a`` and ``b``, three uniform draws each from ``box_a`` and ``box_b``.
+    then ``a`` and ``b``, three uniform draws each from the box.
 
     ``rng.integers(0, len(ts))`` is the call ``rng.choice(ts)`` makes, so the
     stream is the one ``choice`` and ``uniform(size=3)`` draw, in that order.
@@ -322,14 +332,46 @@ def _draws(rng: np.random.Generator, ts: np.ndarray, n: int, box_a: tuple, box_b
     k = len(ts)
     for _ in range(n):
         t = ts[rng.integers(0, k)]
-        yield t, rng.uniform(*box_a, size=3).tolist(), rng.uniform(*box_b, size=3).tolist()
+        yield t, rng.uniform(*_BOX, size=3).tolist(), rng.uniform(*_BOX, size=3).tolist()
 
 
-def _linearity_check(p: ControlProblem, rng: np.random.Generator):
-    """Second differences of ``g`` vanish and ``g(t, 0, 0, 0) = 0``.
+@lru_cache(maxsize=64)
+def _sampler_state(seed: int, k: int) -> dict:
+    """State of the generator seeded with ``seed`` after 64 draws of one
+    ``integers(0, k)`` and two ``uniform(size=3)`` calls.
+
+    Those are the draws of the sampled affinity probes that the exact
+    linearity test replaced; the cost sampler starts where they left off,
+    so that its draws stay as they were.  ``compile_fn.cache_clear()``
+    empties this memo too.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(64):
+        rng.integers(0, k)
+        rng.uniform(-4.0, 4.0, size=3)
+        rng.uniform(-2.0, 2.0, size=3)
+    return rng.bit_generator.state
+
+
+def _clear_caches(clear_compiled=ex.compile_fn.cache_clear) -> None:
+    clear_compiled()
+    _sampler_state.cache_clear()
+
+
+ex.compile_fn.cache_clear = _clear_caches
+
+
+def _linearity_check(p: ControlProblem):
+    """``g(t, 0, 0, 0) = 0`` and the six second partials of ``g`` are zero.
 
     The origin test evaluates every differentiation point in one array call;
     the first point where ``g`` is not finite or not zero is the witness.
+    With every second partial the constant 0, ``g`` is affine in
+    ``(x, u, z)`` with coefficients in ``t``, and linear where it vanishes
+    at the origin: a proof, not a sample.  Otherwise the reason names the
+    first partial that is not zero, in the order of :func:`partials`; the
+    witness is the first point where it is not zero at the origin, or
+    ``None`` when it vanishes there at every point.
     """
     ts = p.scale.points[:-1]
     with np.errstate(all="ignore"):
@@ -341,26 +383,15 @@ def _linearity_check(p: ControlProblem, rng: np.random.Generator):
         return SufficiencyVerdict(
             "inconclusive", f"{why}: g(t,0,0,0) = {val:.3e} at t = {t!r}", (t, (0.0, 0.0, 0.0))
         )
-    g = ex.compile_fn(p.g)
-    for t, w, d in _draws(rng, ts, _PROBES, (-4.0, 4.0), (-2.0, 2.0)):
-        (x, u, z), (dx, du, dz) = w, d
-        try:
-            f0 = g(t, x, 0.0, z, u)
-            fp = g(t, x + dx, 0.0, z + dz, u + du)
-            fm = g(t, x - dx, 0.0, z - dz, u - du)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    for name, d in zip(("xx", "xu", "xz", "uu", "uz", "zz"), partials(p)[12:]):
+        if not _is_zero(d):
+            with np.errstate(all="ignore"):
+                at_origin = np.broadcast_to(ex.compile_fn(d, array=True)(ts), ts.shape)
+            bad = np.flatnonzero(at_origin != 0.0)  # NaN is not zero either
             return SufficiencyVerdict(
                 "inconclusive",
-                f"dynamics undefined inside the probing box: {exc}",
-                (t, tuple(w), tuple(d)),
-            )
-        second = fp - 2.0 * f0 + fm
-        scale = 1.0 + abs(f0) + abs(fp) + abs(fm)
-        if not abs(second) <= 1e-9 * scale:  # a NaN difference fails too
-            return SufficiencyVerdict(
-                "inconclusive",
-                f"dynamics fail the affinity probe: second difference {second:.3e}",
-                (t, tuple(w), tuple(d)),
+                f"dynamics are not linear: g_{name} = {ex.to_text(d)} is not zero",
+                (float(ts[bad[0]]), (0.0, 0.0, 0.0)) if bad.size else None,
             )
     return None
 
@@ -368,18 +399,22 @@ def _linearity_check(p: ControlProblem, rng: np.random.Generator):
 def sufficiency_check(p: ControlProblem, seed: int = 0) -> SufficiencyVerdict:
     """Screen the problem against the global-minimizer sufficient conditions.
 
-    ``sufficient`` when the dynamics pass an exact linearity test in
-    ``(x, u, z)`` and the running cost passes randomized midpoint-convexity
-    sampling on 256 point pairs drawn from ``[-8, 8]^3``, by a generator
-    seeded with ``seed``; otherwise ``inconclusive`` with a witness.
+    ``sufficient`` when the dynamics are proven linear in ``(x, u, z)``, from
+    their second partials and their value at the origin, and the running
+    cost passes randomized midpoint-convexity sampling on 256 point pairs
+    drawn from ``[-8, 8]^3`` by a generator seeded with ``seed``; otherwise
+    ``inconclusive`` with a witness.  Only the convexity of the cost is
+    sampled.
     """
-    rng = np.random.default_rng(seed)
-    failed = _linearity_check(p, rng)
+    failed = _linearity_check(p)
     if failed is not None:
         return failed
 
+    ts = p.scale.points[:-1]
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.state = _sampler_state(seed, len(ts))
     f = ex.compile_fn(p.f)
-    for t, a, b in _draws(rng, p.scale.points[:-1], _SAMPLES, _BOX, _BOX):
+    for t, a, b in _draws(rng, ts, _SAMPLES):
         (ax, au, az), (bx, bu, bz) = a, b
         try:
             fa = f(t, ax, 0.0, az, au)

@@ -535,7 +535,8 @@ def compile_fn(e: Expr, array: bool = False) -> Callable[..., float]:
     as a closure cell of the returned kernel, so trees that differ only in
     their constants share one code object.  Arithmetic on the bound doubles
     gives the same bits as the literals did.  ``compile_fn.cache_clear()``
-    empties the shapes too.
+    empties the shapes too, and :mod:`tsvar.conditions` adds the memo of
+    its sampler's starting state.
 
     Domain failures surface as ``ValueError`` / ``ZeroDivisionError`` /
     ``OverflowError`` from the math library; callers on hot paths catch

@@ -407,12 +407,81 @@ def reference_solution_json(path, sol, problem_type: str, derived=None) -> None:
         fh.write("\n")
 
 
+# -- reference candidate reader and residual table -----------------------------
+#
+# ``tsvar verify``'s reader and table as they were before they worked by
+# column: ``csv.DictReader`` with one ``float()`` call per cell, and one
+# f-string per table cell.  The tests pin the current ones' output to them.
+
+
+def reference_read_candidate(path, scale: tv.TimeScale):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or "t" not in reader.fieldnames or "x" not in reader.fieldnames:
+            raise tv.ProblemFileError(f"candidate {path} needs at least columns t and x")
+        rows = list(reader)
+    if len(rows) != scale.n:
+        raise tv.ProblemFileError(
+            f"candidate has {len(rows)} rows but the scale has {scale.n} points"
+        )
+
+    def column(name):
+        if name not in rows[0]:
+            return None
+        vals = [row[name].strip() for row in rows]
+        if all(v == "" for v in vals):
+            return None
+        out = np.empty(len(vals))
+        for i, v in enumerate(vals):
+            try:
+                out[i] = float(v) if v else math.nan
+            except ValueError:
+                raise tv.ProblemFileError(
+                    f"candidate {path} has a non-numeric {name} cell at row {i}: {v!r}"
+                ) from None
+        return out
+
+    t = column("t")
+    x = None if t is None else column("x")
+    if x is None:
+        raise tv.ProblemFileError(f"candidate {path} has empty t or x columns")
+    pts = scale.points
+    bad = np.flatnonzero(~(np.abs(t - pts) <= 1e-9 * np.maximum(1.0, np.abs(pts))))
+    if bad.size:
+        i = int(bad[0])
+        raise tv.ProblemFileError(
+            f"candidate time column mismatches the scale at row {i}: "
+            f"{float(t[i])!r} vs {float(pts[i])!r}"
+        )
+    return x, column("u"), column("lambda_sigma")
+
+
+def reference_residual_table(report: tv.ResidualReport) -> str:
+    pts = report.scale.points
+    cols = [(name, arr) for name, arr in report._families() if arr is not None]
+    header = ["t"] + [name for name, _ in cols]
+    lines = ["  ".join(f"{h:>16s}" for h in header)]
+    for i, t in enumerate(pts):
+        row = [f"{t:16.8g}"]
+        for _, arr in cols:
+            row.append(f"{arr[i]:16.6e}" if i < len(arr) else f"{'-':>16s}")
+        lines.append("  ".join(row))
+    if report.transversality is not None:
+        lines.append(f"{'transversality':>16s}  {report.transversality:16.6e}")
+    lines.append(f"{'sup norm':>16s}  {report.sup_norm:16.6e}")
+    return "\n".join(lines)
+
+
 # -- reference sufficiency screen -------------------------------------------------
 #
 # ``conditions.sufficiency_check`` as it was before it drew its samples into
-# Python floats: ``rng.choice`` for each ``t``, numpy arrays for the probe
-# points and midpoints, the scalar kernels called on ``np.float64`` elements.
-# The tests pin the current screen's draws, verdicts and witnesses to it.
+# Python floats and before it proved the dynamics linear from their second
+# partials: ``rng.choice`` for each ``t``, 64 sampled affinity probes of
+# ``g``, numpy arrays for the probe points and midpoints, the scalar kernels
+# called on ``np.float64`` elements.  The tests pin the current screen's
+# draws, verdicts and witnesses to it wherever the dynamics are linear.
+
+_REFERENCE_PROBES = 64
 
 
 def _reference_linearity_check(p: tv.ControlProblem, rng: np.random.Generator):
@@ -427,7 +496,7 @@ def _reference_linearity_check(p: tv.ControlProblem, rng: np.random.Generator):
             "inconclusive", f"{why}: g(t,0,0,0) = {val:.3e} at t = {t!r}", (t, (0.0, 0.0, 0.0))
         )
     g = tv.expr.compile_fn(p.g)
-    for _ in range(conditions._PROBES):
+    for _ in range(_REFERENCE_PROBES):
         t = float(rng.choice(ts))
         w = rng.uniform(-4.0, 4.0, size=3)
         d = rng.uniform(-2.0, 2.0, size=3)

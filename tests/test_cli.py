@@ -8,7 +8,10 @@ import pytest
 
 import tsvar as tv
 from tsvar.cli import load_problem_file, main, write_solution_csv, write_solution_json
-from helpers import minimal_slope_root, reference_solution_csv, reference_solution_json
+from helpers import (
+    minimal_slope_root, reference_read_candidate, reference_residual_table,
+    reference_solution_csv, reference_solution_json,
+)
 
 PENALIZED_LENGTH = """\
 [timescale]
@@ -410,6 +413,20 @@ class TestSolutionWriters:
         assert b",inf\r\n" in ours[0] and b",-0\r\n" in ours[0]
 
 
+    def test_negative_nan_cells_are_empty(self, tmp_path):
+        sol = _solved("control", "integers")
+        ts = sol.x.scale
+        lam = tv.GridFunction(ts, np.full(ts.n, np.copysign(math.nan, -1.0)))
+        report = sol.lam_and_report()[1]
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        ours = _written(tmp_path / "a", sol, "control", (lam, report), self.CURRENT)
+        ref = _written(tmp_path / "b", sol, "control", (lam, report), self.REFERENCE)
+        assert ours[0] == ref[0]
+        assert b"nan" not in ours[0].lower()
+        assert ours[0].splitlines()[1].endswith(b",,")
+
+
 class TestVerifyCommand:
     def _write_candidate(self, path, scale, x, u=None, lam=None):
         with open(path, "w", newline="") as fh:
@@ -504,6 +521,14 @@ class TestVerifyCommand:
         assert main(["verify", str(control_file), str(cand)]) == 1
         assert "time column mismatches the scale at row 1: nan vs 1.0" in capsys.readouterr().err
 
+    def test_short_row_reads_its_missing_cells_as_blank(self, control_file, tmp_path, capsys):
+        # the row for t = 1 has no multiplier cell: a blank one, so the
+        # residuals there are undefined and the candidate fails
+        cand = tmp_path / "cand.csv"
+        cand.write_text("t,x,u,lambda_sigma\n0,0,0,0\n1,0,0\n2,0,0,0\n3,0,0,0\n")
+        assert main(["verify", str(control_file), str(cand)]) == 3
+        assert "verdict: FAIL (2*u + lam is nan at t = 1.0)" in capsys.readouterr().out
+
     def test_wrong_point_count_exits_one(self, control_file, tmp_path):
         short = tv.TimeScale.integer_range(0, 2)
         cand = tmp_path / "cand.csv"
@@ -537,6 +562,81 @@ class TestVerifyCommand:
         cand = tmp_path / "cand.csv"
         self._write_candidate(cand, shifted, np.zeros(4), np.zeros(4), np.zeros(4))
         assert main(["verify", str(control_file), str(cand)]) == 1
+
+
+def _drop_column(j):
+    return lambda rows: [row[:j] + row[j + 1:] for row in rows]
+
+
+def _set_cell(i, j, text):
+    def edit(rows):
+        rows[i][j] = text
+        return rows
+    return edit
+
+
+class TestVerifyMatchesThePerCellReference:
+    """``tsvar verify`` prints, and exits with, what it did when it read and
+    printed one cell at a time (``helpers.reference_read_candidate`` and
+    ``helpers.reference_residual_table``)."""
+
+    EDITS = {
+        "as solved": lambda rows: rows,
+        "blank multiplier cell": _set_cell(2, 3, ""),
+        "blank time cell": _set_cell(2, 0, " "),
+        "blank state cell": _set_cell(3, 1, ""),
+        "non-numeric state cell": _set_cell(3, 1, "abc"),
+        "non-numeric control cell": _set_cell(2, 2, "1.0.0"),
+        "padded cells and blank lines": lambda rows: (
+            rows[:1] + [[f" {c} " for c in row] for row in rows[1:3]] + [[]] + rows[3:] + [[]]),
+        "no multiplier column": _drop_column(3),
+        "no control column": _drop_column(2),
+        "repeated state column": lambda rows: [row + (["x"] if k == 0 else ["0"])
+                                               for k, row in enumerate(rows)],
+        "short rows": lambda rows: [rows[0]] + [row[:4] for row in rows[1:]],
+        "one row too many": lambda rows: rows + [rows[-1]],
+    }
+
+    @staticmethod
+    def _verify(argv, capsys, monkeypatch, reference):
+        with monkeypatch.context() as m:
+            if reference:
+                m.setattr(tv.cli, "_read_candidate", reference_read_candidate)
+                m.setattr(tv.ResidualReport, "to_table", reference_residual_table)
+            code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    @pytest.mark.parametrize("problem", ["control", "tracking", "length"])
+    def test_stdout_stderr_and_exit_code(self, request, tmp_path, capsys, monkeypatch,
+                                         problem, edit):
+        path = request.getfixturevalue(f"{problem}_file")
+        assert main(["solve", str(path), "--out-dir", str(tmp_path)]) in (0, 2)
+        capsys.readouterr()
+        with open(tmp_path / "solution.csv", newline="") as fh:
+            rows = [row for row in csv.reader(fh)]
+        cand = tmp_path / "cand.csv"
+        cand.write_text("\r\n".join(map(",".join, self.EDITS[edit](rows))) + "\r\n")
+        argv = ["verify", str(path), str(cand), "--tolerance", "1e-3"]
+        ours = self._verify(argv, capsys, monkeypatch, reference=False)
+        ref = self._verify(argv, capsys, monkeypatch, reference=True)
+        assert ours == ref
+        assert ours[0] in (0, 1, 3)
+
+    def test_table_with_non_finite_and_short_families(self):
+        ts = tv.TimeScale.integer_range(0, 8)
+        report = tv.ResidualReport(
+            scale=ts,
+            el_residuals=np.array([math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1]),
+            transversality=-math.inf,
+            state_residuals=np.array([]),
+            costate_residuals=np.array([np.copysign(math.nan, -1.0), 1e300]),
+            stationarity_residuals=np.arange(8.0) - 3.5,
+            sup_norm=math.nan,
+        )
+        assert report.to_table() == reference_residual_table(report)
+        assert report.to_table().count("\n") == ts.n + 2
 
 
 class TestSweepCommand:
