@@ -13,7 +13,6 @@ from .conditions import (
     euler_lagrange_residual,
     hamiltonian_residuals,
     sufficiency_check,
-    sufficiency_check_variational,
     transversality_residual,
     transversality_residual_classical,
     transversality_residual_control_classical,
@@ -46,6 +45,7 @@ from .solver import (
     SweepRow,
     brute_force_oracle,
     recover_costate,
+    residual_report,
     solve_control,
     solve_stationarity,
     solve_variational,
@@ -64,10 +64,10 @@ __all__ = [
     "transversality_residual_classical", "transversality_residual_discrete",
     "variational_residuals", "hamiltonian_residuals",
     "transversality_residual_control_classical",
-    "sufficiency_check", "sufficiency_check_variational",
+    "sufficiency_check",
     "SolveOptions", "Solution", "SweepRow",
     "solve_variational", "solve_control", "solve_stationarity",
-    "brute_force_oracle", "recover_costate", "sweep",
+    "brute_force_oracle", "recover_costate", "residual_report", "sweep",
     "TsvarError", "ParseError", "EvalError", "ScaleMismatchError",
     "AdmissibilityError", "DynamicsViolationError", "SolveError",
     "SingularJacobianError", "OracleError", "ProblemFileError",

@@ -28,11 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as ex
-from .conditions import ResidualReport, hamiltonian_residuals, variational_residuals
+from .conditions import ResidualReport
 from .errors import ProblemFileError, TsvarError
 from .problem import ControlProblem, VariationalProblem, integrate_terms, pointwise
 from .solver import (
-    SolveOptions, Solution, recover_costate, solve_control, solve_variational, sweep,
+    SolveOptions, Solution, residual_report, solve_control, solve_variational, sweep,
 )
 from .timescale import GridFunction, TimeScale
 
@@ -308,11 +308,11 @@ def _grid_list(g: GridFunction | None):
     return out
 
 
-def solution_to_dict(sol: Solution, problem_type: str, derived: _Derived | None = None) -> dict:
+def solution_to_dict(sol: Solution, derived: _Derived | None = None) -> dict:
     """``solution.json`` content; ``derived`` defaults to ``sol.lam_and_report()``."""
     lam, report = derived or sol.lam_and_report()
     return {
-        "problem_type": problem_type,
+        "problem_type": "control" if isinstance(sol.problem, ControlProblem) else "variational",
         "converged": sol.converged,
         "iterations": sol.iterations,
         "objective": sol.objective_value,
@@ -352,11 +352,9 @@ def _json_chunks(obj, pad: str = "\n"):
         yield json.dumps(obj)
 
 
-def write_solution_json(
-    path: Path, sol: Solution, problem_type: str, derived: _Derived | None = None
-) -> None:
+def write_solution_json(path: Path, sol: Solution, derived: _Derived | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_chunks(solution_to_dict(sol, problem_type, derived)))
+        fh.writelines(_json_chunks(solution_to_dict(sol, derived)))
         fh.write("\n")
 
 
@@ -366,16 +364,14 @@ def write_solution_json(
 def cmd_solve(args) -> int:
     pf = load_problem_file(args.file)
     problem = pf.build_problem()
-    if pf.problem_type == "control":
-        sol = solve_control(problem, pf.options)
-    else:
-        sol = solve_variational(problem, pf.options)
+    solve = solve_control if pf.problem_type == "control" else solve_variational
+    sol = solve(problem, pf.options)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     derived = sol.lam_and_report()  # computed on each read, so read once
     report = derived[1]
     write_solution_csv(out_dir / "solution.csv", sol, derived)
-    write_solution_json(out_dir / "solution.json", sol, pf.problem_type, derived)
+    write_solution_json(out_dir / "solution.json", sol, derived)
     print(f"objective      {sol.objective_value:.12g}")
     print(f"residual sup   {report.sup_norm:.6e}")
     if sol.verdict.sufficient:
@@ -444,18 +440,10 @@ def cmd_verify(args) -> int:
     xv, uv, lv = _read_candidate(Path(args.candidate), pf.scale)
     if pf.problem_type == "control" and uv is None:
         raise ProblemFileError("control problems need a u column in the candidate")
-    x = GridFunction(pf.scale, xv)
+    # without a lambda_sigma column the candidate gets its canonical multipliers
+    grids = [None if v is None else GridFunction(pf.scale, v) for v in (xv, uv, lv)]
     try:
-        if pf.problem_type == "control":
-            u = GridFunction(pf.scale, uv)
-            if lv is None:
-                # canonical multipliers for the candidate: backward costate solve
-                lam_arr = recover_costate(problem, xv, uv, float(xv[-1]))
-                lv = np.append(lam_arr, math.nan)
-            lam = GridFunction(pf.scale, lv)
-            report = hamiltonian_residuals(problem, x, u, lam)
-        else:
-            report = variational_residuals(problem, x)
+        _, report = residual_report(problem, *grids)
     except ValueError as exc:  # inadmissible, or a residual is undefined (say, a blank cell)
         print(f"verdict: FAIL ({exc})")
         return 3

@@ -8,10 +8,10 @@ get the four Hamiltonian families (state, costate, stationarity,
 transversality) of ``H = f + lam*g``, whose partials ``f_a + lam*g_a`` are
 formed by array arithmetic from one batch of the first partials of
 :func:`tsvar.problem.partials`.  A report has one ``transversality`` scalar
-for either class.  The sufficiency screen proves the dynamics linear from
-the second partials of ``g`` and its value at the origin; only the
-convexity of ``f`` is sampled, on 256 midpoint pairs from ``[-8, 8]^3``,
-and only the sampler's seed is a parameter.
+for either class.  The sufficiency screen takes either class, screens the
+control form and proves its dynamics linear from the second partials of
+``g`` and the exact zero of ``g`` at the origin; only the convexity of
+``f`` is sampled, on 256 midpoint pairs from ``[-8, 8]^3``.
 
 Multiplier grids hold sigma-shifted samples: ``lam.values[i]`` is the
 multiplier composed with the forward jump, sampled at ``t_i``.  The sample at
@@ -25,7 +25,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -48,7 +47,6 @@ __all__ = [
     "hamiltonian_residuals",
     "transversality_residual_control_classical",
     "sufficiency_check",
-    "sufficiency_check_variational",
 ]
 
 
@@ -58,7 +56,8 @@ class ResidualReport:
 
     Variational reports fill ``el_residuals``, control reports the three
     Hamiltonian arrays; both fill the ``transversality`` scalar of their
-    family.  ``sup_norm`` is the largest magnitude among everything present.
+    family, as :func:`tsvar.solver.residual_report` picks.  ``sup_norm`` is
+    the largest magnitude among everything present, NaN when any of it is.
     """
 
     scale: TimeScale
@@ -107,15 +106,9 @@ class ResidualReport:
         return "\n".join(lines)
 
 
-def _sup(arrays: Iterable[np.ndarray | None], scalars: Iterable[float | None]) -> float:
-    vals = [0.0]
-    for a in arrays:
-        if a is not None and len(a):
-            vals.append(float(np.max(np.abs(a))))
-    for s in scalars:
-        if s is not None:
-            vals.append(abs(s))
-    return max(vals)
+def _sup(*families) -> float:
+    """Largest magnitude in the arrays and scalars; NaN when any is, which ``max`` would drop."""
+    return float(np.max([np.max(np.abs(a), initial=0.0) for a in families]))
 
 
 # -- variational conditions ---------------------------------------------------
@@ -202,7 +195,7 @@ def variational_residuals(p: VariationalProblem, x: GridFunction) -> ResidualRep
         scale=p.scale,
         el_residuals=el,
         transversality=tc,
-        sup_norm=_sup([el], [tc]),
+        sup_norm=_sup(el, tc),
     )
 
 
@@ -258,7 +251,7 @@ def hamiltonian_residuals(
         costate_residuals=costate,
         stationarity_residuals=stationarity,
         transversality=tc,
-        sup_norm=_sup([state, costate, stationarity], [tc]),
+        sup_norm=_sup(state, costate, stationarity, tc),
     )
 
 
@@ -376,7 +369,7 @@ def _linearity_check(p: ControlProblem):
     ts = p.scale.points[:-1]
     with np.errstate(all="ignore"):
         origin = np.broadcast_to(ex.compile_fn(p.g, array=True)(ts), ts.shape)
-    bad = np.flatnonzero(~(np.abs(origin) <= 1e-12))
+    bad = np.flatnonzero(origin != 0.0)  # NaN is not zero either
     if bad.size:
         t, val = float(ts[bad[0]]), float(origin[bad[0]])
         why = "dynamics are affine but not linear" if math.isfinite(val) else "dynamics undefined"
@@ -396,9 +389,10 @@ def _linearity_check(p: ControlProblem):
     return None
 
 
-def sufficiency_check(p: ControlProblem, seed: int = 0) -> SufficiencyVerdict:
+def sufficiency_check(p: VariationalProblem | ControlProblem, seed: int = 0) -> SufficiencyVerdict:
     """Screen the problem against the global-minimizer sufficient conditions.
 
+    A variational problem is screened in its control form ``g = u``.
     ``sufficient`` when the dynamics are proven linear in ``(x, u, z)``, from
     their second partials and their value at the origin, and the running
     cost passes randomized midpoint-convexity sampling on 256 point pairs
@@ -406,6 +400,8 @@ def sufficiency_check(p: ControlProblem, seed: int = 0) -> SufficiencyVerdict:
     ``inconclusive`` with a witness.  Only the convexity of the cost is
     sampled.
     """
+    if isinstance(p, VariationalProblem):
+        p = ControlProblem.from_variational(p)
     failed = _linearity_check(p)
     if failed is not None:
         return failed
@@ -434,8 +430,3 @@ def sufficiency_check(p: ControlProblem, seed: int = 0) -> SufficiencyVerdict:
                 (t, tuple(a), tuple(b)),
             )
     return _PASSED
-
-
-def sufficiency_check_variational(p: VariationalProblem, seed: int = 0) -> SufficiencyVerdict:
-    """Sufficiency screen of the equivalent control form (``g = u``)."""
-    return sufficiency_check(ControlProblem.from_variational(p), seed)

@@ -43,8 +43,9 @@ the four first partials it reads.  The two true recurrences, the state
 steps and the backward costate sweeps, run over plain floats; only a state
 step whose ``g`` is not affine in ``x`` calls compiled ``g`` point by point.
 
-A returned :class:`Solution` keeps its problem and grids; its multipliers
-and residual report are recomputed from them on each read.
+A returned :class:`Solution` keeps its problem and grids; on each read,
+:func:`residual_report` recomputes its multipliers and residual report from
+them, as it makes the report of a ``tsvar verify`` candidate.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .conditions import (
     SufficiencyVerdict,
     hamiltonian_residuals,
     sufficiency_check,
-    sufficiency_check_variational,
     variational_residuals,
 )
 from .errors import OracleError, SingularJacobianError, SolveError, TsvarError
@@ -74,7 +74,7 @@ from .timescale import GridFunction, TimeScale
 __all__ = [
     "SolveOptions", "Solution", "SweepRow",
     "solve_variational", "solve_control", "solve_stationarity",
-    "brute_force_oracle", "recover_costate", "sweep",
+    "brute_force_oracle", "recover_costate", "residual_report", "sweep",
 ]
 
 _DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
@@ -103,10 +103,10 @@ class Solution:
     """Solver output.
 
     The solve fixes the grids, ``objective_value``, ``verdict``,
-    ``converged`` and ``iterations``.  The multipliers ``lam`` and the
-    residual report are recomputed from ``problem`` and the returned grids on
-    every read, so a kept solution holds neither; read them once (both at
-    once with :meth:`lam_and_report`) where they are needed more than once.
+    ``converged`` and ``iterations``.  :func:`residual_report` recomputes
+    the multipliers ``lam`` and the residual report on every read, so a kept
+    solution holds neither; read them once (both at once with
+    :meth:`lam_and_report`) where they are needed more than once.
     """
 
     problem: VariationalProblem | ControlProblem
@@ -123,18 +123,11 @@ class Solution:
         """Sigma-shifted multiplier samples of a control solution, NaN at the
         maximum: :func:`recover_costate` at the returned grids with the end
         value ``x(T)``.  ``None`` for a variational solution."""
-        if not isinstance(self.problem, ControlProblem):
-            return None
-        xv = self.x.values
-        lam = recover_costate(self.problem, xv, self.u.values, float(xv[-1]))
-        return GridFunction(self.x.scale, np.append(lam, np.nan))
+        return None if self.u is None else _multipliers(self.problem, self.x, self.u)
 
     def lam_and_report(self) -> tuple[GridFunction | None, ResidualReport]:
         """``lam`` and ``report`` from one recovery of the multipliers."""
-        lam = self.lam
-        if lam is None:
-            return None, variational_residuals(self.problem, self.x)
-        return lam, hamiltonian_residuals(self.problem, self.x, self.u, lam)
+        return residual_report(self.problem, self.x, self.u)
 
     @property
     def report(self) -> ResidualReport:
@@ -411,6 +404,29 @@ def recover_costate(
     d = partials(p)
     fx, fz, gx, gz = pointwise(d[0], d[2], d[3], d[5])(terms(p.scale, x, u=u, z=zeta))
     return _costate(p.scale, gx, fx, fz, gz)
+
+
+def _multipliers(p: ControlProblem, x: GridFunction, u: GridFunction) -> GridFunction:
+    """:func:`recover_costate` at the grids with the end value ``x(T)``, NaN at the maximum."""
+    xv = x.values
+    return GridFunction(x.scale, np.append(recover_costate(p, xv, u.values, float(xv[-1])), np.nan))
+
+
+def residual_report(
+    p: VariationalProblem | ControlProblem, x: GridFunction,
+    u: GridFunction | None = None, lam: GridFunction | None = None,
+) -> tuple[GridFunction | None, ResidualReport]:
+    """The multipliers and the residuals of the necessary conditions of ``p``'s class.
+
+    A variational problem gets ``(None, variational_residuals(p, x))``;
+    ``u`` and ``lam`` are unread.  A control problem gets the Hamiltonian
+    system at ``(x, u, lam)``, with ``lam`` recovered when it is ``None``.
+    """
+    if isinstance(p, VariationalProblem):
+        return None, variational_residuals(p, x)
+    if lam is None:
+        lam = _multipliers(p, x, u)
+    return lam, hamiltonian_residuals(p, x, u, lam)
 
 
 def _costate(
@@ -807,7 +823,7 @@ def brute_force_oracle(
         return Solution(
             problem=p, x=_grid(p, y), u=None,
             objective_value=value(y),
-            verdict=sufficiency_check_variational(p),
+            verdict=sufficiency_check(p),
             converged=True, iterations=0, message="oracle",
         )
     if quad:

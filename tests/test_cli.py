@@ -364,18 +364,20 @@ def _solved(kind: str, scale: str):
     return tv.solve_variational(p)
 
 
-def _written(tmp_path, sol, problem_type, derived, writers):
-    csv_writer, json_writer = writers
-    csv_writer(tmp_path / "solution.csv", sol, derived)
-    json_writer(tmp_path / "solution.json", sol, problem_type, derived)
+def _written(tmp_path, sol, derived, problem_type=None):
+    """The bytes the current writers write; with ``problem_type``, those of the
+    reference writers, which are told the problem type."""
+    if problem_type is None:
+        write_solution_csv(tmp_path / "solution.csv", sol, derived)
+        write_solution_json(tmp_path / "solution.json", sol, derived)
+    else:
+        reference_solution_csv(tmp_path / "solution.csv", sol, derived)
+        reference_solution_json(tmp_path / "solution.json", sol, problem_type, derived)
     return (tmp_path / "solution.csv").read_bytes(), (tmp_path / "solution.json").read_bytes()
 
 
 class TestSolutionWriters:
     """The column-wise writers write the bytes of the per-cell reference writers."""
-
-    CURRENT = (write_solution_csv, write_solution_json)
-    REFERENCE = (reference_solution_csv, reference_solution_json)
 
     @pytest.mark.parametrize("scale", sorted(_SCALES))
     @pytest.mark.parametrize("kind", ["control", "variational"])
@@ -385,8 +387,8 @@ class TestSolutionWriters:
         derived = sol.lam_and_report() if explicit else None
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
-        ours = _written(tmp_path / "a", sol, kind, derived, self.CURRENT)
-        ref = _written(tmp_path / "b", sol, kind, derived, self.REFERENCE)
+        ours = _written(tmp_path / "a", sol, derived)
+        ref = _written(tmp_path / "b", sol, derived, kind)
         assert ours == ref
 
     def test_non_finite_and_empty_residuals(self, tmp_path):
@@ -403,8 +405,8 @@ class TestSolutionWriters:
         )
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
-        ours = _written(tmp_path / "a", sol, "control", (lam, report), self.CURRENT)
-        ref = _written(tmp_path / "b", sol, "control", (lam, report), self.REFERENCE)
+        ours = _written(tmp_path / "a", sol, (lam, report))
+        ref = _written(tmp_path / "b", sol, (lam, report), "control")
         assert ours == ref
         text = ours[1].decode()
         assert '"sup_norm": NaN' in text and '"state": []' in text
@@ -420,8 +422,8 @@ class TestSolutionWriters:
         report = sol.lam_and_report()[1]
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
-        ours = _written(tmp_path / "a", sol, "control", (lam, report), self.CURRENT)
-        ref = _written(tmp_path / "b", sol, "control", (lam, report), self.REFERENCE)
+        ours = _written(tmp_path / "a", sol, (lam, report))
+        ref = _written(tmp_path / "b", sol, (lam, report), "control")
         assert ours[0] == ref[0]
         assert b"nan" not in ours[0].lower()
         assert ours[0].splitlines()[1].endswith(b",,")
@@ -446,6 +448,56 @@ class TestVerifyCommand:
         code = main(["verify", str(control_file), str(out / "solution.csv")])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("multipliers", ["written", "recovered"])
+    @pytest.mark.parametrize("problem", ["control", "tracking", "length"])
+    def test_report_is_the_solutions_report(self, request, tmp_path, monkeypatch, problem,
+                                            multipliers):
+        # verify reports on the path of Solution.lam_and_report, with the
+        # multipliers from the candidate's column or recovered without it
+        path = request.getfixturevalue(f"{problem}_file")
+        assert main(["solve", str(path), "--out-dir", str(tmp_path)]) in (0, 2)
+        with open(tmp_path / "solution.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        if multipliers == "recovered":
+            rows = [row[:3] + row[4:] for row in rows]
+        cand = tmp_path / "cand.csv"
+        cand.write_text("\n".join(map(",".join, rows)) + "\n")
+        reports = []
+
+        def recorded(*args):
+            reports.append(tv.residual_report(*args)[1])
+            return None, reports[-1]
+
+        monkeypatch.setattr(tv.cli, "residual_report", recorded)
+        assert main(["verify", str(path), str(cand)]) in (0, 3)
+        pf = load_problem_file(path)
+        solve = tv.solve_control if pf.problem_type == "control" else tv.solve_variational
+        want = solve(pf.build_problem(), pf.options).lam_and_report()[1]
+        (got,) = reports
+        for name in ("sup_norm", "transversality"):
+            assert np.float64(getattr(got, name)).tobytes() == \
+                np.float64(getattr(want, name)).tobytes(), name
+        for (name, a), (_, b) in zip(got._families(), want._families()):
+            assert (a is None) == (b is None), name
+            assert a is None or a.tobytes() == b.tobytes(), name
+
+    def test_nan_state_residuals_fail_verification(self, control_file, tmp_path, capsys):
+        # a blank state cell at t = 2 makes the state residuals at t = 1 and 2
+        # NaN, and so the sup norm: no tolerance may pass it
+        out = tmp_path / "out"
+        assert main(["solve", str(control_file), "--out-dir", str(out)]) == 0
+        with open(out / "solution.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[3][1] = ""
+        cand = tmp_path / "cand.csv"
+        cand.write_text("\n".join(map(",".join, rows)) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(control_file), str(cand)]) == 3
+        text = capsys.readouterr().out
+        assert "               2               nan" in text
+        assert f"{'sup norm':>16s}  {'nan':>16s}" in text
+        assert text.endswith("verdict: FAIL (sup nan vs tolerance 1e-06)\n")
 
     def test_missing_candidate_exits_one(self, control_file, tmp_path, capsys):
         assert main(["verify", str(control_file), str(tmp_path / "missing.csv")]) == 1

@@ -336,8 +336,17 @@ class TestSufficiency:
 
     def test_length_functional_control_form(self):
         p = minimal_length_problem(2.0, 21)
-        verdict = tv.sufficiency_check_variational(p)
+        verdict = tv.sufficiency_check(p)
         assert verdict.sufficient
+
+    @pytest.mark.parametrize("f", ["sqrt(1 + v^2) + 2*(z - 1)^2", "v^2 - x^2",
+                                   "sqrt(1 + v^2) + 2*(z - 1)^2 + 0.5*cos(x)", "log(v)"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_variational_problem_is_screened_in_its_control_form(self, f, seed):
+        p = tv.VariationalProblem(tv.TimeScale.integer_range(0, 8), tv.parse(f), 0.0)
+        got = tv.sufficiency_check(p, seed)
+        want = tv.sufficiency_check(tv.ControlProblem.from_variational(p), seed)
+        assert (got.status, got.reason, got.witness) == (want.status, want.reason, want.witness)
 
     def test_concave_cost_is_inconclusive_with_witness(self, zgrid):
         p = tv.ControlProblem(zgrid, tv.parse("0 - u^2"), tv.parse("u"), 0.0)
@@ -355,6 +364,16 @@ class TestSufficiency:
         p = tv.ControlProblem(zgrid, tv.parse("u^2"), tv.parse("u^2"), 0.0)
         verdict = tv.sufficiency_check(p)
         assert not verdict.sufficient
+
+    def test_dynamics_off_the_origin_by_rounding_are_not_linear(self):
+        # g(t, 0, 0, 0) = 1e-13 is affine, not linear: the origin test is exact
+        p = tv.ControlProblem(tv.TimeScale.integer_range(0, 8),
+                              tv.parse("u^2 + x^2 + 3*(z - 1)^2"), tv.parse("u + 1e-13"), 0.0)
+        verdict = tv.sufficiency_check(p)
+        assert verdict.status == "inconclusive"
+        assert verdict.reason == ("dynamics are affine but not linear: "
+                                  "g(t,0,0,0) = 1.000e-13 at t = 0.0")
+        assert verdict.witness == (0.0, (0.0, 0.0, 0.0))
 
     def test_undefined_dynamics_at_the_origin_are_inconclusive(self):
         # sqrt(t - 4) is undefined at t = 0..3: the first such t is the witness
