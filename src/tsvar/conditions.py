@@ -329,8 +329,8 @@ def _draws(rng: np.random.Generator, ts: np.ndarray, n: int):
 
 
 @lru_cache(maxsize=64)
-def _sampler_state(seed: int, k: int) -> dict:
-    """State of the generator seeded with ``seed`` after 64 draws of one
+def _sampler_state(k: int) -> dict:
+    """State of the generator seeded with 0 after 64 draws of one
     ``integers(0, k)`` and two ``uniform(size=3)`` calls.
 
     Those are the draws of the sampled affinity probes that the exact
@@ -338,7 +338,7 @@ def _sampler_state(seed: int, k: int) -> dict:
     so that its draws stay as they were.  ``compile_fn.cache_clear()``
     empties this memo too.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(64):
         rng.integers(0, k)
         rng.uniform(-4.0, 4.0, size=3)
@@ -389,16 +389,16 @@ def _linearity_check(p: ControlProblem):
     return None
 
 
-def sufficiency_check(p: VariationalProblem | ControlProblem, seed: int = 0) -> SufficiencyVerdict:
+def sufficiency_check(p: VariationalProblem | ControlProblem) -> SufficiencyVerdict:
     """Screen the problem against the global-minimizer sufficient conditions.
 
     A variational problem is screened in its control form ``g = u``.
     ``sufficient`` when the dynamics are proven linear in ``(x, u, z)``, from
     their second partials and their value at the origin, and the running
     cost passes randomized midpoint-convexity sampling on 256 point pairs
-    drawn from ``[-8, 8]^3`` by a generator seeded with ``seed``; otherwise
-    ``inconclusive`` with a witness.  Only the convexity of the cost is
-    sampled.
+    drawn from ``[-8, 8]^3`` by a generator seeded with 0, so the verdict
+    is a function of the problem; otherwise ``inconclusive`` with a witness.
+    Only the convexity of the cost is sampled.
     """
     if isinstance(p, VariationalProblem):
         p = ControlProblem.from_variational(p)
@@ -407,8 +407,8 @@ def sufficiency_check(p: VariationalProblem | ControlProblem, seed: int = 0) -> 
         return failed
 
     ts = p.scale.points[:-1]
-    rng = np.random.default_rng(seed)
-    rng.bit_generator.state = _sampler_state(seed, len(ts))
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = _sampler_state(len(ts))
     f = ex.compile_fn(p.f)
     for t, a, b in _draws(rng, ts, _SAMPLES):
         (ax, au, az), (bx, bu, bz) = a, b

@@ -1,9 +1,10 @@
 """Direct solvers for the free end-point problems, plus the exact oracle.
 
-All three solvers work on the control problem.  A variational problem is
-solved in its control form ``g = u`` (:meth:`ControlProblem.from_variational`),
-whose controls are the slopes ``x_delta``; without a start they are zero, the
-flat start ``x = alpha``.
+All three solvers and the oracle work on the control problem.  A
+variational problem is solved in its control form ``g = u``
+(:meth:`ControlProblem.from_variational`), whose controls are the slopes
+``x_delta``; without a start they are zero, the flat start ``x = alpha``.
+A start on another time scale raises ``ScaleMismatchError``.
 
 The core reduces to the control samples: the state grid is rebuilt by
 forward propagation, each step solved exactly for the sigma-shifted state
@@ -46,6 +47,11 @@ step whose ``g`` is not affine in ``x`` calls compiled ``g`` point by point.
 A returned :class:`Solution` keeps its problem and grids; on each read,
 :func:`residual_report` recomputes its multipliers and residual report from
 them, as it makes the report of a ``tsvar verify`` candidate.
+
+:func:`brute_force_oracle` has one path for both classes and shares no code
+with the solvers on quadratic problems: it values points by the interpreted
+walk, propagates its own state and solves one KKT system, whose inertia must
+show a unique minimizer.
 """
 
 from __future__ import annotations
@@ -64,10 +70,11 @@ from .conditions import (
     sufficiency_check,
     variational_residuals,
 )
-from .errors import OracleError, SingularJacobianError, SolveError, TsvarError
+from .errors import (
+    OracleError, ScaleMismatchError, SingularJacobianError, SolveError, TsvarError,
+)
 from .problem import (
-    ControlProblem, VariationalProblem, _is_zero, integrate_terms, objective, objective_control,
-    partials, pointwise, terms,
+    ControlProblem, VariationalProblem, _is_zero, integrate_terms, partials, pointwise, terms,
 )
 from .timescale import GridFunction, TimeScale
 
@@ -144,17 +151,16 @@ class Solution:
 # -- variational solves: the control form g = u ---------------------------------
 
 
-def _grid(p: VariationalProblem, y: np.ndarray) -> GridFunction:
-    return GridFunction(p.scale, np.concatenate(([p.alpha], y)))
-
-
 def _control_form(p: VariationalProblem, x0: GridFunction | None):
     """The control form ``g = u`` of ``p`` and the starting controls: the
     slopes of ``x0`` with its first value replaced by ``alpha``, or zero,
-    which is the flat start ``x = alpha``."""
+    which is the flat start ``x = alpha``.  An ``x0`` on another time scale
+    raises ``ScaleMismatchError``."""
     cp = ControlProblem.from_variational(p)
     if x0 is None:
         return cp, np.zeros(p.scale.n - 1)
+    if not x0.scale.matches(p.scale):
+        raise ScaleMismatchError("x0 lives on another time scale than the problem")
     return cp, np.diff(np.concatenate(([p.alpha], x0.values[1:]))) / p.scale.mu_values[:-1]
 
 
@@ -655,10 +661,13 @@ def solve_control(
     residual ``f_u + lam g_u`` is below ``gradient_tolerance``: of the
     report's families it is the one the iteration drives, the others hold by
     construction.  ``iterations`` counts Newton steps; ``on_accept`` sees
-    each accepted iterate and its objective value.
+    each accepted iterate and its objective value.  A ``u0`` on another time
+    scale raises ``ScaleMismatchError``.
     """
     opts = opts or SolveOptions()
     n = p.scale.n
+    if u0 is not None and not u0.scale.matches(p.scale):
+        raise ScaleMismatchError("u0 lives on another time scale than the problem")
     w = np.zeros(n - 1) if u0 is None else np.array(u0.values[: n - 1], dtype=float)
     shown = None if on_accept is None else (lambda w, x, J: on_accept(w.copy(), J))
     w, x_arr, J, iters, ok = _minimize(p, w, opts, _sup, _shifted_control_step, _armijo, shown)
@@ -695,19 +704,6 @@ def _polarize_quadratic(fun, m: int):
     return A, b, c
 
 
-def _interpreted_variational(p: VariationalProblem):
-    """The objective over the free values ``x[1:] = y``, each term valued by
-    the interpreted walk of :func:`expr.evaluate`."""
-    pts, mu = p.scale.points[:-1].tolist(), p.scale.mu_values[:-1].tolist()
-
-    def value(y: np.ndarray) -> float:
-        x = [float(p.alpha), *y.tolist()]
-        return math.fsum(h * ex.evaluate(p.f, {"t": t, "x": b, "v": (b - a) / h, "z": x[-1]})
-                         for t, h, a, b in zip(pts, mu, x, x[1:]))
-
-    return value
-
-
 def _interpreted_control(p: ControlProblem, gx: ex.Expr):
     """``(state, value)`` of a control problem whose ``g`` is affine in
     ``(x, u, z)`` with the slope ``gx`` in ``t`` alone, by the interpreted walk
@@ -733,17 +729,16 @@ def _interpreted_control(p: ControlProblem, gx: ex.Expr):
     return state, value
 
 
-def _oracle_variational(value, m: int) -> np.ndarray:
-    A, b, _ = _polarize_quadratic(value, m)
-    eig = np.linalg.eigvalsh(0.5 * (A + A.T))
-    if eig[0] <= 1e-10 * max(1.0, abs(eig[-1])):
-        raise OracleError("stationary system is not positive definite; no unique minimizer")
-    return np.linalg.solve(A, -b)
-
-
 def _oracle_control(state, value, m: int) -> np.ndarray:
     """The minimizing ``w = (u, zeta)`` under the end-value constraint
-    ``x(T) = zeta``, by one KKT solve."""
+    ``x(T) = zeta``, by one KKT solve.
+
+    The stationary point is the unique minimizer exactly when the Hessian is
+    positive definite on the constraint's null space, that is when the KKT
+    matrix has exactly one negative eigenvalue and none zero (Nocedal &
+    Wright, *Numerical Optimization*, 2nd ed., section 16.1); an eigenvalue
+    within ``1e-10`` of zero, relative to the largest, counts as zero.
+    """
 
     def constraint(w):
         return state(w)[-1] - float(w[-1])
@@ -759,12 +754,11 @@ def _oracle_control(state, value, m: int) -> np.ndarray:
     kkt[:m, :m] = A
     kkt[:m, m] = a
     kkt[m, :m] = a
-    rhs = np.concatenate((-b, [-c0]))
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise OracleError("degenerate stationarity system") from exc
-    return sol[:m]
+    eig = np.linalg.eigvalsh(kkt)
+    near_zero = np.abs(eig) <= 1e-10 * max(1.0, float(np.max(np.abs(eig))))
+    if np.count_nonzero(eig < 0.0) != 1 or near_zero.any():
+        raise OracleError("stationary system is not positive definite; no unique minimizer")
+    return np.linalg.solve(kkt, np.concatenate((-b, [-c0])))[:m]
 
 
 def _grid_search(value, m: int, box: tuple[float, float]) -> np.ndarray:
@@ -791,57 +785,45 @@ def brute_force_oracle(
     allow_grid_search: bool = False,
     box: tuple[float, float] = (-4.0, 4.0),
 ) -> Solution:
-    """Independent reference solve for small problems.
+    """Independent reference solve for small problems, on the control form.
 
-    Quadratic problems (total degree at most two in the state/control/end
-    variables) are solved exactly: the objective is recovered by polarization
-    from function values alone and the linear stationarity (or KKT) system is
-    eliminated directly.  Those values come from the interpreted walk of
-    :func:`expr.evaluate`, with the oracle's own state propagation, so no
-    compiled kernel and no solver code enter the solution.  Anything else
-    needs ``allow_grid_search``, which values points as the solvers do.
+    A variational problem is solved in its control form ``g = u``
+    (:meth:`ControlProblem.from_variational`), so its controls are the slopes
+    ``x_delta``, and its solution has ``u = None``.  Problems with a quadratic
+    cost and affine dynamics in ``(x, u, z)`` are solved exactly: the
+    objective over ``w = (u, zeta)`` is recovered by polarization from
+    function values alone and the KKT system of the end-value constraint
+    ``x(T) = zeta`` is solved directly, after its inertia shows that the
+    stationary point is the unique minimizer; otherwise ``OracleError``.
+    Those values come from the interpreted walk of :func:`expr.evaluate`,
+    with the oracle's own state propagation, so no compiled kernel and no
+    solver code enter the solution.  Anything else needs
+    ``allow_grid_search``, which values points as the solvers do and searches
+    the controls (the slopes, for a variational problem) in ``box``.
     """
-    if p.scale.n > 8:
-        raise OracleError("oracle supports at most 8 scale points")
     if not isinstance(p, (VariationalProblem, ControlProblem)):
         raise OracleError(f"unsupported problem type {type(p).__name__}")
-    variational = isinstance(p, VariationalProblem)
-    # quadratic cost and affine dynamics in (x, u, z), on the control form
-    d = partials(ControlProblem.from_variational(p) if variational else p)
-    quad = all(ex.variables(e) <= {"t"} for e in d[6:12]) and all(map(_is_zero, d[12:]))
-    if variational:
-        if quad:
-            value = _interpreted_variational(p)
-            y = _oracle_variational(value, p.scale.n - 1)
-        elif allow_grid_search:
-            def value(w):
-                return objective(p, _grid(p, w))
-
-            y = _grid_search(value, p.scale.n - 1, box)
-        else:
-            raise OracleError("non-quadratic problem; pass allow_grid_search=True")
-        return Solution(
-            problem=p, x=_grid(p, y), u=None,
-            objective_value=value(y),
-            verdict=sufficiency_check(p),
-            converged=True, iterations=0, message="oracle",
-        )
-    if quad:
-        state, value = _interpreted_control(p, d[3])
+    if p.scale.n > 8:
+        raise OracleError("oracle supports at most 8 scale points")
+    cp = ControlProblem.from_variational(p) if isinstance(p, VariationalProblem) else p
+    # quadratic cost and affine dynamics in (x, u, z)
+    d = partials(cp)
+    if all(ex.variables(e) <= {"t"} for e in d[6:12]) and all(map(_is_zero, d[12:])):
+        state, value = _interpreted_control(cp, d[3])
         w = _oracle_control(state, value, p.scale.n)
-        u, x, J = w[:-1], GridFunction(p.scale, np.array(state(w))), value(w)
+        u, x, J = w[:-1], np.array(state(w)), value(w)
     elif allow_grid_search:
-        core = _Core(p)
+        core = _Core(cp)
         u = _grid_search(lambda v: core.value(v)[0], p.scale.n - 1, box)
-        x = GridFunction(p.scale, core.consistent(u)[0])
-        J = objective_control(p, x, GridFunction(p.scale, np.append(u, np.nan)))
+        J, x, _ = core.value(u)
     else:
         raise OracleError(
             "oracle needs a quadratic cost and affine dynamics; "
             "pass allow_grid_search=True otherwise"
         )
     return Solution(
-        problem=p, x=x, u=GridFunction(p.scale, np.append(u, np.nan)),
+        problem=p, x=GridFunction(p.scale, x),
+        u=None if cp is not p else GridFunction(p.scale, np.append(u, np.nan)),
         objective_value=J,
         verdict=sufficiency_check(p),
         converged=True, iterations=0, message="oracle",

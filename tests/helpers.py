@@ -226,6 +226,26 @@ def objective_derivatives(
     return grad, 0.5 * (hess + hess.T)
 
 
+def reference_oracle_variational(p: tv.VariationalProblem) -> tuple[np.ndarray, float]:
+    """``(x, J)`` of a quadratic variational problem by the oracle that
+    minimized over the free grid values ``x[1:] = y`` directly: the objective
+    by the interpreted walk, polarized into ``1/2 y'Ay + b'y + c``, and
+    ``A y = -b`` solved where ``A`` is positive definite."""
+    pts, mu = p.scale.points[:-1].tolist(), p.scale.mu_values[:-1].tolist()
+
+    def value(y: np.ndarray) -> float:
+        x = [float(p.alpha), *y.tolist()]
+        return math.fsum(h * tv.evaluate(p.f, {"t": t, "x": b, "v": (b - a) / h, "z": x[-1]})
+                         for t, h, a, b in zip(pts, mu, x, x[1:]))
+
+    A, b, _ = solver._polarize_quadratic(value, p.scale.n - 1)
+    eig = np.linalg.eigvalsh(0.5 * (A + A.T))
+    if eig[0] <= 1e-10 * max(1.0, abs(eig[-1])):
+        raise tv.OracleError("stationary system is not positive definite; no unique minimizer")
+    y = np.linalg.solve(A, -b)
+    return np.concatenate(([p.alpha], y)), value(y)
+
+
 # -- random expressions for the differentiation checks ------------------------
 
 _EXPR_VARS = ("t", "x", "v", "z", "u", "lam")

@@ -23,6 +23,7 @@ from helpers import (
     random_quadratic_problem,
     random_scale,
     reference_costate,
+    reference_oracle_variational,
     reference_solve_stationarity,
     stationarity_residual,
 )
@@ -473,7 +474,10 @@ class TestSolveControl:
         def second_valuation(*args):
             raise AssertionError("solve_control valued the objective again")
 
-        monkeypatch.setattr(tv.solver, "objective_control", second_valuation)
+        # the solver module imports no objective function, so a second
+        # valuation would have to go through tsvar.problem
+        assert not hasattr(tv.solver, "objective_control")
+        monkeypatch.setattr(tv.problem, "objective_control", second_valuation)
         sol = tv.solve_control(p)
         monkeypatch.undo()
         again = tv.objective_control(p, sol.x, sol.u)
@@ -761,6 +765,33 @@ class TestBruteForceOracle:
         with pytest.raises(tv.OracleError, match="8"):
             tv.brute_force_oracle(p)
 
+    def test_rejects_an_unsupported_type_before_reading_its_scale(self):
+        with pytest.raises(tv.OracleError, match="^unsupported problem type object$"):
+            tv.brute_force_oracle(object())
+
+    @pytest.mark.parametrize("form", ["variational", "control"])
+    def test_refuses_a_saddle(self, form):
+        # the cost is concave in the end value: the stationary point is a
+        # saddle, and the solvers run off towards minus infinity
+        ts = tv.TimeScale.integer_range(0, 5)
+        p = tv.VariationalProblem(ts, tv.parse("(v-1)^2 - 5*(z-1)^2"), 0.0)
+        if form == "control":
+            p = tv.ControlProblem(ts, tv.parse("(u-1)^2 - 5*(z-1)^2"), tv.parse("u"), 0.0)
+        with pytest.raises(tv.OracleError, match="not positive definite; no unique minimizer"):
+            tv.brute_force_oracle(p)
+
+    def test_variational_problems_match_the_grid_value_oracle(self):
+        # the control form over (u, zeta) and the direct minimization over
+        # x[1:] are one minimizer found two ways
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            p = random_quadratic_problem(rng, random_scale(rng, max_points=8, min_gap=0.1))
+            sol = tv.brute_force_oracle(p)
+            x, J = reference_oracle_variational(p)
+            assert sol.u is None
+            assert np.max(np.abs(sol.x.values - x)) <= 1e-13
+            assert abs(sol.objective_value - J) <= 1e-14 * max(1.0, abs(J))
+
     def test_rejects_nonquadratic_without_opt_in(self):
         p = minimal_length_problem(1.0, 5)
         with pytest.raises(tv.OracleError, match="grid_search"):
@@ -827,6 +858,25 @@ class TestBruteForceOracle:
             assert direct.converged and newton.converged
             assert np.max(np.abs(direct.x.values - oracle.x.values)) <= 1e-7
             assert np.max(np.abs(newton.x.values - oracle.x.values)) <= 1e-7
+
+
+class TestStartScale:
+    # a start on another time scale is refused, whatever its length
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_solve_control(self, n):
+        p = endpoint_penalty_control(tv.TimeScale.integer_range(0, 4))
+        u0 = tv.GridFunction(tv.TimeScale.uniform(0.0, 2.0, n), np.ones(n))
+        with pytest.raises(tv.ScaleMismatchError, match="u0"):
+            tv.solve_control(p, u0=u0)
+
+    @pytest.mark.parametrize("solve", [tv.solve_variational, tv.solve_stationarity])
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_variational_solvers(self, solve, n):
+        p = tv.VariationalProblem(tv.TimeScale.integer_range(0, 4),
+                                  tv.parse("v^2 + (z - 1)^2"), 0.0)
+        x0 = tv.GridFunction(tv.TimeScale.uniform(0.0, 2.0, n), np.ones(n))
+        with pytest.raises(tv.ScaleMismatchError, match="x0"):
+            solve(p, x0=x0)
 
 
 class TestSweep:
