@@ -464,6 +464,8 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
         raise ProblemFileError(f"bad values list {args.values!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ProblemFileError(f"values must be finite; got {args.values!r}")
     rows = sweep(
         lambda v: pf.build_problem({args.param: v}), values, pf.options
     )

@@ -11,7 +11,8 @@ formed by array arithmetic from one batch of the first partials of
 for either class.  The sufficiency screen takes either class, screens the
 control form and proves its dynamics linear from the second partials of
 ``g`` and the exact zero of ``g`` at the origin; only the convexity of
-``f`` is sampled, on 256 midpoint pairs from ``[-8, 8]^3``.
+``f`` is sampled, on 256 midpoint pairs from ``[-8, 8]^3``, each one
+``integers(0, k)`` and one six-wide ``uniform`` draw.
 
 Multiplier grids hold sigma-shifted samples: ``lam.values[i]`` is the
 multiplier composed with the forward jump, sampled at ``t_i``.  The sample at
@@ -311,27 +312,10 @@ _PASSED = SufficiencyVerdict(
 )
 
 
-def _draws(rng: np.random.Generator, ts: np.ndarray, n: int):
-    """Yield ``n`` samples ``(t, a, b)`` in Python floats: ``t`` from ``ts``,
-    then ``a`` and ``b``, three uniform draws each from the box.
-
-    ``rng.integers(0, len(ts))`` is the call ``rng.choice(ts)`` makes, so the
-    stream is the one ``choice`` and ``uniform(size=3)`` draw, in that order.
-    Float arithmetic on the samples has the bits of numpy's elementwise
-    arithmetic; unlike ``np.float64`` operands, floats make a scalar kernel
-    raise ``ZeroDivisionError`` where it divides by zero.
-    """
-    ts = ts.tolist()
-    k = len(ts)
-    for _ in range(n):
-        t = ts[rng.integers(0, k)]
-        yield t, rng.uniform(*_BOX, size=3).tolist(), rng.uniform(*_BOX, size=3).tolist()
-
-
 @lru_cache(maxsize=64)
 def _sampler_state(k: int) -> dict:
     """State of the generator seeded with 0 after 64 draws of one
-    ``integers(0, k)`` and two ``uniform(size=3)`` calls.
+    ``integers(0, k)`` and six doubles (two ``uniform(size=3)`` calls).
 
     Those are the draws of the sampled affinity probes that the exact
     linearity test replaced; the cost sampler starts where they left off,
@@ -341,8 +325,7 @@ def _sampler_state(k: int) -> dict:
     rng = np.random.default_rng(0)
     for _ in range(64):
         rng.integers(0, k)
-        rng.uniform(-4.0, 4.0, size=3)
-        rng.uniform(-2.0, 2.0, size=3)
+        rng.random(6)
     return rng.bit_generator.state
 
 
@@ -399,6 +382,11 @@ def sufficiency_check(p: VariationalProblem | ControlProblem) -> SufficiencyVerd
     drawn from ``[-8, 8]^3`` by a generator seeded with 0, so the verdict
     is a function of the problem; otherwise ``inconclusive`` with a witness.
     Only the convexity of the cost is sampled.
+
+    Each sample is one ``integers(0, k)`` draw (the call ``rng.choice``
+    makes) and one ``uniform(size=6)`` draw, with the bits of the former two
+    ``uniform(size=3)``; as Python floats, unlike ``np.float64``, they make
+    a scalar kernel raise ``ZeroDivisionError`` where it divides by zero.
     """
     if isinstance(p, VariationalProblem):
         p = ControlProblem.from_variational(p)
@@ -406,12 +394,14 @@ def sufficiency_check(p: VariationalProblem | ControlProblem) -> SufficiencyVerd
     if failed is not None:
         return failed
 
-    ts = p.scale.points[:-1]
+    ts = p.scale.points[:-1].tolist()
     rng = np.random.default_rng(0)
     rng.bit_generator.state = _sampler_state(len(ts))
-    f = ex.compile_fn(p.f)
-    for t, a, b in _draws(rng, ts, _SAMPLES):
-        (ax, au, az), (bx, bu, bz) = a, b
+    integers, uniform = rng.integers, rng.uniform
+    k, f = len(ts), ex.compile_fn(p.f)
+    for _ in range(_SAMPLES):
+        t = ts[integers(0, k)]
+        ax, au, az, bx, bu, bz = uniform(*_BOX, size=6).tolist()
         try:
             fa = f(t, ax, 0.0, az, au)
             fb = f(t, bx, 0.0, bz, bu)
@@ -420,13 +410,13 @@ def sufficiency_check(p: VariationalProblem | ControlProblem) -> SufficiencyVerd
             return SufficiencyVerdict(
                 "inconclusive",
                 f"running cost undefined inside the sampling box: {exc}",
-                (t, tuple(a), tuple(b)),
+                (t, (ax, au, az), (bx, bu, bz)),
             )
         slack = 1e-10 * (1.0 + abs(fa) + abs(fb))
         if fm > 0.5 * (fa + fb) + slack:
             return SufficiencyVerdict(
                 "inconclusive",
                 f"midpoint convexity violated by {fm - 0.5 * (fa + fb):.3e}",
-                (t, tuple(a), tuple(b)),
+                (t, (ax, au, az), (bx, bu, bz)),
             )
     return _PASSED

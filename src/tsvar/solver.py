@@ -723,8 +723,11 @@ def _interpreted_control(p: ControlProblem, gx: ex.Expr):
 
     def value(w: np.ndarray) -> float:
         *u, zeta = w.tolist()
-        return math.fsum(h * ex.evaluate(p.f, {"t": t, "x": xi, "u": ui, "z": zeta})
-                         for t, h, xi, ui in zip(pts, mu, state(w)[1:], u))
+        J = math.fsum(h * ex.evaluate(p.f, {"t": t, "x": xi, "u": ui, "z": zeta})
+                      for t, h, xi, ui in zip(pts, mu, state(w)[1:], u))
+        if not math.isfinite(J):
+            raise OracleError(f"objective is {J} at w = {w.tolist()}")
+        return J
 
     return state, value
 
@@ -810,8 +813,12 @@ def brute_force_oracle(
     d = partials(cp)
     if all(ex.variables(e) <= {"t"} for e in d[6:12]) and all(map(_is_zero, d[12:])):
         state, value = _interpreted_control(cp, d[3])
-        w = _oracle_control(state, value, p.scale.n)
-        u, x, J = w[:-1], np.array(state(w)), value(w)
+        try:
+            with np.errstate(over="raise"):
+                w = _oracle_control(state, value, p.scale.n)
+                u, x, J = w[:-1], np.array(state(w)), value(w)
+        except (OverflowError, FloatingPointError) as exc:
+            raise OracleError(f"objective overflows: {exc}") from None
     elif allow_grid_search:
         core = _Core(cp)
         u = _grid_search(lambda v: core.value(v)[0], p.scale.n - 1, box)

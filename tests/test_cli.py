@@ -709,6 +709,15 @@ class TestSweepCommand:
         ]) == 1
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", ["nan", "1,inf", "2,-inf"])
+    def test_non_finite_values_exit_one(self, length_file, values, capsys):
+        # no parameter value that is not finite can solve, and a NaN row
+        # would print an empty value cell
+        assert main(["sweep", str(length_file), "--param", "beta", "--values", values]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: values must be finite; got {values!r}\n"
+
     def test_output_file(self, length_file, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         main(["sweep", str(length_file), "--param", "beta", "--values", "2",

@@ -442,7 +442,10 @@ class TestSufficiency:
         assert one == two
 
     _COSTS = ("u^2 + x^2 + 3*(z - 1)^2", "0 - u^2 - x^2", "u^2 + 2*(z - 1)^2 + 0.3*cos(x)",
-              "u^2 - 0.001*u^4", "u^2 + exp(u - 40)", "u^2 + sqrt(x + 4)")
+              "u^2 - 0.001*u^4", "u^2 + exp(u - 40)", "u^2 + sqrt(x + 4)",
+              # the families of the var_mesh and sweep_small benchmark workloads;
+              # the second is not convex, yet the screen certifies it
+              "sqrt(1 + u^2) + 3.5*(z - 1)^2", "sqrt(1 + u^2) + 2*(z - 1)^2 + 0.1*cos(x)")
     _DYNAMICS = ("u", "u - 0.5*x", "u + 1", "u^2", "sqrt(x + 1) - 1", "u + sqrt(t - 4)",
                  "u*t - x*t^2 + 0.2*z")
     # the dynamics above that are not linear, and the second partial each names

@@ -780,6 +780,20 @@ class TestBruteForceOracle:
         with pytest.raises(tv.OracleError, match="not positive definite; no unique minimizer"):
             tv.brute_force_oracle(p)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f, message", [
+        # the sum of two finite values in the polarization overflows
+        ("1e308*u^2 + (z-1)^2", "objective overflows: overflow encountered in scalar add"),
+        # the sum of the terms of one value overflows
+        ("u^2 + 1e308*(z-1)^2", "objective overflows: intermediate overflow in fsum"),
+        # the coefficient is inf, and inf*0 is NaN at the origin
+        ("1e308*10*u^2 + (z-1)^2", r"objective is nan at w = \[0.0, 0.0, 0.0, 0.0\]"),
+    ])
+    def test_an_objective_that_overflows_is_an_oracle_error(self, f, message):
+        p = tv.ControlProblem(tv.TimeScale.integer_range(0, 3), tv.parse(f), tv.parse("u"), 0.0)
+        with pytest.raises(tv.OracleError, match=f"^{message}$"):
+            tv.brute_force_oracle(p)
+
     def test_variational_problems_match_the_grid_value_oracle(self):
         # the control form over (u, zeta) and the direct minimization over
         # x[1:] are one minimizer found two ways
