@@ -543,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="re-solve for each parameter value")
     p_sweep.add_argument("file")
     p_sweep.add_argument("--param", required=True)
-    p_sweep.add_argument("--values", required=True, help="comma-separated list")
+    p_sweep.add_argument("--values", required=True,
+                         help="comma-separated list; it may start with a negative value")
     p_sweep.add_argument("--out", default=None, help="also write the CSV table here")
     p_sweep.set_defaults(fn=cmd_sweep)
 
@@ -559,10 +560,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_values(argv: list[str]) -> list[str]:
+    # argparse reads a token that starts with a minus sign as an option unless
+    # it is a plain number, so a list such as -1,2 is joined to its --values
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--values" and re.match(r"-\.?\d", tok):
+            out[-1] = f"--values={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
         return args.fn(args)
     except (TsvarError, OSError, UnicodeDecodeError) as exc:  # usage and file errors
         print(f"error: {exc}", file=sys.stderr)

@@ -48,10 +48,12 @@ A returned :class:`Solution` keeps its problem and grids; on each read,
 :func:`residual_report` recomputes its multipliers and residual report from
 them, as it makes the report of a ``tsvar verify`` candidate.
 
-:func:`brute_force_oracle` has one path for both classes and shares no code
-with the solvers on quadratic problems: it values points by the interpreted
-walk, propagates its own state and solves one KKT system, whose inertia must
-show a unique minimizer.
+:func:`brute_force_oracle` has one exact path for both classes, and no grid
+search: it takes only quadratic costs with affine dynamics, and shares no
+code with the solvers.  It values points by the interpreted walk,
+propagates its own state and solves one KKT system, whose inertia, read on
+the diagonally scaled matrix so that any scale of the problem reads alike,
+must show a unique minimizer.
 """
 
 from __future__ import annotations
@@ -586,7 +588,11 @@ def _armijo(J, hu, r, d, step, Jn, derivatives):
     # the epsilon term keeps the test meaningful once the predicted
     # decrease drops below the rounding of J itself
     slack = 4.0 * np.finfo(float).eps * (1.0 + abs(J))
-    return derivatives() if Jn <= J + _ARMIJO * step * float(r @ d) + slack else None
+    # a run-off solve can overflow the predicted decrease; its -inf refuses
+    # the trial, with no warning
+    with np.errstate(over="ignore"):
+        slope = float(r @ d)
+    return derivatives() if Jn <= J + _ARMIJO * step * slope + slack else None
 
 
 def _minimize(
@@ -739,8 +745,12 @@ def _oracle_control(state, value, m: int) -> np.ndarray:
     The stationary point is the unique minimizer exactly when the Hessian is
     positive definite on the constraint's null space, that is when the KKT
     matrix has exactly one negative eigenvalue and none zero (Nocedal &
-    Wright, *Numerical Optimization*, 2nd ed., section 16.1); an eigenvalue
-    within ``1e-10`` of zero, relative to the largest, counts as zero.
+    Wright, *Numerical Optimization*, 2nd ed., section 16.1).  The inertia
+    is read on ``D kkt D``, whose positive diagonal ``D`` brings each
+    control's curvature to unit size (1 where it is 0) and the constraint
+    row to unit length: a congruence keeps the inertia (Sylvester), and an
+    eigenvalue within ``1e-10`` of zero, relative to the largest, counts as
+    zero on any scale of the problem.  The solve runs on ``kkt`` itself.
     """
 
     def constraint(w):
@@ -757,77 +767,48 @@ def _oracle_control(state, value, m: int) -> np.ndarray:
     kkt[:m, :m] = A
     kkt[:m, m] = a
     kkt[m, :m] = a
-    eig = np.linalg.eigvalsh(kkt)
+    diag = np.abs(np.diag(A))
+    D = np.ones(m + 1)
+    D[:m] = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    row = float(np.linalg.norm(D[:m] * a))
+    D[m] = 1.0 / row if row > 0.0 else 1.0
+    eig = np.linalg.eigvalsh(D[:, None] * kkt * D)
     near_zero = np.abs(eig) <= 1e-10 * max(1.0, float(np.max(np.abs(eig))))
     if np.count_nonzero(eig < 0.0) != 1 or near_zero.any():
         raise OracleError("stationary system is not positive definite; no unique minimizer")
     return np.linalg.solve(kkt, np.concatenate((-b, [-c0])))[:m]
 
 
-def _grid_search(value, m: int, box: tuple[float, float]) -> np.ndarray:
-    """Nested refinement search; slow, for small non-quadratic problems."""
-    lo = np.full(m, box[0])
-    hi = np.full(m, box[1])
-    pts_per_dim = 5
-    best = None
-    while np.max(hi - lo) > 1e-6:
-        axes = [np.linspace(lo[d], hi[d], pts_per_dim) for d in range(m)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([g.ravel() for g in grids], axis=1)
-        vals = np.array([value(w) for w in coords])
-        best = coords[int(np.argmin(vals))]
-        width = (hi - lo) * 0.25
-        lo = best - width
-        hi = best + width
-    return best
-
-
-def brute_force_oracle(
-    p: VariationalProblem | ControlProblem,
-    *,
-    allow_grid_search: bool = False,
-    box: tuple[float, float] = (-4.0, 4.0),
-) -> Solution:
+def brute_force_oracle(p: VariationalProblem | ControlProblem) -> Solution:
     """Independent reference solve for small problems, on the control form.
 
     A variational problem is solved in its control form ``g = u``
     (:meth:`ControlProblem.from_variational`), so its controls are the slopes
-    ``x_delta``, and its solution has ``u = None``.  Problems with a quadratic
-    cost and affine dynamics in ``(x, u, z)`` are solved exactly: the
-    objective over ``w = (u, zeta)`` is recovered by polarization from
-    function values alone and the KKT system of the end-value constraint
-    ``x(T) = zeta`` is solved directly, after its inertia shows that the
-    stationary point is the unique minimizer; otherwise ``OracleError``.
-    Those values come from the interpreted walk of :func:`expr.evaluate`,
-    with the oracle's own state propagation, so no compiled kernel and no
-    solver code enter the solution.  Anything else needs
-    ``allow_grid_search``, which values points as the solvers do and searches
-    the controls (the slopes, for a variational problem) in ``box``.
+    ``x_delta``, and its solution has ``u = None``.  The cost must be
+    quadratic and the dynamics affine in ``(x, u, z)``, on at most 8 scale
+    points; otherwise ``OracleError``.  The objective over ``w = (u, zeta)``
+    is recovered by polarization from function values alone, and the KKT
+    system of the end-value constraint ``x(T) = zeta`` is solved directly,
+    after its inertia shows that the stationary point is the unique
+    minimizer.  Those values come from the interpreted walk of
+    :func:`expr.evaluate`, with the oracle's own state propagation, so no
+    compiled kernel and no solver code enter the solution.
     """
     if not isinstance(p, (VariationalProblem, ControlProblem)):
         raise OracleError(f"unsupported problem type {type(p).__name__}")
     if p.scale.n > 8:
         raise OracleError("oracle supports at most 8 scale points")
     cp = ControlProblem.from_variational(p) if isinstance(p, VariationalProblem) else p
-    # quadratic cost and affine dynamics in (x, u, z)
     d = partials(cp)
-    if all(ex.variables(e) <= {"t"} for e in d[6:12]) and all(map(_is_zero, d[12:])):
-        state, value = _interpreted_control(cp, d[3])
-        try:
-            with np.errstate(over="raise"):
-                w = _oracle_control(state, value, p.scale.n)
-                u, x, J = w[:-1], np.array(state(w)), value(w)
-        except (OverflowError, FloatingPointError) as exc:
-            raise OracleError(f"objective overflows: {exc}") from None
-    elif allow_grid_search:
-        core = _Core(cp)
-        u = _grid_search(lambda v: core.value(v)[0], p.scale.n - 1, box)
-        J, x, _ = core.value(u)
-    else:
-        raise OracleError(
-            "oracle needs a quadratic cost and affine dynamics; "
-            "pass allow_grid_search=True otherwise"
-        )
+    if not (all(ex.variables(e) <= {"t"} for e in d[6:12]) and all(map(_is_zero, d[12:]))):
+        raise OracleError("oracle needs a quadratic cost and affine dynamics")
+    state, value = _interpreted_control(cp, d[3])
+    try:
+        with np.errstate(over="raise"):
+            w = _oracle_control(state, value, p.scale.n)
+            u, x, J = w[:-1], np.array(state(w)), value(w)
+    except (OverflowError, FloatingPointError) as exc:
+        raise OracleError(f"objective overflows: {exc}") from None
     return Solution(
         problem=p, x=GridFunction(p.scale, x),
         u=None if cp is not p else GridFunction(p.scale, np.append(u, np.nan)),

@@ -13,6 +13,7 @@ import tsvar as tv
 from tsvar.solver import _Core, _riccati_step, _shifted_control_step
 from helpers import (
     admissible_grid,
+    bisect_root,
     endpoint_penalty_control,
     endpoint_tracking_control,
     hamiltonian_stages,
@@ -806,26 +807,56 @@ class TestBruteForceOracle:
             assert np.max(np.abs(sol.x.values - x)) <= 1e-13
             assert abs(sol.objective_value - J) <= 1e-14 * max(1.0, abs(J))
 
-    def test_rejects_nonquadratic_without_opt_in(self):
+    def test_rejects_a_nonquadratic_variational_cost(self):
         p = minimal_length_problem(1.0, 5)
-        with pytest.raises(tv.OracleError, match="grid_search"):
+        with pytest.raises(tv.OracleError,
+                           match=r"^oracle needs a quadratic cost and affine dynamics$"):
             tv.brute_force_oracle(p)
 
-    def test_grid_search_fallback(self):
-        ts = tv.TimeScale.integer_range(0, 2)
-        p = tv.VariationalProblem(ts, tv.parse("sqrt(1+v^2) + (z-1)^2"), 0.0)
-        slow = tv.brute_force_oracle(p, allow_grid_search=True, box=(-2.0, 2.0))
-        fast = tv.solve_variational(p, TIGHT)
-        assert np.max(np.abs(slow.x.values - fast.x.values)) <= 1e-5
+    @pytest.mark.parametrize("points, beta", [
+        ([0.0, 1.0, 2.0], 1.0),
+        ([0.0, 0.3, 0.5, 1.2, 1.25], 2.5),
+    ], ids=["integers", "mixed"])
+    def test_penalized_length_is_the_straight_line(self, points, beta):
+        # sqrt(1+v^2) is convex, so for a given end value equal slopes give
+        # the least length (Jensen): the minimizer is x = s*(t - a), whose
+        # slope s is the root of the derivative of (T-a)*(sqrt(1+s^2) +
+        # beta*((T-a)*s - 1)^2), on any time scale
+        ts = tv.TimeScale.from_points(points)
+        p = tv.VariationalProblem(ts, tv.parse(f"sqrt(1+v^2) + ({beta:.17g})*(z-1)^2"), 0.0)
+        span = points[-1] - points[0]
+        s = bisect_root(lambda s: s / math.sqrt(1 + s * s) + 2 * beta * span * (span * s - 1),
+                        0.0, 1.0 / span)
+        sol = tv.solve_variational(p, TIGHT)
+        assert sol.converged
+        assert np.max(np.abs(sol.x.values - s * (ts.points - points[0]))) <= 1e-9
+        if beta == 1.0:
+            assert sol.x.values == pytest.approx([0.0, 0.448817, 0.897633], abs=1e-6)
 
     @pytest.mark.parametrize("f, g", [
         ("u^2 + x^2 + 3*(z - 1)^2", "u + x*u"),  # dynamics not affine
         ("u^2 + x^4", "u"),  # cost not quadratic
     ])
-    def test_control_guards_reject_without_opt_in(self, f, g):
+    def test_control_guards_reject_nonquadratic_input(self, f, g):
         p = tv.ControlProblem(tv.TimeScale.integer_range(0, 4), tv.parse(f), tv.parse(g), 0.5)
-        with pytest.raises(tv.OracleError, match="grid_search"):
+        with pytest.raises(tv.OracleError,
+                           match=r"^oracle needs a quadratic cost and affine dynamics$"):
             tv.brute_force_oracle(p)
+
+    @pytest.mark.parametrize("w", [1e9, 1e10, 1e12, 1e14])
+    def test_reads_the_inertia_of_a_badly_scaled_problem(self, w):
+        # the KKT matrix's negative eigenvalue is about 1/w of its largest,
+        # so its unscaled inertia reads a zero; the minimizer is exactly
+        # x = s*t with s = 3/(w + 9)
+        ts = tv.TimeScale.integer_range(0, 3)
+        p = tv.ControlProblem(ts, tv.parse(f"({w:.17g})*u^2 + (z-1)^2"), tv.parse("u"), 0.0)
+        sol = tv.brute_force_oracle(p)
+        want = 3.0 / (w + 9.0) * ts.points
+        assert np.max(np.abs(sol.x.values - want)) <= 1e-12 * want[-1]
+        if w in (1e9, 1e12):
+            direct = tv.solve_control(p, TIGHT)
+            assert direct.converged
+            assert np.max(np.abs(direct.x.values - sol.x.values)) <= 1e-12 * want[-1]
 
     def test_control_guards_accept_quadratic_cost_and_affine_dynamics(self):
         ts = tv.TimeScale.from_points([0.0, 0.5, 1.5, 2.0, 3.5])
@@ -838,13 +869,16 @@ class TestBruteForceOracle:
         assert np.max(np.abs(direct.x.values - oracle.x.values)) <= 1e-9
         assert np.max(np.abs(direct.u.values[:-1] - oracle.u.values[:-1])) <= 1e-9
 
-    def test_quadratic_branches_use_no_kernel_and_no_core(self, monkeypatch):
-        # the oracle checks the solvers and their compiled kernels, so its
-        # quadratic branches value points by the interpreted walk and
-        # propagate their own state: wrong kernels leave its solutions alone
+    def test_oracle_uses_no_kernel_no_core_and_no_solver_loop(self, monkeypatch):
+        # the oracle checks the solvers and their compiled kernels, so it
+        # values points by the interpreted walk and propagates its own state:
+        # wrong kernels leave its solutions alone, and it never reaches the
+        # solver's core, its Newton loop or the pointwise kernel
         rng = np.random.default_rng(41)
         problems = [random_quadratic_problem(rng), random_quadratic_control(rng),
-                    random_quadratic_control(rng)]
+                    random_quadratic_control(rng),
+                    tv.ControlProblem(tv.TimeScale.integer_range(0, 3),
+                                      tv.parse("1e12*u^2 + (z-1)^2"), tv.parse("u"), 0.0)]
         want = [tv.brute_force_oracle(p) for p in problems]
         compile_fn = tv.expr.compile_fn
 
@@ -852,11 +886,14 @@ class TestBruteForceOracle:
             fn = compile_fn(e, array)
             return lambda *args: 2.0 * fn(*args) + 1.0
 
-        def no_core(p):
-            raise AssertionError("the oracle built the solver's core")
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"the oracle called the solver's {name}")
+            return call
 
         monkeypatch.setattr(tv.expr, "compile_fn", wrong)
-        monkeypatch.setattr(tv.solver, "_Core", no_core)
+        for name in ("_Core", "_minimize", "pointwise"):
+            monkeypatch.setattr(tv.solver, name, forbidden(name))
         for p, ref in zip(problems, want):
             sol = tv.brute_force_oracle(p)
             assert np.array_equal(sol.x.values, ref.x.values)
@@ -908,6 +945,15 @@ class TestSweep:
         assert rows[4].converged and cold.converged
         assert (rows[4].slope, rows[4].endpoint, rows[4].objective) == (
             cold.slope, float(cold.x.values[-1]), cold.objective_value)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_run_off_row_warns_nothing(self):
+        # beta = -1 makes the length cost unbounded below: the solve runs off
+        # until the predicted decrease overflows, which refuses the trial
+        rows = tv.sweep(lambda b: minimal_length_problem(b, 10), [-1.0, 2.0])
+        assert not rows[0].converged and rows[0].message == "gradient tolerance not reached"
+        assert rows[0].objective < -1e300
+        assert rows[1].converged
 
     def test_slopes_increase_toward_one(self):
         rows = tv.sweep(
