@@ -520,8 +520,14 @@ def cmd_info(args) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
+# argparse takes a token such as -1,2 for an option, not for the value of --values
+_NEGATIVE_VALUES = "write --values=-1,2 for a list that starts with a negative value"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors map to exit code 1, not argparse's 2
+        if message.startswith("argument --values:"):
+            message = f"{message}; {_NEGATIVE_VALUES}"
         raise ProblemFileError(message)
 
 
@@ -544,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("file")
     p_sweep.add_argument("--param", required=True)
     p_sweep.add_argument("--values", required=True,
-                         help="comma-separated list; it may start with a negative value")
+                         help=f"comma-separated list; {_NEGATIVE_VALUES}")
     p_sweep.add_argument("--out", default=None, help="also write the CSV table here")
     p_sweep.set_defaults(fn=cmd_sweep)
 
@@ -560,22 +566,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_values(argv: list[str]) -> list[str]:
-    # argparse reads a token that starts with a minus sign as an option unless
-    # it is a plain number, so a list such as -1,2 is joined to its --values
-    out: list[str] = []
-    for tok in argv:
-        if out and out[-1] == "--values" and re.match(r"-\.?\d", tok):
-            out[-1] = f"--values={tok}"
-        else:
-            out.append(tok)
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(argv)
         return args.fn(args)
     except (TsvarError, OSError, UnicodeDecodeError) as exc:  # usage and file errors
         print(f"error: {exc}", file=sys.stderr)

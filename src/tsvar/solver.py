@@ -53,7 +53,7 @@ search: it takes only quadratic costs with affine dynamics, and shares no
 code with the solvers.  It values points by the interpreted walk,
 propagates its own state and solves one KKT system, whose inertia, read on
 the diagonally scaled matrix so that any scale of the problem reads alike,
-must show a unique minimizer.
+must show a unique minimizer that the rounding of its entries cannot hide.
 """
 
 from __future__ import annotations
@@ -93,6 +93,7 @@ _NEWTON_STEPS = 50  # per implicit state step; Newton converges in a few
 _CONSISTENCY_STEPS = 50  # secant steps of the end-value consistency solve
 _CONSISTENCY_TOL = 1e-12  # relative end-value mismatch that closes it
 _STEP_TOLERANCE = 1e-12  # a backtracking line search gives up below this step size
+_ROUNDING = 16 * np.finfo(float).eps  # oracle: relative rounding of one value, with room
 
 
 @dataclass(frozen=True)
@@ -689,25 +690,23 @@ def solve_control(
 
 
 def _polarize_quadratic(fun, m: int):
-    """Exact quadratic model ``1/2 w'Aw + b'w + c`` from function values."""
+    """Exact quadratic model ``1/2 w'Aw + b'w + c`` from function values, and
+    a bound on the rounding of each entry of ``A``: ``_ROUNDING`` times the
+    sizes of the values that entry is polarized from."""
     c = fun(np.zeros(m))
-    A = np.empty((m, m))
-    b = np.empty(m)
-    plus = np.empty(m)
+    eye = np.eye(m)
+    plus = np.array([fun(e) for e in eye])
+    A, err, b = np.empty((m, m)), np.empty((m, m)), np.empty(m)
     for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        plus[i] = fun(e)
-        minus = fun(-e)
+        minus = fun(-eye[i])
         b[i] = 0.5 * (plus[i] - minus)
         A[i, i] = plus[i] + minus - 2.0 * c
-    for i in range(m):
-        for j in range(i + 1, m):
-            e = np.zeros(m)
-            e[i] = 1.0
-            e[j] = 1.0
-            A[i, j] = A[j, i] = fun(e) - plus[i] - plus[j] + c
-    return A, b, c
+        err[i, i] = abs(plus[i]) + abs(minus) + 2.0 * abs(c)
+        for j in range(i):
+            both = fun(eye[j] + eye[i])
+            A[i, j] = A[j, i] = both - plus[j] - plus[i] + c
+            err[i, j] = err[j, i] = abs(both) + abs(plus[j]) + abs(plus[i]) + abs(c)
+    return A, b, c, _ROUNDING * err
 
 
 def _interpreted_control(p: ControlProblem, gx: ex.Expr):
@@ -747,33 +746,37 @@ def _oracle_control(state, value, m: int) -> np.ndarray:
     matrix has exactly one negative eigenvalue and none zero (Nocedal &
     Wright, *Numerical Optimization*, 2nd ed., section 16.1).  The inertia
     is read on ``D kkt D``, whose positive diagonal ``D`` brings each
-    control's curvature to unit size (1 where it is 0) and the constraint
-    row to unit length: a congruence keeps the inertia (Sylvester), and an
-    eigenvalue within ``1e-10`` of zero, relative to the largest, counts as
-    zero on any scale of the problem.  The solve runs on ``kkt`` itself.
+    control's curvature to unit size (1 where it is within rounding of 0)
+    and the constraint row to unit length: a congruence keeps the inertia
+    (Sylvester), so the same test reads any scale of the problem.  An
+    eigenvalue counts as zero when it is within ``1e-10`` of the largest,
+    or when the rounding of the polarized entries, scaled by ``D``, could
+    move it by a millionth of its size or more (Weyl): a singular problem
+    whose curvature is rounding noise is refused, and noise rules no
+    accepted solve.  The solve runs on ``kkt`` itself.
     """
 
     def constraint(w):
         return state(w)[-1] - float(w[-1])
 
-    A, b, _ = _polarize_quadratic(value, m)
+    A, b, _, err = _polarize_quadratic(value, m)
     c0 = constraint(np.zeros(m))
-    a = np.empty(m)
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        a[i] = constraint(e) - c0
+    ends = np.array([constraint(e) for e in np.eye(m)])
+    a = ends - c0
     kkt = np.zeros((m + 1, m + 1))
     kkt[:m, :m] = A
-    kkt[:m, m] = a
-    kkt[m, :m] = a
+    kkt[:m, m] = kkt[m, :m] = a
+    noise = np.zeros((m + 1, m + 1))
+    noise[:m, :m] = err
+    noise[:m, m] = noise[m, :m] = _ROUNDING * (np.abs(ends) + abs(c0))
     diag = np.abs(np.diag(A))
     D = np.ones(m + 1)
-    D[:m] = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    D[:m] = 1.0 / np.sqrt(np.where(diag > np.diag(err), diag, 1.0))
     row = float(np.linalg.norm(D[:m] * a))
     D[m] = 1.0 / row if row > 0.0 else 1.0
     eig = np.linalg.eigvalsh(D[:, None] * kkt * D)
-    near_zero = np.abs(eig) <= 1e-10 * max(1.0, float(np.max(np.abs(eig))))
+    moved = float(np.linalg.norm(D[:, None] * noise * D))
+    near_zero = np.abs(eig) <= max(1e-10 * max(1.0, float(np.max(np.abs(eig)))), 1e6 * moved)
     if np.count_nonzero(eig < 0.0) != 1 or near_zero.any():
         raise OracleError("stationary system is not positive definite; no unique minimizer")
     return np.linalg.solve(kkt, np.concatenate((-b, [-c0])))[:m]

@@ -238,7 +238,7 @@ def reference_oracle_variational(p: tv.VariationalProblem) -> tuple[np.ndarray, 
         return math.fsum(h * tv.evaluate(p.f, {"t": t, "x": b, "v": (b - a) / h, "z": x[-1]})
                          for t, h, a, b in zip(pts, mu, x, x[1:]))
 
-    A, b, _ = solver._polarize_quadratic(value, p.scale.n - 1)
+    A, b, _, _ = solver._polarize_quadratic(value, p.scale.n - 1)
     eig = np.linalg.eigvalsh(0.5 * (A + A.T))
     if eig[0] <= 1e-10 * max(1.0, abs(eig[-1])):
         raise tv.OracleError("stationary system is not positive definite; no unique minimizer")

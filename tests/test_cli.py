@@ -719,20 +719,23 @@ class TestSweepCommand:
         assert captured.err == f"error: values must be finite; got {values!r}\n"
 
     @pytest.mark.filterwarnings("error")
-    def test_values_may_start_with_a_negative_value(self, tmp_path, capsys):
-        # argparse alone reads -1,2 as an option; beta = -1 runs off, beta = 2
-        # converges, and neither prints a warning
+    def test_a_list_that_starts_negative_takes_the_equals_form(self, tmp_path, capsys):
+        # argparse reads -1,2 after a space as an option, and the error says
+        # what to write instead; beta = -1 runs off, beta = 2 converges, and
+        # neither prints a warning
         path = tmp_path / "length.ini"
         path.write_text(PENALIZED_LENGTH.replace("n = 100", "n = 10"))
-        outputs = []
-        for form in (["--values", "-1,2"], ["--values=-1,2"]):
-            assert main(["sweep", str(path), "--param", "beta", *form]) == 2
-            outputs.append(capsys.readouterr())
-        assert outputs[0] == outputs[1]
-        lines = outputs[0].out.strip().splitlines()
+        assert main(["sweep", str(path), "--param", "beta", "--values", "-1,2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: argument --values: expected one argument; write "
+                                "--values=-1,2 for a list that starts with a negative value\n")
+        assert main(["sweep", str(path), "--param", "beta", "--values=-1,2"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["-1", "2"]
         assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["false", "true"]
-        assert outputs[0].err == "row -1: gradient tolerance not reached\n"
+        assert captured.err == "row -1: gradient tolerance not reached\n"
 
     def test_output_file(self, length_file, tmp_path, capsys):
         out = tmp_path / "rows.csv"

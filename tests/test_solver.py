@@ -781,6 +781,18 @@ class TestBruteForceOracle:
         with pytest.raises(tv.OracleError, match="not positive definite; no unique minimizer"):
             tv.brute_force_oracle(p)
 
+    @pytest.mark.parametrize("form", ["control", "variational"])
+    def test_refuses_a_cost_linear_in_the_control(self, form):
+        # the cost is 2*x(T) + T*(z-1)^2: the end value is unique, but any
+        # path to it is a minimizer, and the controls' curvature is rounding
+        # noise that a scaling by 1/sqrt|A_ii| alone would blow up to O(1)
+        ts = tv.TimeScale.from_points([0.0, 0.5, 1.2])
+        p = tv.VariationalProblem(ts, tv.parse("2*v + (z-1)^2"), 0.0)
+        if form == "control":
+            p = tv.ControlProblem(ts, tv.parse("2*u + (z-1)^2"), tv.parse("u"), 0.0)
+        with pytest.raises(tv.OracleError, match="not positive definite; no unique minimizer"):
+            tv.brute_force_oracle(p)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("f, message", [
         # the sum of two finite values in the polarization overflows
