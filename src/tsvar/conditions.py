@@ -3,7 +3,8 @@ convexity/linearity sufficiency screen.
 
 Variational problems get the Euler-Lagrange residual on the interior
 differentiation points and a single transversality residual that couples the
-boundary term with the delta integral of the ``z``-partial.  Control problems
+boundary term with the delta integral of the ``z``-partial, both from the
+first partials of the control form ``g = u`` at the slopes.  Control problems
 get the four Hamiltonian families (state, costate, stationarity,
 transversality) of ``H = f + lam*g``, whose partials ``f_a + lam*g_a`` are
 formed by array arithmetic from one batch of the first partials of
@@ -116,9 +117,10 @@ def _sup(*families) -> float:
 
 
 def _variational_partials(p: VariationalProblem, x: GridFunction) -> np.ndarray:
-    """Rows ``f_x``, ``f_v``, ``f_z`` at every integrand term of ``x``."""
+    """Rows ``f_x, f_v, f_z``: ``f_x, f_u, f_z`` of the control form at the slopes."""
     _check_admissible(p, x)
-    return pointwise(*(ex.diff(p.f, a) for a in "xvz"))(terms(p.scale, x.values))
+    fx, fu, fz = partials(ControlProblem.from_variational(p))[:3]
+    return pointwise(fx, fu, fz)(terms(p.scale, x.values, u=x.delta_values))
 
 
 def euler_lagrange_residual(p: VariationalProblem, x: GridFunction) -> np.ndarray:
@@ -140,22 +142,18 @@ def transversality_residual(p: VariationalProblem, x: GridFunction, form: str = 
     """Boundary residual for the free end value.
 
     ``form="general"`` integrates the ``x``-partial over the final step;
-    ``form="regular"`` replaces that one-step integral by its graininess-
-    weighted endpoint value, valid on regular scales.  The two agree to
-    rounding on every finite representation.
+    ``form="regular"`` takes its graininess-weighted endpoint value, valid on
+    regular scales.  On every finite representation that one-step integral
+    is the endpoint value, so the two forms give the same bits.
     """
     if form not in ("general", "regular"):
         raise ValueError(f"unknown form {form!r}")
-    return _transversality(p.scale, *_variational_partials(p, x), form)
+    return _transversality(p.scale, *_variational_partials(p, x))
 
 
-def _transversality(ts: TimeScale, fx, fv, fz, form: str) -> float:
+def _transversality(ts: TimeScale, fx, fv, fz) -> float:
     k = ts.n - 2  # backward jump of the end point
-    if form == "general":
-        step = GridFunction(ts, np.append(fx, 0.0)).delta_integral(k, ts.n - 1)
-    else:
-        step = ts.mu_values[k] * fx[k]
-    return float(fv[k] + step + integrate_terms(ts, fz))
+    return float(fv[k] + ts.mu_values[k] * fx[k] + integrate_terms(ts, fz))
 
 
 def transversality_residual_classical(p: VariationalProblem, x: GridFunction) -> float:
@@ -191,7 +189,7 @@ def transversality_residual_discrete(p: VariationalProblem, x: GridFunction) -> 
 def variational_residuals(p: VariationalProblem, x: GridFunction) -> ResidualReport:
     fx, fv, fz = _variational_partials(p, x)
     el = _euler_lagrange(p.scale, fx, fv)
-    tc = _transversality(p.scale, fx, fv, fz, "general")
+    tc = _transversality(p.scale, fx, fv, fz)
     return ResidualReport(
         scale=p.scale,
         el_residuals=el,

@@ -34,13 +34,13 @@ FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos")
 
 _BINARY_OPS = ("add", "sub", "mul", "div", "pow")
 
-# Cache bounds: a sweep builds a new expression per value, and one solve
-# with its residual report, from empty caches, fills 96 ``diff`` and 10
-# ``compile_fn`` entries for ``sqrt(1 + v^2) + 2*(z - 1)^2 + 0.5*cos(x)`` (a
-# variational solve runs the control core on its ``g = u`` form), and 59 and
-# 7 for the control problem ``u^2 + x^2 + 3*(z - 1)^2``, ``g = u - 0.5*x``;
-# each of those kernels has a shape of its own.  ``compile_fn`` keeps one
-# kernel per tree but compiles one source per shape, the tree with its
+# Cache bounds: a sweep builds a new expression per value.  One solve on the
+# integers 0..8, from empty caches, fills 68 ``diff`` and 8 ``compile_fn``
+# entries for ``sqrt(1 + v^2) + 2*(z - 1)^2 + 0.5*cos(x)`` (its ``g = u``
+# form, the only one evaluated), and 59 and 6 for the control problem
+# ``u^2 + x^2 + 3*(z - 1)^2``, ``g = u - 0.5*x``; reading either report adds
+# none.  Each of those kernels has a shape of its own.  ``compile_fn`` keeps
+# one kernel per tree but compiles one source per shape, the tree with its
 # constants as names: sweep rows that differ only in a constant share every
 # shape, so a sweep compiles as often as one row.
 _DIFF_CACHE_SIZE = 1024

@@ -11,7 +11,8 @@ Every pointwise evaluation in the package goes through one kernel here:
 :func:`terms` lays out the integrand terms ``i = 0 .. n-2`` as numpy
 columns, :func:`pointwise` evaluates expressions on all of them at once, and
 :func:`integrate_terms` sums graininess-weighted term values exactly.  Every
-partial of a control problem's ``f`` and ``g`` comes from :func:`partials`.
+partial of either problem class comes from :func:`partials`; a variational
+problem is evaluated only as its control form ``g = u`` at the slopes.
 """
 
 from __future__ import annotations
@@ -84,20 +85,17 @@ class ControlProblem:
         return cls(p.scale, ex.substitute(p.f, "v", ex.Var("u")), ex.Var("u"), p.alpha)
 
 
-def terms(scale: TimeScale, x, *, u=None, lam=None, z: float | None = None) -> tuple:
+def terms(scale: TimeScale, x, *, u, lam=None, z: float | None = None) -> tuple:
     """Arguments of the integrand terms ``i = 0 .. n-2`` as numpy columns.
 
     The columns follow the positional order of :func:`expr.compile_fn`:
-    ``t_i``, ``x_{i+1}``, then ``v_i = (x_{i+1} - x_i) / mu_i`` and ``z``;
-    with control samples ``u`` the ``v`` slot is ``0.0`` and ``u_i`` follows
-    ``z``, then the multiplier samples ``lam_i`` when given.  ``z`` defaults
-    to the end value ``x(T)``.
+    ``t_i``, ``x_{i+1}``, ``0.0`` in the unused ``v`` slot, ``z`` and the
+    control samples ``u_i``, then the multiplier samples ``lam_i`` when
+    given.  ``z`` defaults to the end value ``x(T)``.
     """
     xv = np.asarray(x, dtype=float)
     m = scale.n - 1
     z = np.float64(xv[-1] if z is None else z)
-    if u is None:
-        return (scale.points[:-1], xv[1:], (xv[1:] - xv[:-1]) / scale.mu_values[:-1], z)
     cols = (scale.points[:-1], xv[1:], 0.0, z, np.asarray(u, dtype=float)[:m])
     return cols if lam is None else (*cols, np.asarray(lam, dtype=float)[:m])
 
@@ -159,7 +157,8 @@ def _check_admissible(p, x: GridFunction) -> None:
 def objective(p: VariationalProblem, x: GridFunction) -> float:
     """Delta-integral value of the Lagrangian along an admissible candidate."""
     _check_admissible(p, x)
-    return integrate_terms(p.scale, pointwise(p.f)(terms(p.scale, x.values))[0])
+    f = ControlProblem.from_variational(p).f
+    return integrate_terms(p.scale, pointwise(f)(terms(p.scale, x.values, u=x.delta_values))[0])
 
 
 def objective_control(p: ControlProblem, x: GridFunction, u: GridFunction) -> float:

@@ -92,7 +92,7 @@ _SINGULAR = 1e-13  # |1 - mu g_x| below this: the state or costate step has no u
 _NEWTON_STEPS = 50  # per implicit state step; Newton converges in a few
 _CONSISTENCY_STEPS = 50  # secant steps of the end-value consistency solve
 _CONSISTENCY_TOL = 1e-12  # relative end-value mismatch that closes it
-_STEP_TOLERANCE = 1e-12  # a backtracking line search gives up below this step size
+_STEP_TOLERANCE = 1e-12  # the line search stops halving below this step size
 _ROUNDING = 16 * np.finfo(float).eps  # oracle: relative rounding of one value, with room
 
 
@@ -196,7 +196,7 @@ def solve_variational(
     the slopes ``x_delta``, by :func:`_minimize` with the shifted steps and
     Armijo's test.  It stops when the sup of the gradient over the grid
     values, whose interior coordinates carry a factor ``mu``, is below
-    ``gradient_tolerance``.  ``iterations`` counts Newton steps;
+    ``gradient_tolerance``.  ``iterations`` counts the steps taken;
     ``on_accept`` sees each accepted iterate ``x[1:]`` and its objective value.
     """
     opts = opts or SolveOptions()
@@ -614,10 +614,11 @@ def _minimize(
     ``line_test(J, hu, r, d, step, Jn, derivatives)`` returns the trial's
     ``(hu, stages)``, got by calling ``derivatives()``, or ``None``.  A trial
     point whose state, objective or partials cannot be evaluated halves the
-    step too; a step below ``_STEP_TOLERANCE`` ends the loop, as does
-    ``size(hu)`` below ``gradient_tolerance``.  ``on_accept(w, x, J)`` sees
-    each accepted iterate.  Returns the controls, the state, the objective
-    value, the number of Newton steps and whether the stopping rule holds.
+    step too.  The full step is always tried; a halving below
+    ``_STEP_TOLERANCE`` ends the loop, as does ``size(hu)`` below
+    ``gradient_tolerance``.  ``on_accept(w, x, J)`` sees each accepted
+    iterate.  Returns the controls, the state, the objective value, the
+    number of steps taken and whether the stopping rule holds.
     """
     mu = p.scale.mu_values[:-1]
     core = _Core(p)
@@ -631,22 +632,20 @@ def _minimize(
         raise SolveError(f"residuals undefined at the starting point: {exc}") from exc
     iters = 0
     while size(hu) >= opts.gradient_tolerance and iters < opts.max_iterations:
-        iters += 1
         r = mu * hu
         d = step_rule(stages, r)
-        step = 1.0
-        while step * np.max(np.abs(d)) >= _STEP_TOLERANCE:
+        d_max, step, found = np.max(np.abs(d)), 1.0, None
+        while found is None and (step == 1.0 or step * d_max >= _STEP_TOLERANCE):
             trial = w + step * d
             try:
                 Jn, xn, zn = core.value(trial)
                 found = line_test(J, hu, r, d, step, Jn, lambda: core.derivatives(trial, xn, zn))
             except (SolveError, *_DOMAIN_ERRORS):
                 found = None
-            if found is not None:
-                break
             step *= 0.5
-        else:
+        if found is None:
             break
+        iters += 1
         w, x_arr, J, (hu, stages) = trial, xn, Jn, found
         if on_accept is not None:
             on_accept(w, x_arr, J)
@@ -667,7 +666,7 @@ def solve_control(
     with the shifted steps and Armijo's test.  It stops when the stationarity
     residual ``f_u + lam g_u`` is below ``gradient_tolerance``: of the
     report's families it is the one the iteration drives, the others hold by
-    construction.  ``iterations`` counts Newton steps; ``on_accept`` sees
+    construction.  ``iterations`` counts the steps taken; ``on_accept`` sees
     each accepted iterate and its objective value.  A ``u0`` on another time
     scale raises ``ScaleMismatchError``.
     """

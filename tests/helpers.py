@@ -207,6 +207,31 @@ def stationarity_residual(p: tv.VariationalProblem, x: tv.GridFunction) -> np.nd
     return h
 
 
+def reference_variational(p: tv.VariationalProblem, x: tv.GridFunction) -> dict:
+    """The variational evaluators in the ``v`` form: ``diff(p.f, a)`` for ``a``
+    in ``x, v, z`` and ``p.f`` itself, compiled as they stand and evaluated on
+    the columns ``(t_i, x_{i+1}, v_i, z)`` with the slope column ``v``.  The
+    package evaluates the control form ``g = u`` at ``u = v`` instead."""
+    ts, xv = p.scale, x.values
+    mu = ts.mu_values
+    cols = (ts.points[:-1], xv[1:], (xv[1:] - xv[:-1]) / mu[:-1], np.float64(xv[-1]))
+    fx, fv, fz, f = tv.problem.pointwise(*(tv.diff(p.f, a) for a in "xvz"), p.f)(cols)
+    k = ts.n - 2
+    fz_integral = tv.problem.integrate_terms(ts, fz)
+    el = (fv[1:] - fv[:-1]) / mu[:-2] - fx[:-1]
+    # the one-step integral of the general form is the regular form's product
+    boundary = float(fv[k] + mu[k] * fx[k] + fz_integral)
+    return {
+        "objective": tv.problem.integrate_terms(ts, f),
+        "euler_lagrange": el,
+        "general": boundary,
+        "regular": boundary,
+        "classical": float(fv[-1] + fz_integral),
+        "discrete": float(fx[-1] + fv[-1] + math.fsum(fz)),
+        "sup_norm": float(max(np.max(np.abs(el), initial=0.0), abs(boundary))),
+    }
+
+
 def objective_derivatives(
     p: tv.VariationalProblem, y: np.ndarray, eps: float = 2e-4
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -579,8 +604,9 @@ def reference_sufficiency_check(p: tv.ControlProblem, seed: int = 0) -> tv.Suffi
 
 
 def _reference_backtrack(y: np.ndarray, d: np.ndarray, try_step):
+    """The full step, then halvings while the step stays above the floor."""
     step = 1.0
-    while step * np.max(np.abs(d)) >= solver._STEP_TOLERANCE:
+    while True:
         trial = y + step * d
         try:
             state = try_step(trial, step)
@@ -589,7 +615,8 @@ def _reference_backtrack(y: np.ndarray, d: np.ndarray, try_step):
         if state is not None:
             return trial, state
         step *= 0.5
-    return None
+        if not step * np.max(np.abs(d)) >= solver._STEP_TOLERANCE:
+            return None
 
 
 def reference_solve_stationarity(
@@ -598,7 +625,8 @@ def reference_solve_stationarity(
     x0: tv.GridFunction | None = None,
 ) -> tv.Solution:
     """``solve_stationarity`` with its own start evaluation, Newton loop and
-    backtracking, the bit reference for the loop it now shares."""
+    backtracking, the bit reference for the loop it now shares; a step
+    counts once it is taken."""
     opts = opts or tv.SolveOptions()
     cp, w = solver._control_form(p, x0)
     mu = p.scale.mu_values[:-1]
@@ -616,7 +644,6 @@ def reference_solve_stationarity(
         raise tv.SolveError(f"residuals undefined at the starting point: {exc}") from exc
     iters = 0
     while iters < opts.max_iterations and merit(h) >= opts.gradient_tolerance:
-        iters += 1
         d, _, cond = solver._riccati_step(stages, (mu * h).tolist(), 0.0)
         if d is None or cond > 1e15 or not np.all(np.isfinite(d)):
             raise tv.SingularJacobianError(
@@ -634,6 +661,7 @@ def reference_solve_stationarity(
         found = _reference_backtrack(w, d, decrease)
         if found is None:
             break
+        iters += 1
         w, (h, stages) = found
     ok = bool(merit(h) < opts.gradient_tolerance)
     J, x, _ = core.value(w)

@@ -15,6 +15,7 @@ from helpers import (
     reference_hamiltonian_residuals,
     reference_sufficiency_check,
     reference_transversality_control_classical,
+    reference_variational,
 )
 
 
@@ -290,6 +291,76 @@ class TestHamiltonianBits:
                     tv.transversality_residual_control_classical(p, x, u, lam),
                     reference_transversality_control_classical(p, x, u, lam),
                 ), (f, g)
+
+
+# variational integrands whose partials fold in different ways: f without x,
+# without z, linear in v, and with every partial non-zero
+VARIATIONAL_FORMS = [
+    "sqrt(1 + v^2) + 2*(z - 1)^2 + 0.5*cos(x)",
+    "v^2 + t^2*(z - 1)^2",
+    "(v - x)^2 + exp(0.3*x) + t*v",
+    "v^4/4 + x*v*z + sin(x)*z^2",
+]
+
+
+class TestVariationalBits:
+    """The variational evaluators read the control form ``g = u`` at the
+    slopes; they must keep every bit of the ``v`` form of ``f``."""
+
+    @pytest.mark.parametrize("kind", ["integers", "uniform", "qgrid", "points"])
+    def test_evaluators_match_the_v_form(self, kind):
+        scale = {
+            "integers": tv.TimeScale.integer_range(0, 7),
+            "uniform": tv.TimeScale.uniform(0.0, 1.0, 9),
+            "qgrid": tv.TimeScale.q_grid(1.5, 0, 6, include_zero=True),
+            "points": tv.TimeScale.from_points([-0.5, 0.1, 0.3, 1.2, 1.25, 2.0, 3.1]),
+        }[kind]
+        rng = np.random.default_rng(67)
+        for f in VARIATIONAL_FORMS:
+            p = tv.VariationalProblem(scale, tv.parse(f), 0.25)
+            for _ in range(5):
+                x = tv.GridFunction(scale, np.append(p.alpha, rng.uniform(-1.5, 1.5, scale.n - 1)))
+                ref = reference_variational(p, x)
+                report = tv.variational_residuals(p, x)
+                got = {
+                    "objective": tv.objective(p, x),
+                    "euler_lagrange": tv.euler_lagrange_residual(p, x),
+                    "general": tv.transversality_residual(p, x),
+                    "regular": tv.transversality_residual(p, x, form="regular"),
+                    "report_el": report.el_residuals,
+                    "report_transversality": report.transversality,
+                    "sup_norm": report.sup_norm,
+                }
+                want = dict(ref, report_el=ref["euler_lagrange"],
+                            report_transversality=ref["general"])
+                if kind == "uniform":
+                    got["classical"] = tv.transversality_residual_classical(p, x)
+                if kind == "integers":
+                    got["discrete"] = tv.transversality_residual_discrete(p, x)
+                for name, value in got.items():
+                    assert same_bits(value, want[name]), (f, name)
+
+    def test_a_report_error_names_the_control_form(self):
+        # f_v = 1/v is infinite at the flat first step; the report evaluates
+        # the control form's f_u = 1/u
+        p = tv.VariationalProblem(tv.TimeScale.integer_range(0, 3), tv.parse("log(v) + z^2"), 0.0)
+        x = tv.GridFunction(p.scale, np.array([0.0, 0.0, 1.0, 2.0]))
+        with pytest.raises(ValueError, match=r"^1/u is inf at t = 0\.0$"):
+            tv.variational_residuals(p, x)
+
+    def test_report_and_objective_read_only_the_solves_kernels(self):
+        # the solve builds every partial and kernel of the control form; the
+        # report and the objective derive and compile nothing more
+        ts = tv.TimeScale.integer_range(0, 8)
+        p = tv.VariationalProblem(ts, tv.parse("sqrt(1 + v^2) + 2*(z - 1)^2 + 0.5*cos(x)"), 0.0)
+        tv.diff.cache_clear()
+        tv.compile_fn.cache_clear()
+        sol = tv.solve_variational(p)
+        filled = (tv.diff.cache_info().currsize, tv.compile_fn.cache_info().currsize)
+        assert sol.report.sup_norm < 1e-8
+        tv.objective(p, sol.x)
+        assert (tv.diff.cache_info().currsize, tv.compile_fn.cache_info().currsize) == filled
+        assert filled == (68, 8)
 
 
 class TestControlClassicalTransversality:

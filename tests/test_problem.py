@@ -212,8 +212,9 @@ class TestPointwiseKernel:
         ("3*z", [1.5] * 3),
     ])
     def test_constant_and_single_column_results_broadcast(self, zgrid, src, want):
-        cols = terms(zgrid, np.array([0.0, 1.0, -1.0, 0.5]))
-        out = pointwise(tv.parse(src), tv.parse("v"))(cols)
+        x = tv.GridFunction(zgrid, np.array([0.0, 1.0, -1.0, 0.5]))
+        cols = terms(zgrid, x.values, u=x.delta_values)
+        out = pointwise(tv.parse(src), tv.parse("u"))(cols)
         assert out.shape == (2, zgrid.n - 1)
         assert out[0].tolist() == want
         assert out[1].tolist() == [1.0, -2.0, 1.5]
@@ -226,7 +227,8 @@ class TestPointwiseKernel:
 
     @pytest.mark.parametrize("src", ["log(t)", "sqrt(x-2)", "1/x"])
     def test_domain_errors_raise_value_error(self, zgrid, src):
-        cols = terms(zgrid, np.array([0.0, 0.0, 1.0, 2.0]))
+        x = tv.GridFunction(zgrid, np.array([0.0, 0.0, 1.0, 2.0]))
+        cols = terms(zgrid, x.values, u=x.delta_values)
         with pytest.raises(ValueError, match=r"at t = 0\.0"):
             pointwise(tv.parse("x"), tv.parse(src))(cols)
 

@@ -336,7 +336,7 @@ class TestSolveStationarity:
             p = random_quadratic_problem(rng, random_scale(rng, max_points=7))
             cases += [(p, tv.SolveOptions(), None), (p, TIGHT, admissible_grid(rng, p))]
         ts = tv.TimeScale.integer_range(0, 8)
-        capped = tv.SolveOptions(max_iterations=15)  # two rows would run 211 and 500 steps
+        capped = tv.SolveOptions(max_iterations=15)  # two rows would run 210 and 500 steps
         for k in range(61):
             f = tv.parse(f"sqrt(1+v^2) + 2*(z-1)^2 + ({-3.0 + 0.1 * k!r})*cos(x)")
             cases.append((tv.VariationalProblem(ts, f, 0.0), capped, None))
@@ -349,6 +349,36 @@ class TestSolveStationarity:
             kinds.add(got[0] if len(got) == 2 else got[3])
         # converged, unconverged and raising rows were all compared
         assert kinds == {True, False, tv.SingularJacobianError}
+
+
+class TestStepFloor:
+    """Every Newton step is tried at full length (see the badly scaled oracle
+    problems); the absolute step floor ends only the halvings, and
+    ``iterations`` counts the steps taken."""
+
+    @pytest.mark.parametrize("solve", [tv.solve_variational, tv.solve_stationarity])
+    @pytest.mark.parametrize("n", [800, 3200, 20000])
+    def test_penalized_length_rows_keep_their_steps(self, solve, n):
+        sol = solve(minimal_length_problem(2.0, n))
+        assert (sol.iterations, sol.converged) == (4, True)
+
+    @pytest.mark.parametrize("w, trials", [
+        (0.6, [1, 1, 1, 1, 7, 7, 7, 9, 8, 9, 10, 12]),
+        (0.7, [1, 8, 3, 1, 1, 2, 3, 2, 6, 8, 10, 12]),
+    ])
+    def test_stalling_rows_keep_their_trial_points(self, monkeypatch, w, trials):
+        # the sup-norm line test stalls on these rows (uncapped: 151 and 500
+        # steps of some 40 halvings each); the trial points per step are pinned
+        log = []
+        value, newton_step = _Core.value, tv.solver._newton_step
+        monkeypatch.setattr(_Core, "value", lambda self, u: log.append("v") or value(self, u))
+        monkeypatch.setattr(tv.solver, "_newton_step",
+                            lambda stages, r: log.append("s") or newton_step(stages, r))
+        ts = tv.TimeScale.integer_range(0, 8)
+        p = tv.VariationalProblem(ts, tv.parse(f"sqrt(1+v^2) + 2*(z-1)^2 + {w!r}*cos(x)"), 0.0)
+        sol = tv.solve_stationarity(p, tv.SolveOptions(max_iterations=12))
+        assert (sol.iterations, sol.converged) == (12, False)
+        assert [len(run) for run in "".join(log).split("s")[1:]] == trials
 
 
 class TestSolveControl:
@@ -855,20 +885,20 @@ class TestBruteForceOracle:
                            match=r"^oracle needs a quadratic cost and affine dynamics$"):
             tv.brute_force_oracle(p)
 
-    @pytest.mark.parametrize("w", [1e9, 1e10, 1e12, 1e14])
+    @pytest.mark.parametrize("w", [1e9, 1e10, 1e12, 1e13, 1e14])
     def test_reads_the_inertia_of_a_badly_scaled_problem(self, w):
         # the KKT matrix's negative eigenvalue is about 1/w of its largest,
         # so its unscaled inertia reads a zero; the minimizer is exactly
-        # x = s*t with s = 3/(w + 9)
+        # x = s*t with s = 3/(w + 9).  From 1e13 on, the direct solve's one
+        # full step is shorter than its line search's step floor of 1e-12
         ts = tv.TimeScale.integer_range(0, 3)
         p = tv.ControlProblem(ts, tv.parse(f"({w:.17g})*u^2 + (z-1)^2"), tv.parse("u"), 0.0)
         sol = tv.brute_force_oracle(p)
         want = 3.0 / (w + 9.0) * ts.points
         assert np.max(np.abs(sol.x.values - want)) <= 1e-12 * want[-1]
-        if w in (1e9, 1e12):
-            direct = tv.solve_control(p, TIGHT)
-            assert direct.converged
-            assert np.max(np.abs(direct.x.values - sol.x.values)) <= 1e-12 * want[-1]
+        direct = tv.solve_control(p, TIGHT)
+        assert direct.converged and direct.iterations == 1
+        assert np.max(np.abs(direct.x.values - sol.x.values)) <= 1e-12 * want[-1]
 
     def test_control_guards_accept_quadratic_cost_and_affine_dynamics(self):
         ts = tv.TimeScale.from_points([0.0, 0.5, 1.5, 2.0, 3.5])
