@@ -13,7 +13,8 @@ for either class.  The sufficiency screen takes either class, screens the
 control form and proves its dynamics linear from the second partials of
 ``g`` and the exact zero of ``g`` at the origin; only the convexity of
 ``f`` is sampled, on 256 midpoint pairs from ``[-8, 8]^3``, each one
-``integers(0, k)`` and one six-wide ``uniform`` draw.
+``integers(0, k)`` and one six-wide ``uniform`` draw.  The screen keeps its
+last verdict with the problem object it screened.
 
 Multiplier grids hold sigma-shifted samples: ``lam.values[i]`` is the
 multiplier composed with the forward jump, sampled at ``t_i``.  The sample at
@@ -327,14 +328,6 @@ def _sampler_state(k: int) -> dict:
     return rng.bit_generator.state
 
 
-def _clear_caches(clear_compiled=ex.compile_fn.cache_clear) -> None:
-    clear_compiled()
-    _sampler_state.cache_clear()
-
-
-ex.compile_fn.cache_clear = _clear_caches
-
-
 def _linearity_check(p: ControlProblem):
     """``g(t, 0, 0, 0) = 0`` and the six second partials of ``g`` are zero.
 
@@ -370,6 +363,7 @@ def _linearity_check(p: ControlProblem):
     return None
 
 
+@lru_cache(maxsize=1)
 def sufficiency_check(p: VariationalProblem | ControlProblem) -> SufficiencyVerdict:
     """Screen the problem against the global-minimizer sufficient conditions.
 
@@ -385,6 +379,13 @@ def sufficiency_check(p: VariationalProblem | ControlProblem) -> SufficiencyVerd
     makes) and one ``uniform(size=6)`` draw, with the bits of the former two
     ``uniform(size=3)``; as Python floats, unlike ``np.float64``, they make
     a scalar kernel raise ``ZeroDivisionError`` where it divides by zero.
+
+    The last verdict is kept with its problem, so screening that same
+    object again at once, as back-to-back solves of one problem do, returns
+    the same verdict object without a screen.  Problems compare by
+    identity, and the memo holds its problem, so a structurally equal
+    problem is screened afresh.  ``compile_fn.cache_clear()`` empties it;
+    ``sufficiency_check.__wrapped__`` is the screen without the memo.
     """
     if isinstance(p, VariationalProblem):
         p = ControlProblem.from_variational(p)
@@ -418,3 +419,15 @@ def sufficiency_check(p: VariationalProblem | ControlProblem) -> SufficiencyVerd
                 (t, (ax, au, az), (bx, bu, bz)),
             )
     return _PASSED
+
+
+# Bound here, not looked up when called: a caller may rebind the module's
+# ``sufficiency_check`` to a plain function that has no ``cache_clear``.
+def _clear_caches(clear_compiled=ex.compile_fn.cache_clear,
+                  clear_verdict=sufficiency_check.cache_clear) -> None:
+    clear_compiled()
+    _sampler_state.cache_clear()
+    clear_verdict()
+
+
+ex.compile_fn.cache_clear = _clear_caches

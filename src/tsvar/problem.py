@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -80,8 +81,14 @@ class ControlProblem:
                 raise ValueError(f"{name} may only use t, x, u, z; found {sorted(bad)}")
 
     @classmethod
+    @lru_cache(maxsize=1)
     def from_variational(cls, p: VariationalProblem) -> "ControlProblem":
-        """Equivalent control form: rename ``v`` to ``u`` and set ``g = u``."""
+        """Equivalent control form: rename ``v`` to ``u`` and set ``g = u``.
+
+        The last form is kept with its problem, so a solve, its screen and
+        its reports share one form and find its partials and kernels in the
+        caches by identity, without comparing equal trees.
+        """
         return cls(p.scale, ex.substitute(p.f, "v", ex.Var("u")), ex.Var("u"), p.alpha)
 
 

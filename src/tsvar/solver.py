@@ -117,6 +117,9 @@ class Solution:
     the multipliers ``lam`` and the residual report on every read, so a kept
     solution holds neither; read them once (both at once with
     :meth:`lam_and_report`) where they are needed more than once.
+    ``verdict`` is :func:`sufficiency_check` of ``problem``, the object the
+    caller passed, so solves of one problem back to back share one verdict
+    object and screen it once.
     """
 
     problem: VariationalProblem | ControlProblem
@@ -174,11 +177,11 @@ def _gradient_sup(h: np.ndarray) -> float:
     return max(float(np.max(np.abs(h[:-1] - h[1:]))), abs(float(h[-1])))
 
 
-def _variational_solution(p, cp, x, J, ok, iters, message) -> Solution:
+def _variational_solution(p, x, J, ok, iters, message) -> Solution:
     return Solution(
         problem=p, x=GridFunction(p.scale, x), u=None,
         objective_value=J,
-        verdict=sufficiency_check(cp),
+        verdict=sufficiency_check(p),
         converged=ok, iterations=iters,
         message="" if ok else message,
     )
@@ -204,7 +207,7 @@ def solve_variational(
     shown = None if on_accept is None else (lambda w, x, J: on_accept(x[1:].copy(), J))
     _, x, J, iters, ok = _minimize(cp, w, opts, _gradient_sup, _shifted_control_step, _armijo,
                                    shown)
-    return _variational_solution(p, cp, x, J, ok, iters, "gradient tolerance not reached")
+    return _variational_solution(p, x, J, ok, iters, "gradient tolerance not reached")
 
 
 def solve_stationarity(
@@ -236,7 +239,7 @@ def solve_stationarity(
 
     _, x, J, iters, ok = _minimize(cp, w, opts, merit, _newton_step, decrease, None)
     message = "stationarity residual tolerance not reached"
-    return _variational_solution(p, cp, x, J, ok, iters, message)
+    return _variational_solution(p, x, J, ok, iters, message)
 
 
 # -- the Newton core: control problems ---------------------------------------

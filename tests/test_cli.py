@@ -2,6 +2,8 @@
 
 import csv
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,6 +267,17 @@ class TestSolveCommand:
         slopes = np.diff(xs) / np.diff(ts)
         assert np.max(np.abs(slopes - 0.7104241)) <= 1e-6
         assert abs(np.max(slopes) - np.min(slopes)) <= 1e-8
+
+    def test_readme_example_file_solves_and_verifies(self, tmp_path):
+        # README's problem file as it stands: a comment that reached a value
+        # would make it a load error
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)
+        path = tmp_path / "readme.ini"
+        path.write_text(block, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out-dir", str(out)]) == 0
+        assert main(["verify", str(path), str(out / "solution.csv")]) == 0
 
     def test_parse_failure_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.toml"

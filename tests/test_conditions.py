@@ -501,16 +501,61 @@ class TestSufficiency:
         # a run that clears the caches between CLI calls pays what a fresh process pays
         verdict = tv.sufficiency_check(endpoint_penalty_control(zgrid))
         assert tv.conditions._sampler_state.cache_info().currsize > 0
+        assert tv.sufficiency_check.cache_info().currsize == 1
         tv.compile_fn.cache_clear()
         assert tv.conditions._sampler_state.cache_info().currsize == 0
         assert tv.expr._compile_shape.cache_info().currsize == 0
+        assert tv.sufficiency_check.cache_info().currsize == 0  # the last verdict too
         assert tv.sufficiency_check(endpoint_penalty_control(zgrid)) == verdict
 
+    def test_cache_clear_survives_a_rebound_screen(self, zgrid, monkeypatch):
+        # a tracer may rebind the module's sufficiency_check to a plain
+        # function without cache_clear; compile_fn.cache_clear() still
+        # empties the memo it bound when the module was imported
+        memo = tv.sufficiency_check
+        memo(endpoint_penalty_control(zgrid))
+        monkeypatch.setattr(tv.conditions, "sufficiency_check", lambda p: memo(p))
+        tv.compile_fn.cache_clear()
+        assert memo.cache_info().currsize == 0
+
     def test_verdict_is_deterministic(self, zgrid):
-        p = endpoint_penalty_control(zgrid)
-        one = tv.sufficiency_check(p)
-        two = tv.sufficiency_check(p)
+        # two problems, so that the second call screens afresh, not from the memo
+        one = tv.sufficiency_check(endpoint_penalty_control(zgrid))
+        two = tv.sufficiency_check(endpoint_penalty_control(zgrid))
         assert one == two
+
+    def _count_screens(self, monkeypatch) -> list:
+        screened = []
+        linearity = tv.conditions._linearity_check
+        monkeypatch.setattr(tv.conditions, "_linearity_check",
+                            lambda p: screened.append(p) or linearity(p))
+        return screened
+
+    def test_the_same_problem_is_screened_once(self, zgrid, monkeypatch):
+        screened = self._count_screens(monkeypatch)
+        p = tv.ControlProblem(zgrid, tv.parse("0 - u^2"), tv.parse("u"), 0.0)
+        one = tv.sufficiency_check(p)
+        assert tv.sufficiency_check(p) is one
+        assert len(screened) == 1
+
+    def test_an_equal_but_distinct_problem_is_screened_afresh(self, zgrid, monkeypatch):
+        # problems compare by identity: an equal problem is another key
+        screened = self._count_screens(monkeypatch)
+        f, g = tv.parse("0 - u^2"), tv.parse("u")
+        one = tv.sufficiency_check(tv.ControlProblem(zgrid, f, g, 0.0))
+        two = tv.sufficiency_check(tv.ControlProblem(zgrid, f, g, 0.0))
+        assert len(screened) == 2
+        assert two is not one and two == one
+
+    def test_the_memo_returns_what_the_screen_returns(self):
+        screen = tv.sufficiency_check.__wrapped__
+        ts = tv.TimeScale.integer_range(0, 8)
+        for f in self._COSTS:
+            for g in self._DYNAMICS:
+                p = tv.ControlProblem(ts, tv.parse(f), tv.parse(g), 0.0)
+                got = tv.sufficiency_check(p)
+                assert got == screen(p), (f, g)
+                assert tv.sufficiency_check(p) is got, (f, g)
 
     _COSTS = ("u^2 + x^2 + 3*(z - 1)^2", "0 - u^2 - x^2", "u^2 + 2*(z - 1)^2 + 0.3*cos(x)",
               "u^2 - 0.001*u^4", "u^2 + exp(u - 40)", "u^2 + sqrt(x + 4)",

@@ -952,6 +952,35 @@ class TestBruteForceOracle:
             assert np.max(np.abs(direct.x.values - oracle.x.values)) <= 1e-7
             assert np.max(np.abs(newton.x.values - oracle.x.values)) <= 1e-7
 
+    def test_back_to_back_solves_screen_once(self, monkeypatch):
+        # every solver screens the problem object it was given, so solves of
+        # one problem back to back, with another start or other options too,
+        # share the one verdict the screen keeps
+        screened = []
+        linearity = tv.conditions._linearity_check
+        monkeypatch.setattr(tv.conditions, "_linearity_check",
+                            lambda p: screened.append(p) or linearity(p))
+        p = tv.VariationalProblem(tv.TimeScale.integer_range(0, 4),
+                                  tv.parse("v^2 - 0.1*x^2 + (z - 1)^2"), 0.0)
+        first = tv.solve_variational(p)
+        sols = [first, tv.solve_stationarity(p), tv.brute_force_oracle(p),
+                tv.solve_variational(p, TIGHT, x0=first.x)]
+        assert len(screened) == 1
+        assert first.verdict.status == "inconclusive"  # not the one shared `sufficient`
+        assert all(sol.verdict is first.verdict for sol in sols)
+
+    def test_a_solve_and_its_screen_build_one_control_form(self, monkeypatch):
+        # the screen of the user's problem finds the control form the solve
+        # built, so a new problem, as each sweep row is, builds it once
+        p = tv.VariationalProblem(tv.TimeScale.integer_range(0, 8),
+                                  tv.parse("sqrt(1 + v^2) + 2*(z - 1)^2 + 0.1*cos(x)"), 0.0)
+        roots = []
+        substitute = tv.expr.substitute
+        monkeypatch.setattr(tv.expr, "substitute",
+                            lambda e, *args: roots.append(e is p.f) or substitute(e, *args))
+        tv.solve_variational(p)
+        assert sum(roots) == 1
+
 
 class TestStartScale:
     # a start on another time scale is refused, whatever its length
