@@ -2,15 +2,17 @@
 
 Problem files are UTF-8 text with ``[section]`` headers and ``key = value``
 lines.  Exactly one ``[timescale]`` and one ``[problem]`` section are
-required; ``[solver]`` is optional.  Parameters named in ``params`` are
-bound names: each expression is parsed once with them as variables, and a
-problem is built by substituting each parameter's value as a constant, so a
-sweep's problems share every subtree that does not contain the swept
-parameter.  Parameter names must not collide with the reserved variables or
-function names.
+required; ``[solver]`` is optional.  ``_SCALE_KINDS`` gives each scale
+kind's keys; the ``[solver]`` keys are the fields of ``SolveOptions``.
+Parameters named in ``params`` are bound names: each expression is parsed
+once with them as variables, and a problem is built by substituting each
+parameter's value as a constant, so a sweep's problems share every subtree
+that does not contain the swept parameter.  Parameter names must not collide
+with the reserved variables or function names.
 
-Exit codes: 0 success, 1 usage or file errors, 2 solver non-convergence,
-3 verification failure.
+Exit codes: 0 success, 1 usage or file errors (a refused scale or a
+non-finite ``alpha`` or parameter among them), 2 solver non-convergence,
+3 verification failure.  ``python -m tsvar`` is the same command.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +84,7 @@ class ProblemFile:
 
 def _parse_sections(path: Path) -> dict[str, dict[str, tuple[str, int]]]:
     sections: dict[str, dict[str, tuple[str, int]]] = {}
-    current: str | None = None
+    section: dict[str, tuple[str, int]] | None = None
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
@@ -95,92 +97,93 @@ def _parse_sections(path: Path) -> dict[str, dict[str, tuple[str, int]]]:
                 raise ProblemFileError(f"line {lineno}: unknown section [{name}]")
             if name in sections:
                 raise ProblemFileError(f"line {lineno}: duplicate section [{name}]")
-            sections[name] = {}
-            current = name
+            section = sections[name] = {}
             continue
-        if current is None:
+        if section is None:
             raise ProblemFileError(f"line {lineno}: key outside any section")
         if "=" not in line:
             raise ProblemFileError(f"line {lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key in sections[current]:
+        if key in section:
             raise ProblemFileError(f"line {lineno}: duplicate key {key!r}")
-        sections[current][key] = (value.strip(), lineno)
+        section[key] = (value.strip(), lineno)
     return sections
 
 
-def _take(section: dict, key: str, where: str):
-    if key not in section:
+def _take(section: dict, key: str, where: str, default: str | None = None):
+    """``(text, line)`` of ``key``, which is required unless it has a default."""
+    if key in section:
+        return section.pop(key)
+    if default is None:
         raise ProblemFileError(f"section [{where}] is missing key {key!r}")
-    return section.pop(key)
+    return default, 0
 
 
-def _to_float(text: str, key: str, lineno: int) -> float:
+def _no_leftovers(section: dict, where: str) -> None:
+    for key, (_, lineno) in section.items():  # names the first
+        raise ProblemFileError(f"line {lineno}: unexpected key {key!r} in [{where}]")
+
+
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _boolean(text: str) -> bool:
+    return _BOOLEANS[text.lower()]
+
+
+def _points(text: str) -> list[float]:
+    return [float(p) for p in text.split(",")]
+
+
+# each reader of a value's text, and the error for a text it cannot read
+_UNREADABLE = {
+    float: "{key} is not a number: {text!r}",
+    int: "{key} is not an integer: {text!r}",
+    _boolean: "{key} is not a boolean: {text!r}",
+    _points: "bad point list",
+}
+
+
+def _convert(key: str, read, text: str, lineno: int, finite: bool = False):
+    """``read(text)``; a text that it cannot read, or with ``finite`` a value
+    that is not finite, is an error naming the line."""
     try:
-        return float(text)
-    except ValueError:
-        raise ProblemFileError(f"line {lineno}: {key} is not a number: {text!r}") from None
+        value = read(text)
+    except (ValueError, KeyError):
+        error = _UNREADABLE[read].format(key=key, text=text)
+        raise ProblemFileError(f"line {lineno}: {error}") from None
+    if finite and not math.isfinite(value):
+        raise ProblemFileError(f"line {lineno}: {key} is not a finite number: {text!r}")
+    return value
 
 
-def _to_int(text: str, key: str, lineno: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ProblemFileError(f"line {lineno}: {key} is not an integer: {text!r}") from None
-
-
-def _to_bool(text: str, key: str, lineno: int) -> bool:
-    low = text.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ProblemFileError(f"line {lineno}: {key} is not a boolean: {text!r}")
+# each scale kind: its constructor, and its keys in argument order, each with
+# its reader and, for an optional key, the text of its default
+_SCALE_KINDS = {
+    "explicit": (TimeScale.from_points, [("points", _points)]),
+    "integers": (TimeScale.integer_range, [("a", int), ("b", int)]),
+    "uniform": (TimeScale.uniform, [("a", float), ("b", float), ("n", int)]),
+    "qgrid": (TimeScale.q_grid, [("q", float), ("k_min", int), ("k_max", int),
+                                 ("include_zero", _boolean, "false")]),
+}
 
 
 def _build_scale(section: dict[str, tuple[str, int]]) -> TimeScale:
     kind, kind_line = _take(section, "kind", "timescale")
-    if kind == "explicit":
-        text, lineno = _take(section, "points", "timescale")
-        try:
-            pts = [float(p) for p in text.split(",")]
-        except ValueError:
-            raise ProblemFileError(f"line {lineno}: bad point list") from None
-        scale = TimeScale.from_points(pts)
-    elif kind == "integers":
-        text_a, la = _take(section, "a", "timescale")
-        text_b, lb = _take(section, "b", "timescale")
-        scale = TimeScale.integer_range(_to_int(text_a, "a", la), _to_int(text_b, "b", lb))
-    elif kind == "uniform":
-        text_a, la = _take(section, "a", "timescale")
-        text_b, lb = _take(section, "b", "timescale")
-        text_n, ln = _take(section, "n", "timescale")
-        scale = TimeScale.uniform(
-            _to_float(text_a, "a", la), _to_float(text_b, "b", lb), _to_int(text_n, "n", ln)
-        )
-    elif kind == "qgrid":
-        text_q, lq = _take(section, "q", "timescale")
-        text_kmin, lkm = _take(section, "k_min", "timescale")
-        text_kmax, lkx = _take(section, "k_max", "timescale")
-        zero_entry = section.pop("include_zero", ("false", -1))
-        scale = TimeScale.q_grid(
-            _to_float(text_q, "q", lq),
-            _to_int(text_kmin, "k_min", lkm),
-            _to_int(text_kmax, "k_max", lkx),
-            _to_bool(zero_entry[0], "include_zero", zero_entry[1]),
-        )
-    else:
-        raise ProblemFileError(
-            f"line {kind_line}: unknown timescale kind {kind!r} "
-            "(expected explicit|integers|uniform|qgrid)"
-        )
-    if section:
-        key = next(iter(section))
-        raise ProblemFileError(
-            f"line {section[key][1]}: unexpected key {key!r} in [timescale]"
-        )
-    return scale
+    if kind not in _SCALE_KINDS:
+        raise ProblemFileError(f"line {kind_line}: unknown timescale kind {kind!r} "
+                               f"(expected {'|'.join(_SCALE_KINDS)})")
+    build, keys = _SCALE_KINDS[kind]
+    # every key is taken before any is read, so that a missing key is named first
+    taken = [(key, read, *_take(section, key, "timescale", *default))
+             for key, read, *default in keys]
+    args = [_convert(*entry) for entry in taken]
+    _no_leftovers(section, "timescale")
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ProblemFileError(f"line {kind_line}: {exc}") from None
 
 
 def _parse_params(text: str, lineno: int) -> dict[str, float]:
@@ -202,7 +205,7 @@ def _parse_params(text: str, lineno: int) -> dict[str, float]:
             )
         if name in params:
             raise ProblemFileError(f"line {lineno}: duplicate parameter {name!r}")
-        params[name] = _to_float(value.strip(), name, lineno)
+        params[name] = _convert(name, float, value.strip(), lineno, finite=True)
     return params
 
 
@@ -221,45 +224,22 @@ def load_problem_file(path: str | Path) -> ProblemFile:
     prob = sections["problem"]
     ptype, ptype_line = _take(prob, "type", "problem")
     if ptype not in ("variational", "control"):
-        raise ProblemFileError(
-            f"line {ptype_line}: problem type must be variational or control"
-        )
-    f_text, _ = _take(prob, "f", "problem")
-    g_text = None
-    if ptype == "control":
-        g_text, _ = _take(prob, "g", "problem")
-    alpha_text, alpha_line = _take(prob, "alpha", "problem")
-    alpha = _to_float(alpha_text, "alpha", alpha_line)
-    params_entry = prob.pop("params", None)
-    params = _parse_params(*params_entry) if params_entry else {}
-    if prob:
-        key = next(iter(prob))
-        raise ProblemFileError(f"line {prob[key][1]}: unexpected key {key!r} in [problem]")
+        raise ProblemFileError(f"line {ptype_line}: problem type must be variational or control")
+    f_text = _take(prob, "f", "problem")[0]
+    g_text = _take(prob, "g", "problem")[0] if ptype == "control" else None
+    alpha = _convert("alpha", float, *_take(prob, "alpha", "problem"), finite=True)
+    params = _parse_params(*_take(prob, "params", "problem", ""))
+    _no_leftovers(prob, "problem")
 
-    opt_kwargs = {}
     solver = sections.get("solver", {})
-    for key, conv in (
-        ("max_iterations", _to_int),
-        ("gradient_tolerance", _to_float),
-    ):
-        if key in solver:
-            text, lineno = solver.pop(key)
-            opt_kwargs[key] = conv(text, key, lineno)
-    if solver:
-        key = next(iter(solver))
-        raise ProblemFileError(f"line {solver[key][1]}: unexpected key {key!r} in [solver]")
+    options = {f.name: _convert(f.name, type(f.default), *solver.pop(f.name))
+               for f in fields(SolveOptions) if f.name in solver}
+    _no_leftovers(solver, "solver")
 
     try:
-        pf = ProblemFile(
-            path=str(path),
-            scale=scale,
-            problem_type=ptype,
-            f=ex.parse(f_text, params),
-            g=None if g_text is None else ex.parse(g_text, params),
-            alpha=alpha,
-            params=params,
-            options=SolveOptions(**opt_kwargs),
-        )
+        pf = ProblemFile(str(path), scale, ptype, ex.parse(f_text, params),
+                         None if g_text is None else ex.parse(g_text, params),
+                         alpha, params, SolveOptions(**options))
         pf.build_problem()  # validate the problem's variables and shape
     except (TsvarError, ValueError) as exc:
         raise ProblemFileError(str(exc)) from exc
@@ -578,3 +558,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

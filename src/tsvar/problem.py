@@ -53,6 +53,8 @@ class VariationalProblem:
     def __post_init__(self):
         if self.scale.n < 3:
             raise ValueError("variational problems need at least three scale points")
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
         bad = ex.variables(self.f) - {"t", "x", "v", "z"}
         if bad:
             raise ValueError(f"integrand may only use t, x, v, z; found {sorted(bad)}")
@@ -75,6 +77,8 @@ class ControlProblem:
     def __post_init__(self):
         if self.scale.n < 3:
             raise ValueError("control problems need at least three scale points")
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
         for name, e in (("running cost", self.f), ("dynamics", self.g)):
             bad = ex.variables(e) - {"t", "x", "u", "z"}
             if bad:

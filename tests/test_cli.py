@@ -2,7 +2,10 @@
 
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +250,201 @@ class TestProblemFiles:
         assert load_problem_file(path2).scale.points.tolist() == [0, 0.5, 2]
 
 
+_SCALE = "kind = uniform\na = 0\nb = 1\nn = 100\n"  # lines 2-5 of PENALIZED_LENGTH
+_EXPR = "f = sqrt(1 + v^2) + beta*(z-1)^2"  # line 9 of PENALIZED_LENGTH
+
+
+def _edited(*edits):
+    text = PENALIZED_LENGTH
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
+
+
+def _scale(block):
+    """PENALIZED_LENGTH with its [timescale] keys replaced by ``block``."""
+    return _edited((_SCALE, block))
+
+
+# Every message the loader writes, with its line number.
+LOADER_MESSAGES = {
+    # sections
+    "malformed header": (_edited(("[solver]", "[solver")),
+                         "line 13: malformed section header '[solver'"),
+    "unknown section": (_edited(("[solver]", "[options]")), "line 13: unknown section [options]"),
+    "duplicate section": (_edited(("[solver]", "[problem]")),
+                          "line 13: duplicate section [problem]"),
+    "key outside a section": (_edited(("[timescale]", "# no header")),
+                              "line 2: key outside any section"),
+    "no equals sign": (_edited(("n = 100", "n 100")), "line 5: expected 'key = value'"),
+    "no [timescale]": (_edited(("[timescale]\n" + _SCALE, "")),
+                       "missing required section [timescale]"),
+    "no [problem]": (PENALIZED_LENGTH.split("[problem]")[0], "missing required section [problem]"),
+    # missing, unexpected and duplicate keys
+    "missing kind": (_edited(("kind = uniform\n", "")), "section [timescale] is missing key 'kind'"),
+    "missing scale key": (_edited(("n = 100\n", "")), "section [timescale] is missing key 'n'"),
+    "missing key before unreadable": (_edited(("a = 0\nb = 1\n", "a = zero\n")),
+                                      "section [timescale] is missing key 'b'"),
+    "missing type": (_edited(("type = variational\n", "")),
+                     "section [problem] is missing key 'type'"),
+    "missing f": (_edited((_EXPR + "\n", "")), "section [problem] is missing key 'f'"),
+    "missing g": (_edited(("type = variational", "type = control")),
+                  "section [problem] is missing key 'g'"),
+    "missing alpha": (_edited(("alpha = 0\n", "")), "section [problem] is missing key 'alpha'"),
+    "unexpected scale key": (_edited(("n = 100\n", "n = 100\nc = 1\n")),
+                             "line 6: unexpected key 'c' in [timescale]"),
+    "key of another kind": (_scale("kind = integers\na = 0\nb = 3\nn = 100\n"),
+                            "line 5: unexpected key 'n' in [timescale]"),
+    "unexpected problem key": (_edited(("alpha = 0\n", "alpha = 0\ng = u\n")),
+                               "line 11: unexpected key 'g' in [problem]"),
+    "unexpected solver key": (PENALIZED_LENGTH + "seed = 0\n",
+                              "line 15: unexpected key 'seed' in [solver]"),
+    "duplicate key": (_edited(("b = 1\n", "b = 1\nb = 2\n")), "line 5: duplicate key 'b'"),
+    # converters
+    "float": (_edited(("\na = 0", "\na = zero")), "line 3: a is not a number: 'zero'"),
+    "integer": (_edited(("n = 100", "n = 1e2")), "line 5: n is not an integer: '1e2'"),
+    "integer bound": (_scale("kind = integers\na = 0.5\nb = 3\n\n"),
+                      "line 3: a is not an integer: '0.5'"),
+    "q": (_scale("kind = qgrid\nq = two\nk_min = 0\nk_max = 2\n"),
+          "line 3: q is not a number: 'two'"),
+    "boolean": (_scale("kind = qgrid\nq = 2\nk_min = 0\nk_max = 2\ninclude_zero = maybe\n"),
+                "line 6: include_zero is not a boolean: 'maybe'"),
+    "alpha": (_edited(("alpha = 0", "alpha = zero")), "line 10: alpha is not a number: 'zero'"),
+    "parameter": (_edited(("beta = 1", "beta = one")), "line 11: beta is not a number: 'one'"),
+    "solver integer": (_edited(("= 2000", "= lots")),
+                       "line 14: max_iterations is not an integer: 'lots'"),
+    "solver float": (PENALIZED_LENGTH + "gradient_tolerance = tiny\n",
+                     "line 15: gradient_tolerance is not a number: 'tiny'"),
+    "bad point list": (_scale("kind = explicit\npoints = 0, x, 1\n\n\n"),
+                       "line 3: bad point list"),
+    "unknown kind": (_edited(("kind = uniform", "kind = grid")),
+                     "line 2: unknown timescale kind 'grid' "
+                     "(expected explicit|integers|uniform|qgrid)"),
+    # params
+    "params entry": (_edited(("params = beta = 1", "params = beta")),
+                     "line 11: params entries look like name=value"),
+    "params identifier": (_edited(("beta = 1", "beta = 1, 2q = 3")),
+                          "line 11: parameter name '2q' is not an identifier"),
+    "params reserved": (_edited(("beta = 1", "beta = 1, exp = 1")),
+                        "line 11: parameter name 'exp' collides with a reserved "
+                        "variable or function"),
+    "params duplicate": (_edited(("beta = 1", "beta = 1, beta = 2")),
+                         "line 11: duplicate parameter 'beta'"),
+    # problem type
+    "problem type": (_edited(("type = variational", "type = optimal")),
+                     "line 8: problem type must be variational or control"),
+    # parse and validation errors, wrapped
+    "parse": (_edited((_EXPR, "f = sqrt(1 + v^2) +")), "unexpected end of input (at position 15)"),
+    "unknown identifier": (_edited(("params = beta = 1\n", "")),
+                           "unknown identifier 'beta' (missing parameter substitution?) "
+                           "(at position 16)"),
+    "integrand variables": (_edited((_EXPR, "f = u^2")),
+                            "integrand may only use t, x, v, z; found ['u']"),
+    "running cost variables": (_edited(("type = variational", "type = control"),
+                                       ("alpha = 0", "g = u\nalpha = 0")),
+                               "running cost may only use t, x, u, z; found ['v']"),
+    "dynamics variables": (_edited(("type = variational", "type = control"),
+                                   (_EXPR, "f = u^2 + beta*(z-1)^2"),
+                                   ("alpha = 0", "g = v\nalpha = 0")),
+                           "dynamics may only use t, x, u, z; found ['v']"),
+    "three points": (_scale("kind = integers\na = 0\nb = 1\n\n"),
+                     "variational problems need at least three scale points"),
+    "max_iterations": (_edited(("= 2000", "= 0")), "max_iterations must be at least 1"),
+    "gradient_tolerance": (PENALIZED_LENGTH + "gradient_tolerance = nan\n",
+                           "gradient_tolerance must be positive"),
+    # scale constructors, at the kind line
+    "uniform a >= b": (_edited(("a = 0\nb = 1", "a = 1\nb = 0")),
+                       "line 2: uniform sampling needs a < b"),
+    "uniform n < 2": (_edited(("n = 100", "n = 1")),
+                      "line 2: uniform sampling needs at least two points"),
+    "qgrid q <= 1": (_scale("kind = qgrid\nq = 0.5\nk_min = 0\nk_max = 2\n"),
+                     "line 2: q-grid needs q > 1"),
+    "qgrid k_max < k_min": (_scale("kind = qgrid\nq = 2\nk_min = 2\nk_max = 0\n"),
+                            "line 2: q-grid needs k_min <= k_max"),
+    "qgrid one point": (_scale("kind = qgrid\nq = 2\nk_min = 1\nk_max = 1\n"),
+                        "line 2: q-grid needs at least two points"),
+    "explicit one point": (_scale("kind = explicit\npoints = 1\n\n\n"),
+                           "line 2: a time scale needs at least two points"),
+    "integers b <= a": (_scale("kind = integers\na = 3\nb = 3\n\n"),
+                        "line 2: integer grid needs a < b"),
+    # non-finite alpha and parameters
+    "alpha nan": (_edited(("alpha = 0", "alpha = nan")),
+                  "line 10: alpha is not a finite number: 'nan'"),
+    "alpha inf": (_edited(("alpha = 0", "alpha = inf")),
+                  "line 10: alpha is not a finite number: 'inf'"),
+    "parameter nan": (_edited(("beta = 1", "beta = nan")),
+                      "line 11: beta is not a finite number: 'nan'"),
+    "parameter inf": (_edited(("beta = 1", "beta = -inf")),
+                      "line 11: beta is not a finite number: '-inf'"),
+}
+
+
+class TestLoaderMessages:
+    @pytest.mark.parametrize("case", LOADER_MESSAGES)
+    def test_message(self, tmp_path, case):
+        text, message = LOADER_MESSAGES[case]
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(tv.ProblemFileError) as info:
+            load_problem_file(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "FILE", "--out-dir", "OUT"], ["verify", "FILE", "OUT/solution.csv"],
+        ["sweep", "FILE", "--param", "beta", "--values", "1,2"],
+        ["integrate", "FILE", "--expr", "t"], ["info", "FILE"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_scale_is_an_error_line_in_every_command(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.ini"
+        path.write_text(LOADER_MESSAGES["uniform a >= b"][0])
+        argv = [a.replace("FILE", str(path)).replace("OUT", str(tmp_path)) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: uniform sampling needs a < b\n"
+
+    @pytest.mark.parametrize("case", ["alpha inf", "parameter nan"])
+    def test_non_finite_value_stops_the_solve_before_it_starts(self, tmp_path, capsys, case):
+        # both used to load and fail in the solve, "objective undefined at
+        # the starting point", inf after a numpy RuntimeWarning
+        text, message = LOADER_MESSAGES[case]
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert main(["solve", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "solution.csv").exists()
+
+
+class TestModuleEntryPoints:
+    """``python -m tsvar`` and ``python -m tsvar.cli`` run the ``tsvar`` command."""
+
+    @staticmethod
+    def _run(module, *args):
+        src = str(Path(tv.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", module, *args], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    @pytest.mark.parametrize("module", ["tsvar", "tsvar.cli"])
+    def test_solves_a_file(self, length_file, tmp_path, module):
+        out = tmp_path / "out"
+        proc = self._run(module, "solve", str(length_file), "--out-dir", str(out))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("objective ")
+        assert (out / "solution.csv").exists() and (out / "solution.json").exists()
+
+    @pytest.mark.parametrize("module", ["tsvar", "tsvar.cli"])
+    def test_bad_file_is_one_error_line(self, tmp_path, module):
+        path = tmp_path / "bad.ini"
+        path.write_text(LOADER_MESSAGES["uniform a >= b"][0])
+        proc = self._run(module, "info", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+
 class TestSolveCommand:
     def test_integer_control_solution_values(self, control_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -278,6 +476,12 @@ class TestSolveCommand:
         out = tmp_path / "out"
         assert main(["solve", str(path), "--out-dir", str(out)]) == 0
         assert main(["verify", str(path), str(out / "solution.csv")]) == 0
+
+    def test_readme_lists_each_kinds_keys_in_the_loaders_order(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, flags=re.M))
+        assert {kind: re.findall(r"`(\w+)`", rows[kind]) for kind in rows} == {
+            kind: [key for key, *_ in keys] for kind, (_, keys) in tv.cli._SCALE_KINDS.items()}
 
     def test_parse_failure_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.toml"

@@ -181,6 +181,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="v"):
             tv.ControlProblem(zgrid, tv.parse("v^2"), tv.parse("u"), 0.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_alpha_must_be_finite(self, zgrid, alpha):
+        # a non-finite start used to fail only in the solve, "objective
+        # undefined at the starting point"
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            tv.VariationalProblem(zgrid, tv.parse("v^2"), alpha)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            tv.ControlProblem(zgrid, tv.parse("u^2"), tv.parse("u"), alpha)
+
     def test_reduction_renames_slope(self, zgrid):
         p = tv.VariationalProblem(zgrid, tv.parse("v^2 + z"), 0.0)
         pc = tv.ControlProblem.from_variational(p)
