@@ -256,15 +256,13 @@ def load_problem_file(path: str | Path) -> ProblemFile:
 # no value (a NaN sample, a missing family, a residual past the family's end).
 
 
-_Derived = tuple[GridFunction | None, ResidualReport]  # ``Solution.lam_and_report()``
-
-
 _CSV_ROW = ",".join([_FMT] * 5) + "\r\n"
 
 
-def write_solution_csv(path: Path, sol: Solution, derived: _Derived | None = None) -> None:
-    """Write the solution table; ``derived`` defaults to ``sol.lam_and_report()``."""
-    lam, report = derived or sol.lam_and_report()
+def write_solution_csv(path: Path, sol: Solution, report: ResidualReport | None = None) -> None:
+    """Write the solution table; ``report`` defaults to ``sol.report``."""
+    report = report or sol.report
+    lam = report.lam
     n = sol.x.scale.n
     table = np.full((n, 5), math.nan)  # a NaN cell is written empty
     columns = (sol.x.scale.points, sol.x.values, None if sol.u is None else sol.u.values,
@@ -288,9 +286,9 @@ def _grid_list(g: GridFunction | None):
     return out
 
 
-def solution_to_dict(sol: Solution, derived: _Derived | None = None) -> dict:
-    """``solution.json`` content; ``derived`` defaults to ``sol.lam_and_report()``."""
-    lam, report = derived or sol.lam_and_report()
+def solution_to_dict(sol: Solution, report: ResidualReport | None = None) -> dict:
+    """``solution.json`` content; ``report`` defaults to ``sol.report``."""
+    report = report or sol.report
     return {
         "problem_type": "control" if isinstance(sol.problem, ControlProblem) else "variational",
         "converged": sol.converged,
@@ -304,7 +302,7 @@ def solution_to_dict(sol: Solution, derived: _Derived | None = None) -> dict:
             "t": sol.x.scale.points.tolist(),
             "x": sol.x.values.tolist(),
             "u": _grid_list(sol.u),
-            "lambda_sigma": _grid_list(lam),
+            "lambda_sigma": _grid_list(report.lam),
         },
         "residuals": report.to_dict(),
         "message": sol.message,
@@ -332,9 +330,9 @@ def _json_chunks(obj, pad: str = "\n"):
         yield json.dumps(obj)
 
 
-def write_solution_json(path: Path, sol: Solution, derived: _Derived | None = None) -> None:
+def write_solution_json(path: Path, sol: Solution, report: ResidualReport | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_chunks(solution_to_dict(sol, derived)))
+        fh.writelines(_json_chunks(solution_to_dict(sol, report)))
         fh.write("\n")
 
 
@@ -348,10 +346,9 @@ def cmd_solve(args) -> int:
     sol = solve(problem, pf.options)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    derived = sol.lam_and_report()  # computed on each read, so read once
-    report = derived[1]
-    write_solution_csv(out_dir / "solution.csv", sol, derived)
-    write_solution_json(out_dir / "solution.json", sol, derived)
+    report = sol.report  # computed on each read, so read once
+    write_solution_csv(out_dir / "solution.csv", sol, report)
+    write_solution_json(out_dir / "solution.json", sol, report)
     print(f"objective      {sol.objective_value:.12g}")
     print(f"residual sup   {report.sup_norm:.6e}")
     if sol.verdict.sufficient:
@@ -423,7 +420,7 @@ def cmd_verify(args) -> int:
     # without a lambda_sigma column the candidate gets its canonical multipliers
     grids = [None if v is None else GridFunction(pf.scale, v) for v in (xv, uv, lv)]
     try:
-        _, report = residual_report(problem, *grids)
+        report = residual_report(problem, *grids)
     except ValueError as exc:  # inadmissible, or a residual is undefined (say, a blank cell)
         print(f"verdict: FAIL ({exc})")
         return 3
@@ -473,7 +470,10 @@ def cmd_integrate(args) -> int:
         raise ProblemFileError(
             f"integrand may only use the variable t; found {sorted(extra)}"
         )
-    (values,) = pointwise(e)((pf.scale.points[:-1],))
+    try:
+        (values,) = pointwise(e)((pf.scale.points[:-1],))
+    except ValueError as exc:  # not finite at some point of the scale
+        raise ProblemFileError(str(exc)) from None
     print(_FMT % integrate_terms(pf.scale, values))
     return 0
 

@@ -8,13 +8,16 @@ first partials of the control form ``g = u`` at the slopes.  Control problems
 get the four Hamiltonian families (state, costate, stationarity,
 transversality) of ``H = f + lam*g``, whose partials ``f_a + lam*g_a`` are
 formed by array arithmetic from one batch of the first partials of
-:func:`tsvar.problem.partials`.  A report has one ``transversality`` scalar
-for either class.  The sufficiency screen takes either class, screens the
-control form and proves its dynamics linear from the second partials of
-``g`` and the exact zero of ``g`` at the origin; only the convexity of
-``f`` is sampled, on 256 midpoint pairs from ``[-8, 8]^3``, each one
-``integers(0, k)`` and one six-wide ``uniform`` draw.  The screen keeps its
-last verdict with the problem object it screened.
+:func:`tsvar.problem.partials`; without given multipliers the same batch
+gives them, by the costate recurrence and the transversality equation that
+the solvers' Newton core solves too, and the report carries them.  A report
+has one ``transversality`` scalar for either class.  The sufficiency screen
+takes either class, screens the control form and proves its dynamics linear
+from the second partials of ``g`` and the exact zero of ``g`` at the origin;
+only the convexity of ``f`` is sampled, on 256 midpoint pairs from
+``[-8, 8]^3``, each one ``integers(0, k)`` and one six-wide ``uniform``
+draw.  The screen keeps its last verdict with the problem object it
+screened.
 
 Multiplier grids hold sigma-shifted samples: ``lam.values[i]`` is the
 multiplier composed with the forward jump, sampled at ``t_i``.  The sample at
@@ -32,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import expr as ex
-from .errors import ScaleMismatchError
+from .errors import ScaleMismatchError, SolveError
 from .problem import (
     ControlProblem, VariationalProblem, _check_admissible, _is_zero, integrate_terms, partials,
     pointwise, terms,
@@ -58,9 +61,10 @@ class ResidualReport:
     """Per-point residuals of the necessary conditions plus summary norm.
 
     Variational reports fill ``el_residuals``, control reports the three
-    Hamiltonian arrays; both fill the ``transversality`` scalar of their
-    family, as :func:`tsvar.solver.residual_report` picks.  ``sup_norm`` is
-    the largest magnitude among everything present, NaN when any of it is.
+    Hamiltonian arrays and ``lam``, the multipliers those were evaluated at;
+    both fill the ``transversality`` scalar of their family, as
+    :func:`tsvar.solver.residual_report` picks.  ``sup_norm`` is the largest
+    magnitude among everything present, NaN when any of it is.
     """
 
     scale: TimeScale
@@ -70,6 +74,7 @@ class ResidualReport:
     costate_residuals: np.ndarray | None = None
     stationarity_residuals: np.ndarray | None = None
     sup_norm: float = math.nan
+    lam: GridFunction | None = None
 
     def _families(self):
         yield "euler_lagrange", self.el_residuals
@@ -139,16 +144,14 @@ def _euler_lagrange(ts: TimeScale, fx: np.ndarray, fv: np.ndarray) -> np.ndarray
     return (fv[1:] - fv[:-1]) / ts.mu_values[:-2] - fx[:-1]
 
 
-def transversality_residual(p: VariationalProblem, x: GridFunction, form: str = "general") -> float:
+def transversality_residual(p: VariationalProblem, x: GridFunction) -> float:
     """Boundary residual for the free end value.
 
-    ``form="general"`` integrates the ``x``-partial over the final step;
-    ``form="regular"`` takes its graininess-weighted endpoint value, valid on
-    regular scales.  On every finite representation that one-step integral
-    is the endpoint value, so the two forms give the same bits.
+    The general form integrates the ``x``-partial over the final step; on
+    every finite representation that one-step integral is the
+    graininess-weighted endpoint value of the regular-scale form, so one
+    expression gives both.
     """
-    if form not in ("general", "regular"):
-        raise ValueError(f"unknown form {form!r}")
     return _transversality(p.scale, *_variational_partials(p, x))
 
 
@@ -191,27 +194,83 @@ def variational_residuals(p: VariationalProblem, x: GridFunction) -> ResidualRep
     fx, fv, fz = _variational_partials(p, x)
     el = _euler_lagrange(p.scale, fx, fv)
     tc = _transversality(p.scale, fx, fv, fz)
-    return ResidualReport(
-        scale=p.scale,
-        el_residuals=el,
-        transversality=tc,
-        sup_norm=_sup(el, tc),
-    )
+    return ResidualReport(p.scale, el_residuals=el, transversality=tc, sup_norm=_sup(el, tc))
 
 
 # -- Hamiltonian conditions ----------------------------------------------------
 
 
-def _hamiltonian_partials(p: ControlProblem, x, u, lam, axes: str, *extra) -> list:
-    """Rows of ``H_a = f_a + lam*g_a`` for ``a`` in ``axes``, then those of
-    ``extra``, from one batch of the partials of ``f`` and ``g``.  A term that
-    ``diff(f + lam*g, a)`` folds away (``g_a`` or ``f_a`` the constant 0) is
-    left out, so each row has the bits of the compiled ``diff(H, a)``; a row
-    that is not finite raises ``ValueError`` naming ``H_a``."""
+_SINGULAR = 1e-13  # |1 - mu g_x| below this: the state or costate step has no unique solution
+
+
+def _recurrence(y0: float, steps: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """``y_{j+1} = (y_j + steps_j) / denom_j`` from ``y0``, over plain floats.
+
+    Where every ``denom`` is 1 (``g_x = 0``, as for ``g = u``) it is a
+    running sum, taken compensated: the exact rounding error of each
+    addition (Knuth's TwoSum) is summed alongside and added back, so every
+    ``y_j`` is within about one rounding of the exact sum.  A plain running
+    sum drifts by up to ``j`` roundings, and through the end value that
+    drift puts noise into the objective that stalls the Armijo test on long
+    meshes.
+    """
+    if (denom == 1.0).all():
+        y = np.cumsum(np.concatenate(([y0], steps)))
+        head, tail = y[:-1], y[1:]
+        part = tail - head
+        y[1:] += np.cumsum((head - (tail - part)) + (steps - part))
+        return y
+    y = [y0]
+    for step, d in zip(steps.tolist(), denom.tolist()):
+        y.append((y[-1] + step) / d)
+    return np.array(y)
+
+
+def _costate(ts: TimeScale, gx, fx, fz, gz) -> np.ndarray:
+    """The multipliers from the partials ``g_x, f_x, f_z, g_z`` at every term.
+
+    The costate recurrence and the transversality equation are both affine
+    in the multiplier, so two backward sweeps (end sample 0 and 1) over the
+    same partials determine the exact solution.
+    """
+    mu = ts.mu_values[:-1]
+    k = ts.n - 2
+    denom = 1.0 - mu[:k] * gx[:k]
+    singular = np.flatnonzero(np.abs(denom) < _SINGULAR)
+    if singular.size:
+        raise SolveError(f"costate recurrence singular at t = {float(ts.points[singular[-1]])!r}")
+    steps = mu[:k] * fx[:k]
+
+    def sweep(lam_end: float) -> tuple[np.ndarray, float]:
+        lam = _recurrence(lam_end, steps[::-1], denom[::-1])[::-1]
+        rhs = mu[k] * (fx[k] + lam[k] * gx[k]) + math.fsum((mu * (fz + lam * gz)).tolist())
+        return lam, rhs
+
+    lam0, r0 = sweep(0.0)
+    lam1, r1 = sweep(1.0)
+    slope = r1 - r0
+    if abs(1.0 - slope) < 1e-12:
+        raise SolveError("multiplier transversality equation is degenerate")
+    lam_end = r0 / (1.0 - slope)
+    return lam0 + lam_end * (lam1 - lam0)
+
+
+def _hamiltonian_partials(p: ControlProblem, x, u, lam, axes: str, *extra) -> tuple:
+    """``lam`` and the rows of ``H_a = f_a + lam*g_a`` for ``a`` in ``axes``,
+    then those of ``extra``, from one batch of the partials of ``f`` and
+    ``g``.  A ``lam`` of ``None`` is recovered by :func:`_costate` from that
+    batch, which then needs ``axes`` to be ``"xuz"``, and is NaN at the
+    maximum.  A term that ``diff(f + lam*g, a)`` folds away (``g_a`` or
+    ``f_a`` the constant 0) is left out, so each row has the bits of the
+    compiled ``diff(H, a)``; a row that is not finite raises ``ValueError``
+    naming ``H_a``."""
     d, k = partials(p), len(axes)
     fs = [d["xuz".index(a)] for a in axes]
     gs = [d["xuz".index(a) + 3] for a in axes]
     rows = list(pointwise(*fs, *gs, *extra)(terms(p.scale, x.values, u=u.values)))
+    if lam is None:
+        fx, _, fz, gx, _, gz = rows[:6]
+        lam = GridFunction(p.scale, np.append(_costate(p.scale, gx, fx, fz, gz), np.nan))
     lv = lam.values[:-1]
     for j, (fa, ga, fr, gr) in enumerate(zip(fs, gs, rows, rows[k:])):
         h = rows[j] = fr if _is_zero(ga) else lv * gr if _is_zero(fa) else fr + lv * gr
@@ -219,11 +278,11 @@ def _hamiltonian_partials(p: ControlProblem, x, u, lam, axes: str, *extra) -> li
         if bad.size:
             text = ex.to_text(ex._add(fa, ex._mul(ex.Var("lam"), ga)))
             raise ValueError(f"{text} is {h[bad[0]]} at t = {float(p.scale.points[bad[0]])!r}")
-    return rows[:k] + rows[2 * k:]
+    return lam, rows[:k] + rows[2 * k:]
 
 
 def hamiltonian_residuals(
-    p: ControlProblem, x: GridFunction, u: GridFunction, lam: GridFunction
+    p: ControlProblem, x: GridFunction, u: GridFunction, lam: GridFunction | None = None
 ) -> ResidualReport:
     """Residuals of the Hamiltonian system for ``H = f + lam*g``.
 
@@ -231,28 +290,26 @@ def hamiltonian_residuals(
     costate residual needs a forward difference of the multiplier samples and
     therefore stops one point earlier.  The transversality scalar compares
     the final multiplier sample against the one-step integral of the
-    ``x``-partial plus the full integral of the ``z``-partial.
+    ``x``-partial plus the full integral of the ``z``-partial.  Without
+    ``lam`` the multipliers are recovered from the same batch of partials;
+    the report keeps the multipliers it was evaluated at.
     """
     _check_admissible(p, x)
     require_same_scale(x, u, "state and control")
-    require_same_scale(x, lam, "state and multiplier")
+    if lam is not None:
+        require_same_scale(x, lam, "state and multiplier")
     ts = p.scale
-    mu, xv, lv = ts.mu_values[:-1], x.values, lam.values
-    hx, hu, hz, g = _hamiltonian_partials(p, x, u, lam, "xuz", p.g)
+    mu, xv = ts.mu_values[:-1], x.values
+    lam, (hx, hu, hz, g) = _hamiltonian_partials(p, x, u, lam, "xuz", p.g)
+    lv = lam.values
     state = np.diff(xv) / mu - g
     stationarity = hu.copy()  # a row alone, not a view that keeps the whole batch alive
     costate = np.diff(lv[:-1]) / mu[:-1] + hx[:-1]
     k = ts.n - 2
     tc = float(lv[k] - mu[k] * hx[k] - integrate_terms(ts, hz))
-
-    return ResidualReport(
-        scale=ts,
-        state_residuals=state,
-        costate_residuals=costate,
-        stationarity_residuals=stationarity,
-        transversality=tc,
-        sup_norm=_sup(state, costate, stationarity, tc),
-    )
+    return ResidualReport(ts, state_residuals=state, costate_residuals=costate,
+                          stationarity_residuals=stationarity, transversality=tc,
+                          sup_norm=_sup(state, costate, stationarity, tc), lam=lam)
 
 
 def transversality_residual_control_classical(
@@ -272,7 +329,7 @@ def transversality_residual_control_classical(
         raise ScaleMismatchError(
             "classical multiplier transversality needs a uniform dense sampling"
         )
-    (hz,) = _hamiltonian_partials(p, x, u, lam, "z")
+    _, (hz,) = _hamiltonian_partials(p, x, u, lam, "z")
     return float(lam.values[p.scale.n - 2]) - integrate_terms(p.scale, hz)
 
 
@@ -341,8 +398,10 @@ def _linearity_check(p: ControlProblem):
     ``None`` when it vanishes there at every point.
     """
     ts = p.scale.points[:-1]
+    # zero columns, not the Python float defaults, whose division by zero raises
+    at = (ts, *[np.zeros_like(ts)] * 4)
     with np.errstate(all="ignore"):
-        origin = np.broadcast_to(ex.compile_fn(p.g, array=True)(ts), ts.shape)
+        origin = np.broadcast_to(ex.compile_fn(p.g, array=True)(*at), ts.shape)
     bad = np.flatnonzero(origin != 0.0)  # NaN is not zero either
     if bad.size:
         t, val = float(ts[bad[0]]), float(origin[bad[0]])
@@ -353,7 +412,7 @@ def _linearity_check(p: ControlProblem):
     for name, d in zip(("xx", "xu", "xz", "uu", "uz", "zz"), partials(p)[12:]):
         if not _is_zero(d):
             with np.errstate(all="ignore"):
-                at_origin = np.broadcast_to(ex.compile_fn(d, array=True)(ts), ts.shape)
+                at_origin = np.broadcast_to(ex.compile_fn(d, array=True)(*at), ts.shape)
             bad = np.flatnonzero(at_origin != 0.0)  # NaN is not zero either
             return SufficiencyVerdict(
                 "inconclusive",

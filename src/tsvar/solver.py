@@ -45,8 +45,9 @@ steps and the backward costate sweeps, run over plain floats; only a state
 step whose ``g`` is not affine in ``x`` calls compiled ``g`` point by point.
 
 A returned :class:`Solution` keeps its problem and grids; on each read,
-:func:`residual_report` recomputes its multipliers and residual report from
-them, as it makes the report of a ``tsvar verify`` candidate.
+:func:`residual_report` recomputes its residual report, which carries the
+multipliers, from them, as it makes the report of a ``tsvar verify``
+candidate.
 
 :func:`brute_force_oracle` has one exact path for both classes, and no grid
 search: it takes only quadratic costs with affine dynamics, and shares no
@@ -59,18 +60,15 @@ must show a unique minimizer that the rounding of its entries cannot hide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import expr as ex
 from .conditions import (
-    ResidualReport,
-    SufficiencyVerdict,
-    hamiltonian_residuals,
-    sufficiency_check,
-    variational_residuals,
+    _SINGULAR, ResidualReport, SufficiencyVerdict, _costate, _recurrence, hamiltonian_residuals,
+    sufficiency_check, variational_residuals,
 )
 from .errors import (
     OracleError, ScaleMismatchError, SingularJacobianError, SolveError, TsvarError,
@@ -78,7 +76,7 @@ from .errors import (
 from .problem import (
     ControlProblem, VariationalProblem, _is_zero, integrate_terms, partials, pointwise, terms,
 )
-from .timescale import GridFunction, TimeScale
+from .timescale import GridFunction
 
 __all__ = [
     "SolveOptions", "Solution", "SweepRow",
@@ -88,7 +86,6 @@ __all__ = [
 
 _DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 _ARMIJO = 1e-4
-_SINGULAR = 1e-13  # |1 - mu g_x| below this: the state or costate step has no unique solution
 _NEWTON_STEPS = 50  # per implicit state step; Newton converges in a few
 _CONSISTENCY_STEPS = 50  # secant steps of the end-value consistency solve
 _CONSISTENCY_TOL = 1e-12  # relative end-value mismatch that closes it
@@ -112,40 +109,37 @@ class SolveOptions:
 class Solution:
     """Solver output.
 
-    The solve fixes the grids, ``objective_value``, ``verdict``,
-    ``converged`` and ``iterations``.  :func:`residual_report` recomputes
-    the multipliers ``lam`` and the residual report on every read, so a kept
-    solution holds neither; read them once (both at once with
-    :meth:`lam_and_report`) where they are needed more than once.
-    ``verdict`` is :func:`sufficiency_check` of ``problem``, the object the
-    caller passed, so solves of one problem back to back share one verdict
-    object and screen it once.
+    The constructor takes what the solve fixed: the grids,
+    ``objective_value``, ``converged``, ``iterations`` and ``message``.
+    ``verdict`` derives from ``problem``, the object the caller passed: it is
+    :func:`sufficiency_check` of it, so solves of one problem back to back
+    share one verdict object and screen it once.  :func:`residual_report`
+    recomputes ``report`` on every read, so a kept solution holds no report;
+    read it once where it is needed more than once.
     """
 
     problem: VariationalProblem | ControlProblem
     x: GridFunction
     u: GridFunction | None
     objective_value: float
-    verdict: SufficiencyVerdict
     converged: bool
     iterations: int
     message: str = ""
+    verdict: SufficiencyVerdict = field(init=False)
 
-    @property
-    def lam(self) -> GridFunction | None:
-        """Sigma-shifted multiplier samples of a control solution, NaN at the
-        maximum: :func:`recover_costate` at the returned grids with the end
-        value ``x(T)``.  ``None`` for a variational solution."""
-        return None if self.u is None else _multipliers(self.problem, self.x, self.u)
-
-    def lam_and_report(self) -> tuple[GridFunction | None, ResidualReport]:
-        """``lam`` and ``report`` from one recovery of the multipliers."""
-        return residual_report(self.problem, self.x, self.u)
+    def __post_init__(self):
+        object.__setattr__(self, "verdict", sufficiency_check(self.problem))
 
     @property
     def report(self) -> ResidualReport:
         """Residuals of the necessary conditions at the returned grids."""
-        return self.lam_and_report()[1]
+        return residual_report(self.problem, self.x, self.u)
+
+    @property
+    def lam(self) -> GridFunction | None:
+        """``report.lam``: the sigma-shifted multiplier samples of a control
+        solution, NaN at the maximum; ``None`` for a variational solution."""
+        return self.report.lam
 
     @property
     def slope(self) -> float:
@@ -179,11 +173,8 @@ def _gradient_sup(h: np.ndarray) -> float:
 
 def _variational_solution(p, x, J, ok, iters, message) -> Solution:
     return Solution(
-        problem=p, x=GridFunction(p.scale, x), u=None,
-        objective_value=J,
-        verdict=sufficiency_check(p),
-        converged=ok, iterations=iters,
-        message="" if ok else message,
+        problem=p, x=GridFunction(p.scale, x), u=None, objective_value=J,
+        converged=ok, iterations=iters, message="" if ok else message,
     )
 
 
@@ -350,29 +341,6 @@ class _Core:
         return hu, [col.tolist() for col in stages]
 
 
-def _recurrence(y0: float, steps: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """``y_{j+1} = (y_j + steps_j) / denom_j`` from ``y0``, over plain floats.
-
-    Where every ``denom`` is 1 (``g_x = 0``, as for ``g = u``) it is a
-    running sum, taken compensated: the exact rounding error of each
-    addition (Knuth's TwoSum) is summed alongside and added back, so every
-    ``y_j`` is within about one rounding of the exact sum.  A plain running
-    sum drifts by up to ``j`` roundings, and through the end value that
-    drift puts noise into the objective that stalls the Armijo test on long
-    meshes.
-    """
-    if (denom == 1.0).all():
-        y = np.cumsum(np.concatenate(([y0], steps)))
-        head, tail = y[:-1], y[1:]
-        part = tail - head
-        y[1:] += np.cumsum((head - (tail - part)) + (steps - part))
-        return y
-    y = [y0]
-    for step, d in zip(steps.tolist(), denom.tolist()):
-        y.append((y[-1] + step) / d)
-    return np.array(y)
-
-
 def _newton_root(g, dg, t: float, xi: float, mu: float, ui: float, zeta: float) -> float | None:
     """Root of ``F(y) = y - xi - mu g(t, y, ui, zeta)``, or ``None``.
 
@@ -418,60 +386,20 @@ def recover_costate(
     return _costate(p.scale, gx, fx, fz, gz)
 
 
-def _multipliers(p: ControlProblem, x: GridFunction, u: GridFunction) -> GridFunction:
-    """:func:`recover_costate` at the grids with the end value ``x(T)``, NaN at the maximum."""
-    xv = x.values
-    return GridFunction(x.scale, np.append(recover_costate(p, xv, u.values, float(xv[-1])), np.nan))
-
-
 def residual_report(
     p: VariationalProblem | ControlProblem, x: GridFunction,
     u: GridFunction | None = None, lam: GridFunction | None = None,
-) -> tuple[GridFunction | None, ResidualReport]:
-    """The multipliers and the residuals of the necessary conditions of ``p``'s class.
+) -> ResidualReport:
+    """The residuals of the necessary conditions of ``p``'s class.
 
-    A variational problem gets ``(None, variational_residuals(p, x))``;
-    ``u`` and ``lam`` are unread.  A control problem gets the Hamiltonian
-    system at ``(x, u, lam)``, with ``lam`` recovered when it is ``None``.
+    A variational problem gets :func:`variational_residuals`; ``u`` and
+    ``lam`` are unread.  A control problem gets the Hamiltonian system at
+    ``(x, u, lam)``, with ``lam`` recovered from the report's own batch of
+    partials when it is ``None``; the report carries it.
     """
     if isinstance(p, VariationalProblem):
-        return None, variational_residuals(p, x)
-    if lam is None:
-        lam = _multipliers(p, x, u)
-    return lam, hamiltonian_residuals(p, x, u, lam)
-
-
-def _costate(
-    ts: TimeScale, gx: np.ndarray, fx: np.ndarray, fz: np.ndarray, gz: np.ndarray
-) -> np.ndarray:
-    """The multipliers from the partials at every term.
-
-    The costate recurrence and the transversality equation are both affine
-    in the multiplier, so two backward sweeps (end sample 0 and 1) over the
-    same partials determine the exact solution.
-    """
-    mu = ts.mu_values[:-1]
-    k = ts.n - 2
-    denom = 1.0 - mu[:k] * gx[:k]
-    singular = np.flatnonzero(np.abs(denom) < _SINGULAR)
-    if singular.size:
-        raise SolveError(
-            f"costate recurrence singular at t = {float(ts.points[singular[-1]])!r}"
-        )
-    steps = mu[:k] * fx[:k]
-
-    def sweep(lam_end: float) -> tuple[np.ndarray, float]:
-        lam = _recurrence(lam_end, steps[::-1], denom[::-1])[::-1]
-        rhs = mu[k] * (fx[k] + lam[k] * gx[k]) + math.fsum((mu * (fz + lam * gz)).tolist())
-        return lam, rhs
-
-    lam0, r0 = sweep(0.0)
-    lam1, r1 = sweep(1.0)
-    slope = r1 - r0
-    if abs(1.0 - slope) < 1e-12:
-        raise SolveError("multiplier transversality equation is degenerate")
-    lam_end = r0 / (1.0 - slope)
-    return lam0 + lam_end * (lam1 - lam0)
+        return variational_residuals(p, x)
+    return hamiltonian_residuals(p, x, u, lam)
 
 
 def _riccati_step(
@@ -682,8 +610,7 @@ def solve_control(
     w, x_arr, J, iters, ok = _minimize(p, w, opts, _sup, _shifted_control_step, _armijo, shown)
     return Solution(
         problem=p, x=GridFunction(p.scale, x_arr), u=GridFunction(p.scale, np.append(w, np.nan)),
-        objective_value=J, verdict=sufficiency_check(p),
-        converged=ok, iterations=iters,
+        objective_value=J, converged=ok, iterations=iters,
         message="" if ok else "gradient tolerance not reached",
     )
 
@@ -817,9 +744,7 @@ def brute_force_oracle(p: VariationalProblem | ControlProblem) -> Solution:
     return Solution(
         problem=p, x=GridFunction(p.scale, x),
         u=None if cp is not p else GridFunction(p.scale, np.append(u, np.nan)),
-        objective_value=J,
-        verdict=sufficiency_check(p),
-        converged=True, iterations=0, message="oracle",
+        objective_value=J, converged=True, iterations=0, message="oracle",
     )
 
 

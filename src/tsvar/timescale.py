@@ -44,7 +44,7 @@ def _dedupe(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TimeScale:
-    """Strictly increasing points of a bounded time scale.
+    """Strictly increasing finite points of a bounded time scale.
 
     ``dense_mask[i]`` is True when point ``i`` samples a dense sub-interval.
     The flag affects reporting and the admissibility of the classical-limit
@@ -59,6 +59,8 @@ class TimeScale:
         mask = np.asarray(self.dense_mask, dtype=bool)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("a time scale needs at least two points")
+        if not np.isfinite(pts).all():
+            raise ValueError("time scale points must be finite")
         if not np.all(np.diff(pts) > 0.0):
             raise ValueError("time scale points must be strictly increasing")
         if mask.shape != pts.shape:
@@ -73,10 +75,13 @@ class TimeScale:
     @classmethod
     def from_points(cls, points: Iterable[float]) -> "TimeScale":
         """Explicit discrete point set; input is sorted and near-duplicates
-        are merged."""
+        are merged.  A point that is not finite raises, before the merge
+        could drop it."""
         pts = np.sort(np.asarray(list(points), dtype=float))
         if pts.size == 0:
             raise ValueError("empty point list")
+        if not np.isfinite(pts).all():
+            raise ValueError("time scale points must be finite")
         pts = _dedupe(pts)
         return cls(pts, np.zeros(pts.shape, dtype=bool))
 
@@ -96,6 +101,8 @@ class TimeScale:
             raise ValueError("uniform sampling needs at least two points")
         if not b > a:
             raise ValueError("uniform sampling needs a < b")
+        if not math.isfinite(b - a):
+            raise ValueError("uniform sampling needs a finite span b - a")
         pts = np.linspace(float(a), float(b), int(n))
         return cls(pts, np.ones(pts.shape, dtype=bool))
 
@@ -111,7 +118,10 @@ class TimeScale:
             raise ValueError("q-grid needs q > 1")
         if k_max < k_min:
             raise ValueError("q-grid needs k_min <= k_max")
-        pts = [q**k for k in range(int(k_min), int(k_max) + 1)]
+        try:
+            pts = [q**k for k in range(int(k_min), int(k_max) + 1)]
+        except OverflowError:
+            raise ValueError("q-grid points overflow") from None
         if include_zero:
             pts = [0.0] + pts
         if len(pts) < 2:

@@ -390,8 +390,9 @@ def _reference_fmt(v) -> str:
     return "%.17g" % v
 
 
-def reference_solution_csv(path, sol, derived=None) -> None:
-    lam, report = derived or sol.lam_and_report()
+def reference_solution_csv(path, sol, report=None) -> None:
+    report = report or sol.report
+    lam = report.lam
     ts = sol.x.scale
     el = report.el_residuals
     rows = []
@@ -430,8 +431,9 @@ def _reference_residuals(report) -> dict:
     return out
 
 
-def reference_solution_json(path, sol, problem_type: str, derived=None) -> None:
-    lam, report = derived or sol.lam_and_report()
+def reference_solution_json(path, sol, problem_type: str, report=None) -> None:
+    report = report or sol.report
+    lam = report.lam
     doc = {
         "problem_type": problem_type,
         "converged": sol.converged,
@@ -667,6 +669,6 @@ def reference_solve_stationarity(
     J, x, _ = core.value(w)
     return tv.Solution(
         problem=p, x=tv.GridFunction(p.scale, x), u=None, objective_value=J,
-        verdict=tv.sufficiency_check(cp), converged=ok, iterations=iters,
+        converged=ok, iterations=iters,
         message="" if ok else "stationarity residual tolerance not reached",
     )

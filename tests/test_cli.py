@@ -1,6 +1,7 @@
 """Command-line behaviour: file loading, commands, exit codes, determinism."""
 
 import csv
+import dataclasses
 import math
 import os
 import re
@@ -368,6 +369,15 @@ LOADER_MESSAGES = {
                            "line 2: a time scale needs at least two points"),
     "integers b <= a": (_scale("kind = integers\na = 3\nb = 3\n\n"),
                         "line 2: integer grid needs a < b"),
+    # non-finite scale points
+    "explicit nan point": (_scale("kind = explicit\npoints = 0, 0.5, 1, nan\n\n\n"),
+                           "line 2: time scale points must be finite"),
+    "qgrid q inf": (_scale("kind = qgrid\nq = inf\nk_min = 0\nk_max = 1\n"),
+                    "line 2: time scale points must be finite"),
+    "qgrid overflow": (_scale("kind = qgrid\nq = 1.5\nk_min = 0\nk_max = 2000\n"),
+                       "line 2: q-grid points overflow"),
+    "uniform b inf": (_edited(("\nb = 1", "\nb = inf")),
+                      "line 2: uniform sampling needs a finite span b - a"),
     # non-finite alpha and parameters
     "alpha nan": (_edited(("alpha = 0", "alpha = nan")),
                   "line 10: alpha is not a finite number: 'nan'"),
@@ -505,6 +515,17 @@ class TestSolveCommand:
         assert main(["solve", str(path), "--out-dir", str(out)]) == 2
         assert (out / "solution.csv").exists()  # best iterate still written
 
+    def test_dynamics_undefined_at_the_origin_solve_without_a_traceback(self, tmp_path,
+                                                                        capsys):
+        # g = -(u/x) once made the screen raise ZeroDivisionError after the solve
+        path = tmp_path / "divide.ini"
+        path.write_text("[timescale]\nkind = uniform\na = 0\nb = 1\nn = 20\n\n"
+                        "[problem]\ntype = control\nf = 0.832*t\ng = -(u/x)\nalpha = 1\n")
+        assert main(["solve", str(path), "--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert ("sufficiency    inconclusive "
+                "(dynamics undefined: g(t,0,0,0) = nan at t = 0.0)\n") in out
+
     def test_json_carries_verdict_and_grids(self, control_file, tmp_path):
         import json
 
@@ -530,32 +551,46 @@ class TestSolveCommand:
         assert main(["solve", str(control_file), "--out-dir", str(tmp_path)]) == 0
         assert len(calls) == 1
 
-    def test_multipliers_are_recovered_once(self, control_file, tmp_path, monkeypatch):
-        # Solution.lam is derived on read: the report, the CSV and the JSON
-        # share one recovery after the solve
+    def test_report_evaluates_one_kernel_batch(self, control_file, tmp_path, monkeypatch):
+        # after the solve, the stdout line, the CSV and the JSON share one
+        # report, whose residuals and multipliers come from one batch of the
+        # pointwise kernel; both files carry its multipliers bit for bit
+        import json
+
         import tsvar.cli
+        import tsvar.conditions
+        import tsvar.problem
         import tsvar.solver
 
-        calls = []
-        solved = []
-        recover, solve = tsvar.solver.recover_costate, tsvar.cli.solve_control
+        batches, solved = [], []
+        make, solve = tsvar.problem.pointwise, tsvar.cli.solve_control
 
-        def counted(*args):
-            if solved:
-                calls.append(args)
-            return recover(*args)
+        def counted_pointwise(*exprs):
+            evaluate = make(*exprs)
+
+            def counted(cols):
+                if solved:
+                    batches.append(exprs)
+                return evaluate(cols)
+
+            return counted
 
         def solve_then_count(*args, **kwargs):
             solved.append(solve(*args, **kwargs))
             return solved[-1]
 
-        monkeypatch.setattr(tsvar.solver, "recover_costate", counted)
+        for module in (tsvar.problem, tsvar.conditions, tsvar.solver):
+            monkeypatch.setattr(module, "pointwise", counted_pointwise)
         monkeypatch.setattr(tsvar.cli, "solve_control", solve_then_count)
         assert main(["solve", str(control_file), "--out-dir", str(tmp_path)]) == 0
-        assert len(calls) == 1
-        rows = read_csv(tmp_path / "solution.csv")
-        lam = [float(row["lambda_sigma"] or "nan") for row in rows]
-        assert np.array_equal(lam, solved[0].lam.values, equal_nan=True)
+        assert len(batches) == 1
+        lam = solved[0].report.lam.values
+        written = np.array([float(row["lambda_sigma"] or "nan")
+                            for row in read_csv(tmp_path / "solution.csv")])
+        assert written.tobytes() == lam.tobytes()
+        doc = json.loads((tmp_path / "solution.json").read_text())
+        written = np.array([math.nan if v is None else v for v in doc["grids"]["lambda_sigma"]])
+        assert written.tobytes() == lam.tobytes()
 
     def test_determinism_byte_identical(self, length_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -581,15 +616,15 @@ def _solved(kind: str, scale: str):
     return tv.solve_variational(p)
 
 
-def _written(tmp_path, sol, derived, problem_type=None):
+def _written(tmp_path, sol, report, problem_type=None):
     """The bytes the current writers write; with ``problem_type``, those of the
     reference writers, which are told the problem type."""
     if problem_type is None:
-        write_solution_csv(tmp_path / "solution.csv", sol, derived)
-        write_solution_json(tmp_path / "solution.json", sol, derived)
+        write_solution_csv(tmp_path / "solution.csv", sol, report)
+        write_solution_json(tmp_path / "solution.json", sol, report)
     else:
-        reference_solution_csv(tmp_path / "solution.csv", sol, derived)
-        reference_solution_json(tmp_path / "solution.json", sol, problem_type, derived)
+        reference_solution_csv(tmp_path / "solution.csv", sol, report)
+        reference_solution_json(tmp_path / "solution.json", sol, problem_type, report)
     return (tmp_path / "solution.csv").read_bytes(), (tmp_path / "solution.json").read_bytes()
 
 
@@ -598,14 +633,14 @@ class TestSolutionWriters:
 
     @pytest.mark.parametrize("scale", sorted(_SCALES))
     @pytest.mark.parametrize("kind", ["control", "variational"])
-    @pytest.mark.parametrize("explicit", [False, True], ids=["derived=None", "derived"])
+    @pytest.mark.parametrize("explicit", [False, True], ids=["report=None", "report"])
     def test_bytes_match_the_reference(self, tmp_path, kind, scale, explicit):
         sol = _solved(kind, scale)
-        derived = sol.lam_and_report() if explicit else None
+        report = sol.report if explicit else None
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
-        ours = _written(tmp_path / "a", sol, derived)
-        ref = _written(tmp_path / "b", sol, derived, kind)
+        ours = _written(tmp_path / "a", sol, report)
+        ref = _written(tmp_path / "b", sol, report, kind)
         assert ours == ref
 
     def test_non_finite_and_empty_residuals(self, tmp_path):
@@ -619,11 +654,12 @@ class TestSolutionWriters:
             state_residuals=np.array([]),
             costate_residuals=np.array([math.nan, 1e300]),
             sup_norm=math.nan,
+            lam=lam,
         )
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
-        ours = _written(tmp_path / "a", sol, (lam, report))
-        ref = _written(tmp_path / "b", sol, (lam, report), "control")
+        ours = _written(tmp_path / "a", sol, report)
+        ref = _written(tmp_path / "b", sol, report, "control")
         assert ours == ref
         text = ours[1].decode()
         assert '"sup_norm": NaN' in text and '"state": []' in text
@@ -636,11 +672,11 @@ class TestSolutionWriters:
         sol = _solved("control", "integers")
         ts = sol.x.scale
         lam = tv.GridFunction(ts, np.full(ts.n, np.copysign(math.nan, -1.0)))
-        report = sol.lam_and_report()[1]
+        report = dataclasses.replace(sol.report, lam=lam)
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
-        ours = _written(tmp_path / "a", sol, (lam, report))
-        ref = _written(tmp_path / "b", sol, (lam, report), "control")
+        ours = _written(tmp_path / "a", sol, report)
+        ref = _written(tmp_path / "b", sol, report, "control")
         assert ours[0] == ref[0]
         assert b"nan" not in ours[0].lower()
         assert ours[0].splitlines()[1].endswith(b",,")
@@ -670,7 +706,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("problem", ["control", "tracking", "length"])
     def test_report_is_the_solutions_report(self, request, tmp_path, monkeypatch, problem,
                                             multipliers):
-        # verify reports on the path of Solution.lam_and_report, with the
+        # verify reports on the path of Solution.report, with the
         # multipliers from the candidate's column or recovered without it
         path = request.getfixturevalue(f"{problem}_file")
         assert main(["solve", str(path), "--out-dir", str(tmp_path)]) in (0, 2)
@@ -683,14 +719,14 @@ class TestVerifyCommand:
         reports = []
 
         def recorded(*args):
-            reports.append(tv.residual_report(*args)[1])
-            return None, reports[-1]
+            reports.append(tv.residual_report(*args))
+            return reports[-1]
 
         monkeypatch.setattr(tv.cli, "residual_report", recorded)
         assert main(["verify", str(path), str(cand)]) in (0, 3)
         pf = load_problem_file(path)
         solve = tv.solve_control if pf.problem_type == "control" else tv.solve_variational
-        want = solve(pf.build_problem(), pf.options).lam_and_report()[1]
+        want = solve(pf.build_problem(), pf.options).report
         (got,) = reports
         for name in ("sup_norm", "transversality"):
             assert np.float64(getattr(got, name)).tobytes() == \
@@ -1061,6 +1097,13 @@ class TestIntegrateCommand:
 
     def test_non_time_variable_rejected(self, control_file, capsys):
         assert main(["integrate", str(control_file), "--expr", "x + t"]) == 1
+
+    def test_integrand_undefined_on_the_scale_is_an_error_line(self, control_file, capsys):
+        # 1/t is infinite at t = 0; its ValueError once escaped as a traceback
+        assert main(["integrate", str(control_file), "--expr", "1/t"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 1/t is inf at t = 0.0\n"
 
 
 class TestInfoCommand:

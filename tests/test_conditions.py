@@ -80,12 +80,14 @@ class TestTransversality:
         assert tv.transversality_residual(p, x) == 0.0
 
     def test_general_and_regular_forms_agree(self):
+        # the package's one expression against the regular form of the
+        # independent reference, which evaluates the v form of f
         rng = np.random.default_rng(12)
         for _ in range(40):
             p = random_quadratic_problem(rng)
             x = admissible_grid(rng, p)
-            general = tv.transversality_residual(p, x, form="general")
-            regular = tv.transversality_residual(p, x, form="regular")
+            general = tv.transversality_residual(p, x)
+            regular = reference_variational(p, x)["regular"]
             assert abs(general - regular) <= 1e-12 * max(1.0, abs(general))
 
 
@@ -326,7 +328,7 @@ class TestVariationalBits:
                     "objective": tv.objective(p, x),
                     "euler_lagrange": tv.euler_lagrange_residual(p, x),
                     "general": tv.transversality_residual(p, x),
-                    "regular": tv.transversality_residual(p, x, form="regular"),
+                    "regular": tv.transversality_residual(p, x),
                     "report_el": report.el_residuals,
                     "report_transversality": report.transversality,
                     "sup_norm": report.sup_norm,
@@ -453,6 +455,16 @@ class TestSufficiency:
         assert verdict.status == "inconclusive"
         assert verdict.witness == (0.0, (0.0, 0.0, 0.0))
         assert "g(t,0,0,0) = nan at t = 0.0" in verdict.reason
+
+    def test_dynamics_dividing_by_the_state_are_undefined_at_the_origin(self):
+        # the origin test once ran on Python float zeros, whose 0/0 raised
+        # ZeroDivisionError out of the screen
+        p = tv.ControlProblem(tv.TimeScale.uniform(0.0, 1.0, 20), tv.parse("0.832*t"),
+                              tv.parse("-(u/x)"), 1.0)
+        verdict = tv.sufficiency_check(p)
+        assert verdict.status == "inconclusive"
+        assert verdict.reason == "dynamics undefined: g(t,0,0,0) = nan at t = 0.0"
+        assert verdict.witness == (0.0, (0.0, 0.0, 0.0))
 
     def test_origin_witness_is_the_first_nonzero_point(self):
         ts = tv.TimeScale.integer_range(0, 8)

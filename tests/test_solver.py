@@ -642,7 +642,7 @@ class TestControlInternals:
         lam = tv.recover_costate(p, xv, sol.u.values[:-1], float(xv[-1]))
         assert np.array_equal(sol.lam.values[:-1], lam)
         assert math.isnan(sol.lam.values[-1])
-        assert sol.lam_and_report()[0].values.tobytes() == sol.lam.values.tobytes()
+        assert sol.report.lam.values.tobytes() == sol.lam.values.tobytes()
 
     @pytest.mark.parametrize("kind", ["variational", "control"])
     def test_report_is_computed_from_the_returned_grids(self, kind):
@@ -969,6 +969,28 @@ class TestBruteForceOracle:
         assert first.verdict.status == "inconclusive"  # not the one shared `sufficient`
         assert all(sol.verdict is first.verdict for sol in sols)
 
+    @pytest.mark.parametrize("kind", ["variational", "control"])
+    def test_verdict_derives_from_the_problem(self, kind):
+        # each solver's and the oracle's solution screens the problem it
+        # holds; the constructor takes no verdict, and derives one too
+        ts = tv.TimeScale.integer_range(0, 4)
+        if kind == "variational":
+            p = tv.VariationalProblem(ts, tv.parse("v^2 - 0.1*x^2 + (z - 1)^2"), 0.0)
+            solves = [tv.solve_variational, tv.solve_stationarity, tv.brute_force_oracle]
+        else:
+            p = tv.ControlProblem(ts, tv.parse("u^2 + x^2 + 3*(z - 1)^2"),
+                                  tv.parse("u - 0.5*x + 1"), 0.0)
+            solves = [tv.solve_control, tv.brute_force_oracle]
+        for solve in solves:
+            sol = solve(p)
+            assert sol.problem is p
+            assert sol.verdict is tv.sufficiency_check(sol.problem), solve.__name__
+            assert sol.verdict.status == "inconclusive"  # not the one shared `sufficient`
+        built = tv.Solution(p, sol.x, sol.u, sol.objective_value, True, 0)
+        assert built.verdict is sol.verdict
+        with pytest.raises(TypeError, match="verdict"):
+            tv.Solution(p, sol.x, sol.u, sol.objective_value, True, 0, verdict=sol.verdict)
+
     def test_a_solve_and_its_screen_build_one_control_form(self, monkeypatch):
         # the screen of the user's problem finds the control form the solve
         # built, so a new problem, as each sweep row is, builds it once
@@ -1099,7 +1121,7 @@ class TestSweep:
         else:
             p = tv.ControlProblem(tv.TimeScale.uniform(0.0, 1.0, 200),
                                   tv.parse("u^2 + x^2 + 3*(z - 1)^2"), tv.parse("u - 0.5*x"), 0.0)
-            tv.solve_control(p).lam_and_report()
+            tv.solve_control(p).report
         for cached in (tv.expr.diff, tv.expr.compile_fn, tv.expr._compile_shape):
             info = cached.cache_info()
             assert info.currsize <= info.maxsize / 4

@@ -87,6 +87,26 @@ class TestStructure:
         with pytest.raises(ValueError):
             tv.TimeScale.from_points([1.0])
 
+    @pytest.mark.parametrize("build", [
+        lambda: tv.TimeScale.from_points([0.0, 0.5, 1.0, math.nan]),
+        lambda: tv.TimeScale.from_points([-math.inf, 0.0, 1.0]),
+        lambda: tv.TimeScale.q_grid(math.inf, 0, 1),
+        lambda: tv.TimeScale(np.array([0.0, 1.0, math.inf]), np.zeros(3, dtype=bool)),
+    ], ids=["points nan", "points -inf", "qgrid q inf", "constructor inf"])
+    def test_non_finite_points_are_refused(self, build):
+        # a NaN point used to be merged away without a word, and q = inf
+        # made the scale [1, inf]
+        with pytest.raises(ValueError, match="time scale points must be finite"):
+            build()
+
+    def test_unbounded_constructor_arguments_are_refused(self):
+        with pytest.raises(ValueError, match="finite span"):
+            tv.TimeScale.uniform(0.0, math.inf, 5)
+        with pytest.raises(ValueError, match="finite span"):
+            tv.TimeScale.uniform(-1e308, 1e308, 5)
+        with pytest.raises(ValueError, match="q-grid points overflow"):
+            tv.TimeScale.q_grid(1.5, 0, 2000)
+
     def test_constructor_dedupes_close_points(self):
         ts = tv.TimeScale.from_points([0.0, 1.0, 1.0 + 1e-14, 2.0])
         assert ts.n == 3
