@@ -16,8 +16,8 @@ takes either class, screens the control form and proves its dynamics linear
 from the second partials of ``g`` and the exact zero of ``g`` at the origin;
 only the convexity of ``f`` is sampled, on 256 midpoint pairs from
 ``[-8, 8]^3``, each one ``integers(0, k)`` and one six-wide ``uniform``
-draw.  The screen keeps its last verdict with the problem object it
-screened.
+draw.  Each problem object is screened at most once: the verdict is kept
+on the object.
 
 Multiplier grids hold sigma-shifted samples: ``lam.values[i]`` is the
 multiplier composed with the forward jump, sampled at ``t_i``.  The sample at
@@ -375,8 +375,9 @@ def _sampler_state(k: int) -> dict:
 
     Those are the draws of the sampled affinity probes that the exact
     linearity test replaced; the cost sampler starts where they left off,
-    so that its draws stay as they were.  ``compile_fn.cache_clear()``
-    empties this memo too.
+    so that its draws stay as they were.  The state depends only on ``k``,
+    so new problem objects, which are screened afresh (a sweep builds one
+    per row), share it; ``compile_fn.cache_clear()`` empties this memo.
     """
     rng = np.random.default_rng(0)
     for _ in range(64):
@@ -422,7 +423,6 @@ def _linearity_check(p: ControlProblem):
     return None
 
 
-@lru_cache(maxsize=1)
 def sufficiency_check(p: VariationalProblem | ControlProblem) -> SufficiencyVerdict:
     """Screen the problem against the global-minimizer sufficient conditions.
 
@@ -434,17 +434,25 @@ def sufficiency_check(p: VariationalProblem | ControlProblem) -> SufficiencyVerd
     is a function of the problem; otherwise ``inconclusive`` with a witness.
     Only the convexity of the cost is sampled.
 
+    Each problem object is screened at most once: the verdict is kept on
+    the object, so every later call, in any order of solves, returns that
+    same verdict object.  Problems compare by identity, so a structurally
+    equal problem, or one made by ``dataclasses.replace``, is screened afresh.
+    """
+    verdict = p._verdict
+    if verdict is None:
+        verdict = _screen(p)
+        object.__setattr__(p, "_verdict", verdict)
+    return verdict
+
+
+def _screen(p: VariationalProblem | ControlProblem) -> SufficiencyVerdict:
+    """The screen of :func:`sufficiency_check`, without the kept verdict.
+
     Each sample is one ``integers(0, k)`` draw (the call ``rng.choice``
     makes) and one ``uniform(size=6)`` draw, with the bits of the former two
     ``uniform(size=3)``; as Python floats, unlike ``np.float64``, they make
     a scalar kernel raise ``ZeroDivisionError`` where it divides by zero.
-
-    The last verdict is kept with its problem, so screening that same
-    object again at once, as back-to-back solves of one problem do, returns
-    the same verdict object without a screen.  Problems compare by
-    identity, and the memo holds its problem, so a structurally equal
-    problem is screened afresh.  ``compile_fn.cache_clear()`` empties it;
-    ``sufficiency_check.__wrapped__`` is the screen without the memo.
     """
     if isinstance(p, VariationalProblem):
         p = ControlProblem.from_variational(p)
@@ -480,13 +488,9 @@ def sufficiency_check(p: VariationalProblem | ControlProblem) -> SufficiencyVerd
     return _PASSED
 
 
-# Bound here, not looked up when called: a caller may rebind the module's
-# ``sufficiency_check`` to a plain function that has no ``cache_clear``.
-def _clear_caches(clear_compiled=ex.compile_fn.cache_clear,
-                  clear_verdict=sufficiency_check.cache_clear) -> None:
+def _clear_caches(clear_compiled=ex.compile_fn.cache_clear) -> None:
     clear_compiled()
     _sampler_state.cache_clear()
-    clear_verdict()
 
 
 ex.compile_fn.cache_clear = _clear_caches

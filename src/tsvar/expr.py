@@ -536,7 +536,7 @@ def compile_fn(e: Expr, array: bool = False) -> Callable[..., float]:
     their constants share one code object.  Arithmetic on the bound doubles
     gives the same bits as the literals did.  ``compile_fn.cache_clear()``
     empties the shapes too, and :mod:`tsvar.conditions` adds the memo of
-    its sampler's starting state and the last verdict of its screen.
+    its sampler's starting state.
 
     Domain failures surface as ``ValueError`` / ``ZeroDivisionError`` /
     ``OverflowError`` from the math library; callers on hot paths catch

@@ -18,15 +18,18 @@ problem is evaluated only as its control form ``g = u`` at the slopes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import expr as ex
 from .errors import AdmissibilityError, DynamicsViolationError
 from .timescale import GridFunction, TimeScale, require_same_scale
+
+if TYPE_CHECKING:
+    from .conditions import SufficiencyVerdict
 
 __all__ = [
     "VariationalProblem", "ControlProblem", "objective", "objective_control", "norm1",
@@ -49,6 +52,8 @@ class VariationalProblem:
     scale: TimeScale
     f: ex.Expr
     alpha: float
+    # set once, by the first ``sufficiency_check`` of this object
+    _verdict: SufficiencyVerdict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.scale.n < 3:
@@ -73,6 +78,8 @@ class ControlProblem:
     f: ex.Expr
     g: ex.Expr
     alpha: float
+    # set once, by the first ``sufficiency_check`` of this object
+    _verdict: SufficiencyVerdict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.scale.n < 3:
@@ -151,8 +158,18 @@ def _is_zero(e: ex.Expr) -> bool:
 
 
 def integrate_terms(scale: TimeScale, values: np.ndarray) -> float:
-    """Delta integral ``sum mu_i values_i`` of term values, summed exactly."""
-    return math.fsum((scale.mu_values[:-1] * values).tolist())
+    """Delta integral ``sum mu_i values_i`` of term values, summed exactly.
+
+    A sum of finite values that overflows raises ``OverflowError``, an
+    overflowing product as ``math.fsum`` does its own partial sums, with no
+    numpy warning.
+    """
+    with np.errstate(over="ignore"):
+        products = scale.mu_values[:-1] * values
+    total = math.fsum(products.tolist())
+    if math.isinf(total) and np.isfinite(values).all():
+        raise OverflowError("intermediate overflow in fsum")
+    return total
 
 
 def _check_admissible(p, x: GridFunction) -> None:

@@ -112,10 +112,11 @@ class Solution:
     The constructor takes what the solve fixed: the grids,
     ``objective_value``, ``converged``, ``iterations`` and ``message``.
     ``verdict`` derives from ``problem``, the object the caller passed: it is
-    :func:`sufficiency_check` of it, so solves of one problem back to back
-    share one verdict object and screen it once.  :func:`residual_report`
-    recomputes ``report`` on every read, so a kept solution holds no report;
-    read it once where it is needed more than once.
+    :func:`sufficiency_check` of it, so every solve of one problem object,
+    in any order, shares one verdict object and the object is screened at
+    most once.  :func:`residual_report` recomputes ``report`` on every read,
+    so a kept solution holds no report; read it once where it is needed
+    more than once.
     """
 
     problem: VariationalProblem | ControlProblem
@@ -264,7 +265,8 @@ class _Core:
         ``x_{i+1} = (x_i + mu_i a_i) / (1 - mu_i b_i)``; a step is singular where
         ``1 - mu_i b_i`` vanishes (the dynamics are not regressive there).
         Otherwise each step is a safeguarded scalar Newton solve.  A singular or
-        failed step raises ``SolveError`` naming ``t``.
+        failed step raises ``SolveError`` naming ``t``; a state that overflows
+        raises ``ValueError``, the domain error, with no numpy warning.
         """
         ts, mu = self.ts, self.mu
         if self.roots:
@@ -275,14 +277,21 @@ class _Core:
                 if y is None:
                     raise SolveError(f"implicit state step found no solution at t = {t!r}")
                 x.append(y)
-            return np.array(x)
-        a, b = self.affine(terms(ts, np.zeros(ts.n), u=u, z=zeta))
-        denom = 1.0 - mu * b
-        singular = np.flatnonzero(np.abs(denom) < _SINGULAR)
-        if singular.size:
-            t = float(ts.points[singular[0]])
-            raise SolveError(f"implicit state step singular (1 - mu*g_x = 0) at t = {t!r}")
-        return _recurrence(float(self.p.alpha), mu * a, denom)
+            x = np.array(x)
+        else:
+            a, b = self.affine(terms(ts, np.zeros(ts.n), u=u, z=zeta))
+            with np.errstate(over="ignore", invalid="ignore"):
+                denom = 1.0 - mu * b
+                singular = np.flatnonzero(np.abs(denom) < _SINGULAR)
+                if singular.size:
+                    t = float(ts.points[singular[0]])
+                    raise SolveError(f"implicit state step singular (1 - mu*g_x = 0) at t = {t!r}")
+                x = _recurrence(float(self.p.alpha), mu * a, denom)
+        finite = np.isfinite(x)
+        if not finite.all():
+            t = float(ts.points[np.argmin(finite)])
+            raise ValueError(f"state is not finite at t = {t!r}")
+        return x
 
     def consistent(self, u: np.ndarray) -> tuple[np.ndarray, float]:
         """Close the end value: find ``zeta`` with ``x(T; u, zeta) = zeta``.

@@ -493,6 +493,23 @@ class TestSolveCommand:
         assert {kind: re.findall(r"`(\w+)`", rows[kind]) for kind in rows} == {
             kind: [key for key, *_ in keys] for kind, (_, keys) in tv.cli._SCALE_KINDS.items()}
 
+    @pytest.mark.parametrize("f, g, message", [
+        # the state overflows: it used to converge after 0 iterations with
+        # residual sup nan, after four numpy RuntimeWarnings
+        ("u^2", "1e308", "state is not finite at t = 2.197"),
+        ("1e308", "u", "intermediate overflow in fsum"),
+    ], ids=["state", "cost"])
+    def test_an_overflow_at_the_start_is_one_error_line(self, tmp_path, capsys, f, g, message):
+        path = tmp_path / "overflow.ini"
+        path.write_text("[timescale]\nkind = qgrid\nq = 1.3\nk_min = 0\nk_max = 12\n"
+                        f"include_zero = true\n\n[problem]\ntype = control\nf = {f}\ng = {g}\n"
+                        "alpha = 0\n")
+        assert main(["solve", str(path), "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: objective undefined at the starting point: {message}\n"
+        assert not (tmp_path / "solution.csv").exists()
+
     def test_parse_failure_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.toml"
         path.write_text("[oops]\n")

@@ -1,5 +1,7 @@
 """Residual evaluators for the necessary conditions and the sufficiency screen."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from helpers import (
     endpoint_tracking_control,
     minimal_length_problem,
     minimal_slope_root,
+    random_expr_and_env,
+    random_quadratic_control,
     random_quadratic_problem,
     random_scale,
     reference_hamiltonian_residuals,
@@ -509,38 +513,28 @@ class TestSufficiency:
         assert verdict.reason == "running cost undefined inside the sampling box: float division by zero"
         assert verdict.witness[0] == 4.0
 
-    def test_compile_cache_clear_empties_the_sampler_memo(self, zgrid):
-        # a run that clears the caches between CLI calls pays what a fresh process pays
-        verdict = tv.sufficiency_check(endpoint_penalty_control(zgrid))
-        assert tv.conditions._sampler_state.cache_info().currsize > 0
-        assert tv.sufficiency_check.cache_info().currsize == 1
+    def test_compile_cache_clear_empties_the_compile_shape_and_sampler_caches(self, zgrid):
+        # a run that clears the caches between CLI calls pays what a fresh
+        # process pays; a verdict kept on its problem is not a cache
+        p = endpoint_penalty_control(zgrid)
+        verdict = tv.sufficiency_check(p)
+        caches = (tv.compile_fn, tv.expr._compile_shape, tv.conditions._sampler_state)
+        assert all(cache.cache_info().currsize > 0 for cache in caches)
         tv.compile_fn.cache_clear()
-        assert tv.conditions._sampler_state.cache_info().currsize == 0
-        assert tv.expr._compile_shape.cache_info().currsize == 0
-        assert tv.sufficiency_check.cache_info().currsize == 0  # the last verdict too
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+        assert tv.sufficiency_check(p) is verdict
         assert tv.sufficiency_check(endpoint_penalty_control(zgrid)) == verdict
 
-    def test_cache_clear_survives_a_rebound_screen(self, zgrid, monkeypatch):
-        # a tracer may rebind the module's sufficiency_check to a plain
-        # function without cache_clear; compile_fn.cache_clear() still
-        # empties the memo it bound when the module was imported
-        memo = tv.sufficiency_check
-        memo(endpoint_penalty_control(zgrid))
-        monkeypatch.setattr(tv.conditions, "sufficiency_check", lambda p: memo(p))
-        tv.compile_fn.cache_clear()
-        assert memo.cache_info().currsize == 0
-
     def test_verdict_is_deterministic(self, zgrid):
-        # two problems, so that the second call screens afresh, not from the memo
+        # two problems, so that the second call screens afresh, not from a kept verdict
         one = tv.sufficiency_check(endpoint_penalty_control(zgrid))
         two = tv.sufficiency_check(endpoint_penalty_control(zgrid))
         assert one == two
 
     def _count_screens(self, monkeypatch) -> list:
         screened = []
-        linearity = tv.conditions._linearity_check
-        monkeypatch.setattr(tv.conditions, "_linearity_check",
-                            lambda p: screened.append(p) or linearity(p))
+        screen = tv.conditions._screen
+        monkeypatch.setattr(tv.conditions, "_screen", lambda p: screened.append(p) or screen(p))
         return screened
 
     def test_the_same_problem_is_screened_once(self, zgrid, monkeypatch):
@@ -559,15 +553,51 @@ class TestSufficiency:
         assert len(screened) == 2
         assert two is not one and two == one
 
-    def test_the_memo_returns_what_the_screen_returns(self):
-        screen = tv.sufficiency_check.__wrapped__
-        ts = tv.TimeScale.integer_range(0, 8)
-        for f in self._COSTS:
-            for g in self._DYNAMICS:
-                p = tv.ControlProblem(ts, tv.parse(f), tv.parse(g), 0.0)
-                got = tv.sufficiency_check(p)
-                assert got == screen(p), (f, g)
-                assert tv.sufficiency_check(p) is got, (f, g)
+    def test_interleaved_solves_screen_each_problem_once(self, monkeypatch):
+        # the verdict is kept on each problem object, so solving two problems
+        # in turn screens neither twice
+        screened = self._count_screens(monkeypatch)
+        ts = tv.TimeScale.integer_range(0, 4)
+        one = tv.VariationalProblem(ts, tv.parse("v^2 - 0.1*x^2 + (z - 1)^2"), 0.0)
+        two = tv.VariationalProblem(ts, tv.parse("v^2 + x^2 + (z - 1)^2"), 0.5)
+        sols = [solve(p) for solve in (tv.solve_variational, tv.solve_stationarity,
+                                       tv.brute_force_oracle) for p in (one, two)]
+        assert screened == [one, two]
+        for sol in sols:
+            assert sol.verdict is tv.sufficiency_check(sol.problem)
+        assert [sol.verdict.status for sol in sols[:2]] == ["inconclusive", "sufficient"]
+        assert len(screened) == 2
+
+    def test_a_replaced_problem_is_screened_afresh(self, zgrid, monkeypatch):
+        screened = self._count_screens(monkeypatch)
+        p = tv.ControlProblem(zgrid, tv.parse("0 - u^2"), tv.parse("u"), 0.0)
+        before = repr(p)
+        verdict = tv.sufficiency_check(p)
+        assert repr(p) == before  # the kept verdict is not part of the problem's text
+        moved = dataclasses.replace(p, alpha=1.0)
+        assert tv.sufficiency_check(moved) == verdict
+        assert screened == [p, moved]
+        assert tv.sufficiency_check(p) is verdict and len(screened) == 2
+
+    def test_the_kept_verdict_is_the_screens_on_random_problems(self):
+        rng = np.random.default_rng(11)
+        problems = []
+        for _ in range(12):
+            problems.append(random_quadratic_problem(rng))
+            problems.append(random_quadratic_control(rng))
+            tree, _ = random_expr_and_env(rng, max_depth=4)
+            f = tv.expr.substitute(tv.expr.substitute(tree, "v", tv.expr.Var("u")),
+                                   "lam", tv.expr.Var("z"))
+            g = tv.parse(str(rng.choice(self._DYNAMICS)))
+            problems.append(tv.ControlProblem(random_scale(rng), f, g, 0.0))
+        statuses = set()
+        for p in problems:
+            want = tv.conditions._screen(p)
+            got = tv.sufficiency_check(p)
+            assert got == want, repr(p)
+            assert tv.sufficiency_check(p) is got
+            statuses.add(got.status)
+        assert statuses == {"sufficient", "inconclusive"}
 
     _COSTS = ("u^2 + x^2 + 3*(z - 1)^2", "0 - u^2 - x^2", "u^2 + 2*(z - 1)^2 + 0.3*cos(x)",
               "u^2 - 0.001*u^4", "u^2 + exp(u - 40)", "u^2 + sqrt(x + 4)",

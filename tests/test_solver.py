@@ -954,8 +954,8 @@ class TestBruteForceOracle:
 
     def test_back_to_back_solves_screen_once(self, monkeypatch):
         # every solver screens the problem object it was given, so solves of
-        # one problem back to back, with another start or other options too,
-        # share the one verdict the screen keeps
+        # one problem, with another start or other options too, share the one
+        # verdict kept on it
         screened = []
         linearity = tv.conditions._linearity_check
         monkeypatch.setattr(tv.conditions, "_linearity_check",
@@ -1021,6 +1021,43 @@ class TestStartScale:
         x0 = tv.GridFunction(tv.TimeScale.uniform(0.0, 2.0, n), np.ones(n))
         with pytest.raises(tv.ScaleMismatchError, match="x0"):
             solve(p, x0=x0)
+
+
+class TestOverflow:
+    """A state or objective that overflows is the domain error, with no numpy
+    warning: an error at the start, a refused trial in a line search."""
+
+    QGRID = tv.TimeScale.q_grid(1.3, 0, 12, True)
+
+    def test_a_state_that_overflows_raises_the_domain_error(self):
+        core = _Core(tv.ControlProblem(self.QGRID, tv.parse("u^2"), tv.parse("u"), 0.0))
+        with pytest.raises(ValueError, match=r"^state is not finite at t = 2\.197$"):
+            core.state(np.full(self.QGRID.n - 1, 1e308), 0.0)
+        with pytest.raises(ValueError, match=r"^state is not finite at t = "):
+            core.value(np.full(self.QGRID.n - 1, 1e308))
+
+    def test_a_state_that_overflows_at_the_start_is_no_solution(self):
+        # g = 1e308 used to return converged after 0 iterations, state inf
+        p = tv.ControlProblem(self.QGRID, tv.parse("u^2"), tv.parse("1e308"), 0.0)
+        with pytest.raises(tv.SolveError, match=r"^objective undefined at the starting "
+                                                r"point: state is not finite at t = 2\.197$"):
+            tv.solve_control(p)
+
+    @pytest.mark.parametrize("g", ["u", "0.5*x + u"])
+    def test_a_trial_whose_objective_overflows_is_refused(self, g):
+        # the minimum value of u^2 - 1e200*z is below -1e308: the full step's
+        # objective overflows, and so does every halving of it
+        p = tv.ControlProblem(self.QGRID, tv.parse("u^2 - 1e200*z"), tv.parse(g), 0.0)
+        sol = tv.solve_control(p)
+        assert not sol.converged and sol.iterations == 0
+        assert np.isfinite(sol.x.values).all()
+
+    def test_a_sum_that_overflows_raises_in_any_order(self):
+        ts = tv.TimeScale.from_points([0.0, 1.0, 3.0, 4.0])  # mu = 1, 2, 1
+        for values in ([1e308, 1e308, 0.0], [0.0, 1e308, 0.0], [1e308, 0.0, 1e308]):
+            with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+                tv.problem.integrate_terms(ts, np.array(values))
+        assert tv.problem.integrate_terms(ts, np.array([np.inf, 1.0, 2.0])) == np.inf
 
 
 class TestSweep:
