@@ -46,10 +46,8 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # the expression tokenizer's name
 _FMT = "%.17g"
 
 
-def _fmt(v: float | None) -> str:
-    if v is None or (isinstance(v, float) and math.isnan(v)):
-        return ""
-    return _FMT % v
+def _fmt(v: float) -> str:
+    return "" if math.isnan(v) else _FMT % v
 
 
 # -- problem files ---------------------------------------------------------
@@ -60,7 +58,6 @@ class ProblemFile:
     """Parsed problem file.  ``f`` and ``g`` are parsed once, with the
     parameter names as variables; each built problem binds their values."""
 
-    path: str
     scale: TimeScale
     problem_type: str  # "variational" | "control"
     f: ex.Expr
@@ -237,7 +234,7 @@ def load_problem_file(path: str | Path) -> ProblemFile:
     _no_leftovers(solver, "solver")
 
     try:
-        pf = ProblemFile(str(path), scale, ptype, ex.parse(f_text, params),
+        pf = ProblemFile(scale, ptype, ex.parse(f_text, params),
                          None if g_text is None else ex.parse(g_text, params),
                          alpha, params, SolveOptions(**options))
         pf.build_problem()  # validate the problem's variables and shape
@@ -482,13 +479,9 @@ def cmd_info(args) -> int:
     pf = load_problem_file(args.file)
     ts = pf.scale
     print(f"{'t':>16s} {'sigma':>16s} {'rho':>16s} {'mu':>16s}  class")
+    inner = "right-dense sample" if ts.dense else "right-scattered"
     for i in range(ts.n):
-        if i == ts.n - 1:
-            kind = "maximum"
-        elif ts.dense_mask[i]:
-            kind = "right-dense sample"
-        else:
-            kind = "right-scattered"
+        kind = "maximum" if i == ts.n - 1 else inner
         print(
             f"{ts.points[i]:16.8g} {ts.points[ts.sigma(i)]:16.8g} "
             f"{ts.points[ts.rho(i)]:16.8g} {ts.mu(i):16.8g}  {kind}"

@@ -12,12 +12,11 @@ formed by array arithmetic from one batch of the first partials of
 gives them, by the costate recurrence and the transversality equation that
 the solvers' Newton core solves too, and the report carries them.  A report
 has one ``transversality`` scalar for either class.  The sufficiency screen
-takes either class, screens the control form and proves its dynamics linear
-from the second partials of ``g`` and the exact zero of ``g`` at the origin;
-only the convexity of ``f`` is sampled, on 256 midpoint pairs from
-``[-8, 8]^3``, each one ``integers(0, k)`` and one six-wide ``uniform``
-draw.  Each problem object is screened at most once: the verdict is kept
-on the object.
+takes either class, screens the control form and proves its dynamics affine
+from the second partials of ``g`` and finite at the origin; only the
+convexity of ``f`` is sampled, on 256 midpoint pairs from ``[-8, 8]^3``,
+each one ``integers(0, k)`` and one six-wide ``uniform`` draw.  Each
+problem object is screened at most once: the verdict is kept on the object.
 
 Multiplier grids hold sigma-shifted samples: ``lam.values[i]`` is the
 multiplier composed with the forward jump, sampled at ``t_i``.  The sample at
@@ -340,11 +339,11 @@ def transversality_residual_control_classical(
 class SufficiencyVerdict:
     """Outcome of the convexity/linearity screen.
 
-    ``sufficient`` upgrades an extremal to a global minimizer.  Linearity of
-    the dynamics is proven from their second partials; convexity of the cost
-    is sampled, which can refute it but only heuristically confirm it.  The
-    alternative verdict is ``inconclusive``, with a witness when a check
-    failed at a point.
+    ``sufficient`` upgrades an extremal to a global minimizer.  That the
+    dynamics are affine is proven from their second partials; convexity of
+    the cost is sampled, which can refute it but only heuristically confirm
+    it.  The alternative verdict is ``inconclusive``, with a witness when a
+    check failed at a point.
     """
 
     status: str  # "sufficient" | "inconclusive"
@@ -361,10 +360,14 @@ class SufficiencyVerdict:
 _SAMPLES = 256
 _BOX = (-8.0, 8.0)
 
-# The ``sufficient`` verdict, one object shared by every solution that gets it.
+# The two ``sufficient`` verdicts, each one object shared by every solution.
 _PASSED = SufficiencyVerdict(
     "sufficient",
     f"dynamics linear in (x, u, z); cost passed {_SAMPLES} midpoint-convexity probes",
+)
+_PASSED_AFFINE = SufficiencyVerdict(
+    "sufficient",
+    f"dynamics affine in (x, u, z); cost passed {_SAMPLES} midpoint-convexity probes",
 )
 
 
@@ -387,28 +390,28 @@ def _sampler_state(k: int) -> dict:
 
 
 def _linearity_check(p: ControlProblem):
-    """``g(t, 0, 0, 0) = 0`` and the six second partials of ``g`` are zero.
+    """``g(t, 0, 0, 0)`` is finite and the six second partials of ``g`` are zero.
 
     The origin test evaluates every differentiation point in one array call;
-    the first point where ``g`` is not finite or not zero is the witness.
-    With every second partial the constant 0, ``g`` is affine in
-    ``(x, u, z)`` with coefficients in ``t``, and linear where it vanishes
-    at the origin: a proof, not a sample.  Otherwise the reason names the
-    first partial that is not zero, in the order of :func:`partials`; the
-    witness is the first point where it is not zero at the origin, or
-    ``None`` when it vanishes there at every point.
+    the first point where ``g`` is not finite is the witness.  With every
+    second partial the constant 0, ``g`` is affine in ``(x, u, z)`` with
+    coefficients in ``t``: a proof, not a sample, and ``_PASSED``, or
+    ``_PASSED_AFFINE`` where ``g`` does not vanish at the origin.  Otherwise
+    the reason names the first partial that is not zero, in the order of
+    :func:`partials`; the witness is the first point where it is not zero
+    at the origin, or ``None`` when it vanishes there at every point.
     """
     ts = p.scale.points[:-1]
     # zero columns, not the Python float defaults, whose division by zero raises
     at = (ts, *[np.zeros_like(ts)] * 4)
     with np.errstate(all="ignore"):
         origin = np.broadcast_to(ex.compile_fn(p.g, array=True)(*at), ts.shape)
-    bad = np.flatnonzero(origin != 0.0)  # NaN is not zero either
+    bad = np.flatnonzero(~np.isfinite(origin))
     if bad.size:
         t, val = float(ts[bad[0]]), float(origin[bad[0]])
-        why = "dynamics are affine but not linear" if math.isfinite(val) else "dynamics undefined"
         return SufficiencyVerdict(
-            "inconclusive", f"{why}: g(t,0,0,0) = {val:.3e} at t = {t!r}", (t, (0.0, 0.0, 0.0))
+            "inconclusive", f"dynamics undefined: g(t,0,0,0) = {val:.3e} at t = {t!r}",
+            (t, (0.0, 0.0, 0.0)),
         )
     for name, d in zip(("xx", "xu", "xz", "uu", "uz", "zz"), partials(p)[12:]):
         if not _is_zero(d):
@@ -420,19 +423,20 @@ def _linearity_check(p: ControlProblem):
                 f"dynamics are not linear: g_{name} = {ex.to_text(d)} is not zero",
                 (float(ts[bad[0]]), (0.0, 0.0, 0.0)) if bad.size else None,
             )
-    return None
+    return _PASSED_AFFINE if origin.any() else _PASSED
 
 
 def sufficiency_check(p: VariationalProblem | ControlProblem) -> SufficiencyVerdict:
     """Screen the problem against the global-minimizer sufficient conditions.
 
     A variational problem is screened in its control form ``g = u``.
-    ``sufficient`` when the dynamics are proven linear in ``(x, u, z)``, from
-    their second partials and their value at the origin, and the running
+    ``sufficient`` when the dynamics are proven affine in ``(x, u, z)``, from
+    their second partials, and finite at the origin, and the running
     cost passes randomized midpoint-convexity sampling on 256 point pairs
     drawn from ``[-8, 8]^3`` by a generator seeded with 0, so the verdict
     is a function of the problem; otherwise ``inconclusive`` with a witness.
-    Only the convexity of the cost is sampled.
+    A convex cost under affine dynamics makes each KKT point a global
+    minimizer (Boyd & Vandenberghe, §5.5.3); only the convexity is sampled.
 
     Each problem object is screened at most once: the verdict is kept on
     the object, so every later call, in any order of solves, returns that
@@ -456,9 +460,9 @@ def _screen(p: VariationalProblem | ControlProblem) -> SufficiencyVerdict:
     """
     if isinstance(p, VariationalProblem):
         p = ControlProblem.from_variational(p)
-    failed = _linearity_check(p)
-    if failed is not None:
-        return failed
+    passed = _linearity_check(p)
+    if not passed.sufficient:
+        return passed
 
     ts = p.scale.points[:-1].tolist()
     rng = np.random.default_rng(0)
@@ -485,7 +489,7 @@ def _screen(p: VariationalProblem | ControlProblem) -> SufficiencyVerdict:
                 f"midpoint convexity violated by {fm - 0.5 * (fa + fb):.3e}",
                 (t, (ax, au, az), (bx, bu, bz)),
             )
-    return _PASSED
+    return passed
 
 
 def _clear_caches(clear_compiled=ex.compile_fn.cache_clear) -> None:

@@ -32,8 +32,6 @@ __all__ = [
 VARIABLES = ("t", "x", "v", "z", "u", "lam")
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos")
 
-_BINARY_OPS = ("add", "sub", "mul", "div", "pow")
-
 # Cache bounds: a sweep builds a new expression per value.  One solve on the
 # integers 0..8, from empty caches, fills 68 ``diff`` and 8 ``compile_fn``
 # entries for ``sqrt(1 + v^2) + 2*(z - 1)^2 + 0.5*cos(x)`` (its ``g = u``

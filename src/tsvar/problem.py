@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import expr as ex
-from .errors import AdmissibilityError, DynamicsViolationError
+from .errors import AdmissibilityError, DynamicsViolationError, EvalError
 from .timescale import GridFunction, TimeScale, require_same_scale
 
 if TYPE_CHECKING:
@@ -123,8 +123,8 @@ def pointwise(*exprs: ex.Expr) -> Callable[[tuple], np.ndarray]:
 
     The expressions are compiled once; each call returns one row per
     expression.  A ``Const`` is broadcast without a call, numpy's
-    floating-point warnings are silenced, and an entry that is not finite
-    raises ``ValueError``, the domain error the line searches step back from.
+    floating-point warnings are silenced, and a non-finite entry raises
+    ``EvalError``, the ``ValueError`` the line searches step back from.
     """
     fns = [e.value if isinstance(e, ex.Const) else ex.compile_fn(e, array=True) for e in exprs]
 
@@ -136,7 +136,7 @@ def pointwise(*exprs: ex.Expr) -> Callable[[tuple], np.ndarray]:
                 row[...] = fn(*cols) if callable(fn) else fn
         if not np.isfinite(out).all():
             j, i = np.argwhere(~np.isfinite(out))[0]
-            raise ValueError(f"{ex.to_text(exprs[j])} is {out[j, i]} at t = {float(t[i])!r}")
+            raise EvalError(f"{ex.to_text(exprs[j])} is {out[j, i]} at t = {float(t[i])!r}")
         return out
 
     return evaluate
@@ -194,9 +194,9 @@ def objective_control(p: ControlProblem, x: GridFunction, u: GridFunction) -> fl
 
     The pair must satisfy the discrete dynamics at every differentiation
     point, up to 1e-9 plus the rounding of the difference quotient, a few
-    ulps of ``(|x_i| + |x_{i+1}|) / mu_i``.  Points sampling a dense
-    interval get extra slack ``mu(t)``, since a trajectory transcribed from
-    a continuum solution carries an O(mu) residual there.
+    ulps of ``(|x_i| + |x_{i+1}|) / mu_i``.  On a scale that samples a
+    dense interval every point gets extra slack ``mu(t)``, since a trajectory
+    transcribed from a continuum solution carries an O(mu) residual there.
     """
     _check_admissible(p, x)
     require_same_scale(x, u, "state and control")
@@ -206,7 +206,7 @@ def objective_control(p: ControlProblem, x: GridFunction, u: GridFunction) -> fl
     cols = terms(ts, xv, u=u.values)
     res = np.abs(np.diff(xv) / mu - pointwise(p.g)(cols)[0])
     rounding = _DYNAMICS_ROUNDING * (np.abs(xv[:-1]) + np.abs(xv[1:])) / mu
-    slack = _DYNAMICS_ATOL + rounding + np.where(ts.dense_mask[:-1], mu, 0.0)
+    slack = _DYNAMICS_ATOL + rounding + (mu if ts.dense else 0.0)
     worst = np.where(res > slack, res, 0.0)
     if worst.any():
         i = int(np.argmax(worst))

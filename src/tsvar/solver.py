@@ -71,7 +71,7 @@ from .conditions import (
     sufficiency_check, variational_residuals,
 )
 from .errors import (
-    OracleError, ScaleMismatchError, SingularJacobianError, SolveError, TsvarError,
+    EvalError, OracleError, ScaleMismatchError, SingularJacobianError, SolveError, TsvarError,
 )
 from .problem import (
     ControlProblem, VariationalProblem, _is_zero, integrate_terms, partials, pointwise, terms,
@@ -340,9 +340,10 @@ class _Core:
         ts, mu = self.ts, self.mu
         rows = self.partials(terms(ts, x, u=u, z=zeta))
         fx, fu, fz, gx, gu, gz = rows[:6]
-        lam = _costate(ts, gx, fx, fz, gz)
-        hu = fu + lam * gu
-        w = mu * (rows[6:12] + lam * rows[12:])
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+            lam = _costate(ts, gx, fx, fz, gz)
+            hu = fu + lam * gu
+            w = mu * (rows[6:12] + lam * rows[12:])
         if not (np.isfinite(hu).all() and np.isfinite(w).all()):
             raise ValueError("a partial of the Hamiltonian is not finite")
         alpha = 1.0 / (1.0 - mu * gx)
@@ -404,11 +405,17 @@ def residual_report(
     A variational problem gets :func:`variational_residuals`; ``u`` and
     ``lam`` are unread.  A control problem gets the Hamiltonian system at
     ``(x, u, lam)``, with ``lam`` recovered from the report's own batch of
-    partials when it is ``None``; the report carries it.
+    partials when it is ``None``; the report carries it.  A residual that
+    overflows reads inf or NaN, and a delta integral that does raises
+    ``EvalError``, as a partial that is not finite does.
     """
-    if isinstance(p, VariationalProblem):
-        return variational_residuals(p, x)
-    return hamiltonian_residuals(p, x, u, lam)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(p, VariationalProblem):
+                return variational_residuals(p, x)
+            return hamiltonian_residuals(p, x, u, lam)
+    except OverflowError as exc:
+        raise EvalError(f"residuals undefined: {exc}") from None
 
 
 def _riccati_step(

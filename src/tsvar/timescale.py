@@ -1,9 +1,9 @@
 """Bounded time scales as finite point sets, with the delta calculus.
 
 Genuinely discrete scales (integer grids, q-grids, explicit point sets) are
-represented exactly.  Dense intervals enter as uniform samplings whose points
-carry a ``dense_mask`` flag; on such samplings every operator converges at
-first order in the mesh width.  All points of a finite representation are
+represented exactly.  Dense intervals enter as uniform samplings, flagged
+``dense`` as a whole; on such samplings every operator converges at first
+order in the mesh width.  All points of a finite representation are
 right-scattered, so the delta derivative is always a forward difference
 quotient and the delta integral a graininess-weighted sum.
 
@@ -46,29 +46,26 @@ def _dedupe(points: np.ndarray) -> np.ndarray:
 class TimeScale:
     """Strictly increasing finite points of a bounded time scale.
 
-    ``dense_mask[i]`` is True when point ``i`` samples a dense sub-interval.
-    The flag affects reporting and the admissibility of the classical-limit
+    ``dense`` is True when the points sample a dense interval; only
+    :meth:`uniform` sets it.  The flag affects reporting, the dynamics slack
+    of ``objective_control`` and the admissibility of the classical-limit
     evaluators, never the arithmetic of the operators.
     """
 
     points: np.ndarray
-    dense_mask: np.ndarray
+    dense: bool = False
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        mask = np.asarray(self.dense_mask, dtype=bool)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("a time scale needs at least two points")
         if not np.isfinite(pts).all():
             raise ValueError("time scale points must be finite")
         if not np.all(np.diff(pts) > 0.0):
             raise ValueError("time scale points must be strictly increasing")
-        if mask.shape != pts.shape:
-            raise ValueError("dense_mask must have one flag per point")
         pts.setflags(write=False)
-        mask.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "dense_mask", mask)
+        object.__setattr__(self, "dense", bool(self.dense))
 
     # -- constructors -----------------------------------------------------
 
@@ -83,7 +80,7 @@ class TimeScale:
         if not np.isfinite(pts).all():
             raise ValueError("time scale points must be finite")
         pts = _dedupe(pts)
-        return cls(pts, np.zeros(pts.shape, dtype=bool))
+        return cls(pts)
 
     @classmethod
     def integer_range(cls, a: int, b: int) -> "TimeScale":
@@ -92,7 +89,7 @@ class TimeScale:
         if b <= a:
             raise ValueError("integer grid needs a < b")
         pts = np.arange(a, b + 1, dtype=float)
-        return cls(pts, np.zeros(pts.shape, dtype=bool))
+        return cls(pts)
 
     @classmethod
     def uniform(cls, a: float, b: float, n: int) -> "TimeScale":
@@ -104,7 +101,7 @@ class TimeScale:
         if not math.isfinite(b - a):
             raise ValueError("uniform sampling needs a finite span b - a")
         pts = np.linspace(float(a), float(b), int(n))
-        return cls(pts, np.ones(pts.shape, dtype=bool))
+        return cls(pts, dense=True)
 
     @classmethod
     def q_grid(cls, q: float, k_min: int, k_max: int, include_zero: bool = False) -> "TimeScale":
@@ -127,7 +124,7 @@ class TimeScale:
         if len(pts) < 2:
             raise ValueError("q-grid needs at least two points")
         arr = np.asarray(pts, dtype=float)
-        return cls(arr, np.zeros(arr.shape, dtype=bool))
+        return cls(arr)
 
     # -- basic queries -----------------------------------------------------
 
@@ -207,8 +204,8 @@ class TimeScale:
         return ok_sigma_rho and ok_rho_sigma
 
     def is_uniform_sampling(self) -> bool:
-        """All points flagged dense and equally spaced: a usable real-line surrogate."""
-        if not bool(self.dense_mask.all()):
+        """Flagged dense and equally spaced: a usable real-line surrogate."""
+        if not self.dense:
             return False
         gaps = np.diff(self.points)
         span = self.b - self.a

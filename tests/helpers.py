@@ -526,7 +526,7 @@ def reference_residual_table(report: tv.ResidualReport) -> str:
 # partials: ``rng.choice`` for each ``t``, 64 sampled affinity probes of
 # ``g``, numpy arrays for the probe points and midpoints, the scalar kernels
 # called on ``np.float64`` elements.  The tests pin the current screen's
-# draws, verdicts and witnesses to it wherever the dynamics are linear.
+# draws, verdicts and witnesses to it wherever the dynamics are affine.
 
 _REFERENCE_PROBES = 64
 
@@ -535,12 +535,12 @@ def _reference_linearity_check(p: tv.ControlProblem, rng: np.random.Generator):
     ts = p.scale.points[:-1]
     with np.errstate(all="ignore"):
         origin = np.broadcast_to(tv.expr.compile_fn(p.g, array=True)(ts), ts.shape)
-    bad = np.flatnonzero(~(np.abs(origin) <= 1e-12))
+    bad = np.flatnonzero(~np.isfinite(origin))
     if bad.size:
         t, val = float(ts[bad[0]]), float(origin[bad[0]])
-        why = "dynamics are affine but not linear" if math.isfinite(val) else "dynamics undefined"
         return tv.SufficiencyVerdict(
-            "inconclusive", f"{why}: g(t,0,0,0) = {val:.3e} at t = {t!r}", (t, (0.0, 0.0, 0.0))
+            "inconclusive", f"dynamics undefined: g(t,0,0,0) = {val:.3e} at t = {t!r}",
+            (t, (0.0, 0.0, 0.0)),
         )
     g = tv.expr.compile_fn(p.g)
     for _ in range(_REFERENCE_PROBES):
@@ -565,14 +565,14 @@ def _reference_linearity_check(p: tv.ControlProblem, rng: np.random.Generator):
                 f"dynamics fail the affinity probe: second difference {second:.3e}",
                 (t, tuple(w), tuple(d)),
             )
-    return None
+    return conditions._PASSED_AFFINE if np.any(origin != 0.0) else conditions._PASSED
 
 
 def reference_sufficiency_check(p: tv.ControlProblem, seed: int = 0) -> tv.SufficiencyVerdict:
     rng = np.random.default_rng(seed)
-    failed = _reference_linearity_check(p, rng)
-    if failed is not None:
-        return failed
+    passed = _reference_linearity_check(p, rng)
+    if not passed.sufficient:
+        return passed
 
     f = tv.expr.compile_fn(p.f)
     lo, hi = conditions._BOX
@@ -599,7 +599,7 @@ def reference_sufficiency_check(p: tv.ControlProblem, seed: int = 0) -> tv.Suffi
                 f"midpoint convexity violated by {fm - 0.5 * (fa + fb):.3e}",
                 (t, tuple(a), tuple(b)),
             )
-    return conditions._PASSED
+    return passed
 
 
 # -- the stationarity solver's own Newton loop, before it ran on _minimize -----

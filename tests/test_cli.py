@@ -1154,3 +1154,45 @@ class TestInfoCommand:
 
     def test_usage_error_exits_one(self, capsys):
         assert main(["info"]) == 1
+
+    # one file of each scale kind; only a uniform sampling is right-dense
+    _TABLES = {
+        "explicit": ("points = 0, 0.5, 2", (
+            '               t            sigma              rho               mu  class\n'
+            '               0              0.5                0              0.5  right-scattered\n'
+            '             0.5                2                0              1.5  right-scattered\n'
+            '               2                2              0.5                0  maximum\n'
+            'points: 3   regular: True\n')),
+        "integers": ("a = -1\nb = 2", (
+            '               t            sigma              rho               mu  class\n'
+            '              -1                0               -1                1  right-scattered\n'
+            '               0                1               -1                1  right-scattered\n'
+            '               1                2                0                1  right-scattered\n'
+            '               2                2                1                0  maximum\n'
+            'points: 4   regular: True\n')),
+        "uniform": ("a = 0\nb = 1\nn = 5", (
+            '               t            sigma              rho               mu  class\n'
+            '               0             0.25                0             0.25  right-dense sample\n'
+            '            0.25              0.5                0             0.25  right-dense sample\n'
+            '             0.5             0.75             0.25             0.25  right-dense sample\n'
+            '            0.75                1              0.5             0.25  right-dense sample\n'
+            '               1                1             0.75                0  maximum\n'
+            'points: 5   regular: True\n')),
+        "qgrid": ("q = 2\nk_min = -1\nk_max = 2\ninclude_zero = true", (
+            '               t            sigma              rho               mu  class\n'
+            '               0              0.5                0              0.5  right-scattered\n'
+            '             0.5                1                0              0.5  right-scattered\n'
+            '               1                2              0.5                1  right-scattered\n'
+            '               2                4                1                2  right-scattered\n'
+            '               4                4                2                0  maximum\n'
+            'points: 5   regular: True\n')),
+    }
+
+    @pytest.mark.parametrize("kind", list(_TABLES))
+    def test_table_is_pinned_for_each_scale_kind(self, kind, tmp_path, capsys):
+        keys, table = self._TABLES[kind]
+        path = tmp_path / f"{kind}.ini"
+        path.write_text(f"[timescale]\nkind = {kind}\n{keys}\n"
+                        "[problem]\ntype = variational\nf = v^2\nalpha = 0\n")
+        assert main(["info", str(path)]) == 0
+        assert capsys.readouterr().out == table

@@ -431,25 +431,45 @@ class TestSufficiency:
         assert verdict.witness is not None
 
     def test_affine_but_not_linear_dynamics(self, zgrid):
+        # a convex cost over an affine set: KKT points are global minimizers
         p = tv.ControlProblem(zgrid, tv.parse("u^2"), tv.parse("u + 1"), 0.0)
         verdict = tv.sufficiency_check(p)
-        assert verdict.status == "inconclusive"
-        assert "linear" in verdict.reason
+        assert verdict is tv.conditions._PASSED_AFFINE
+        assert (verdict.status, verdict.witness) == ("sufficient", None)
+        assert verdict.reason == ("dynamics affine in (x, u, z); "
+                                  "cost passed 256 midpoint-convexity probes")
 
     def test_nonlinear_dynamics_fail_affinity_probe(self, zgrid):
         p = tv.ControlProblem(zgrid, tv.parse("u^2"), tv.parse("u^2"), 0.0)
         verdict = tv.sufficiency_check(p)
         assert not verdict.sufficient
 
+    def test_affine_dynamics_certify_the_oracles_minimizer(self):
+        # 50 strictly convex quadratic costs under dynamics with a constant
+        # and a t term: the certified extremal is the oracle's unique minimizer
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            p = random_quadratic_control(rng)
+            gx, gz, g0, g1 = rng.uniform(-0.3, 0.3, size=4)
+            g = f"({gx:.17g})*x + ({rng.uniform(0.5, 1.5):.17g})*u + ({gz:.17g})*z"
+            p = dataclasses.replace(p, g=tv.parse(f"{g} + ({g0:.17g}) + ({g1:.17g})*t"))
+            assert 3 <= p.scale.n <= 8
+            ref, sol = tv.brute_force_oracle(p), tv.solve_control(p)
+            assert sol.converged, repr(p)
+            assert np.max(np.abs(sol.x.values - ref.x.values)) <= 1e-9, repr(p)
+            assert np.max(np.abs(sol.u.values[:-1] - ref.u.values[:-1])) <= 1e-9, repr(p)
+            assert sol.verdict is ref.verdict is tv.conditions._PASSED_AFFINE, repr(p)
+
     def test_dynamics_off_the_origin_by_rounding_are_not_linear(self):
         # g(t, 0, 0, 0) = 1e-13 is affine, not linear: the origin test is exact
-        p = tv.ControlProblem(tv.TimeScale.integer_range(0, 8),
-                              tv.parse("u^2 + x^2 + 3*(z - 1)^2"), tv.parse("u + 1e-13"), 0.0)
-        verdict = tv.sufficiency_check(p)
-        assert verdict.status == "inconclusive"
-        assert verdict.reason == ("dynamics are affine but not linear: "
-                                  "g(t,0,0,0) = 1.000e-13 at t = 0.0")
-        assert verdict.witness == (0.0, (0.0, 0.0, 0.0))
+        ts, f = tv.TimeScale.integer_range(0, 8), tv.parse("u^2 + x^2 + 3*(z - 1)^2")
+        off = tv.sufficiency_check(tv.ControlProblem(ts, f, tv.parse("u + 1e-13"), 0.0))
+        on = tv.sufficiency_check(tv.ControlProblem(ts, f, tv.parse("u"), 0.0))
+        assert off.reason == ("dynamics affine in (x, u, z); "
+                              "cost passed 256 midpoint-convexity probes")
+        assert on.reason == ("dynamics linear in (x, u, z); "
+                             "cost passed 256 midpoint-convexity probes")
+        assert off.sufficient and on.sufficient
 
     def test_undefined_dynamics_at_the_origin_are_inconclusive(self):
         # sqrt(t - 4) is undefined at t = 0..3: the first such t is the witness
@@ -470,12 +490,14 @@ class TestSufficiency:
         assert verdict.reason == "dynamics undefined: g(t,0,0,0) = nan at t = 0.0"
         assert verdict.witness == (0.0, (0.0, 0.0, 0.0))
 
-    def test_origin_witness_is_the_first_nonzero_point(self):
+    def test_origin_witness_is_the_first_non_finite_point(self):
+        # g(t, 0, 0, 0) is finite and not zero at t = 0 and 1, which no
+        # longer refuses; 1/(t - 2) is infinite at t = 2
         ts = tv.TimeScale.integer_range(0, 8)
-        p = tv.ControlProblem(ts, tv.parse("u^2"), tv.parse("u + sqrt(t)*(t - 3)^2"), 0.0)
+        p = tv.ControlProblem(ts, tv.parse("u^2"), tv.parse("u + 1/(t - 2)"), 0.0)
         verdict = tv.sufficiency_check(p)
-        assert verdict.witness == (1.0, (0.0, 0.0, 0.0))
-        assert "g(t,0,0,0) = 4.000e+00 at t = 1.0" in verdict.reason
+        assert verdict.witness == (2.0, (0.0, 0.0, 0.0))
+        assert verdict.reason == "dynamics undefined: g(t,0,0,0) = inf at t = 2.0"
 
     def test_nonlinear_dynamics_name_their_first_nonzero_partial(self, zgrid):
         # g_xx is -1/4 at x = 0, so the first scale point is the witness
@@ -648,7 +670,7 @@ class TestSufficiency:
             for w in witness:
                 yield from numbers(w) if isinstance(w, tuple) else (w,)
 
-        cases = [("u^2", "u^2"), ("u^2", "sqrt(x + 1) - 1"), ("u^2", "u + 1"),
+        cases = [("u^2", "u^2"), ("u^2", "sqrt(x + 1) - 1"), ("u^2", "u + sqrt(t - 4)"),
                  ("0 - u^2", "u"), ("log(u)", "u")]
         for f, g in cases:
             verdict = tv.sufficiency_check(tv.ControlProblem(zgrid, tv.parse(f), tv.parse(g), 0.0))

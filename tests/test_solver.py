@@ -978,7 +978,7 @@ class TestBruteForceOracle:
             p = tv.VariationalProblem(ts, tv.parse("v^2 - 0.1*x^2 + (z - 1)^2"), 0.0)
             solves = [tv.solve_variational, tv.solve_stationarity, tv.brute_force_oracle]
         else:
-            p = tv.ControlProblem(ts, tv.parse("u^2 + x^2 + 3*(z - 1)^2"),
+            p = tv.ControlProblem(ts, tv.parse("u^2 - 0.1*x^2 + 3*(z - 1)^2"),
                                   tv.parse("u - 0.5*x + 1"), 0.0)
             solves = [tv.solve_control, tv.brute_force_oracle]
         for solve in solves:

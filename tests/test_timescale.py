@@ -91,7 +91,7 @@ class TestStructure:
         lambda: tv.TimeScale.from_points([0.0, 0.5, 1.0, math.nan]),
         lambda: tv.TimeScale.from_points([-math.inf, 0.0, 1.0]),
         lambda: tv.TimeScale.q_grid(math.inf, 0, 1),
-        lambda: tv.TimeScale(np.array([0.0, 1.0, math.inf]), np.zeros(3, dtype=bool)),
+        lambda: tv.TimeScale(np.array([0.0, 1.0, math.inf])),
     ], ids=["points nan", "points -inf", "qgrid q inf", "constructor inf"])
     def test_non_finite_points_are_refused(self, build):
         # a NaN point used to be merged away without a word, and q = inf
@@ -119,6 +119,30 @@ class TestStructure:
         assert tv.TimeScale.uniform(0, 1, 5).is_uniform_sampling()
         assert not zgrid.is_uniform_sampling()
         assert zgrid.is_integer_grid()
+
+    @pytest.mark.parametrize("build, dense", [
+        (lambda: tv.TimeScale.uniform(0.0, 1.0, 5), True),
+        (lambda: tv.TimeScale.integer_range(0, 4), False),
+        (lambda: tv.TimeScale.from_points([0.0, 0.5, 2.0]), False),
+        (lambda: tv.TimeScale.q_grid(2.0, 0, 3, include_zero=True), False),
+        (lambda: tv.TimeScale(np.linspace(0.0, 1.0, 5)), False),
+        (lambda: tv.TimeScale(np.linspace(0.0, 1.0, 5), dense=True), True),
+    ], ids=["uniform", "integers", "explicit", "qgrid", "raw", "raw dense"])
+    def test_density_is_one_flag(self, build, dense):
+        ts = build()
+        assert ts.dense is dense
+        assert ts.is_uniform_sampling() is dense
+
+    def test_raw_constructor_keeps_the_equal_gap_test(self):
+        # a scale flagged dense is a real-line surrogate only if equally spaced
+        assert not tv.TimeScale(np.array([0.0, 0.25, 1.0]), dense=True).is_uniform_sampling()
+
+    @pytest.mark.parametrize("dense", [np.ones(5, dtype=bool), np.zeros(5, dtype=bool)],
+                             ids=["dense", "scattered"])
+    def test_a_per_point_mask_is_refused(self, dense):
+        # the former per-point mask, one flag per point, does not load
+        with pytest.raises(ValueError, match="truth value of an array"):
+            tv.TimeScale(np.linspace(0.0, 1.0, 5), dense)
 
 
 class TestDeltaDerivative:
