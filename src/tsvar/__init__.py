@@ -44,7 +44,6 @@ from .solver import (
     SolveOptions,
     SweepRow,
     brute_force_oracle,
-    recover_costate,
     residual_report,
     solve_control,
     solve_stationarity,
@@ -67,7 +66,7 @@ __all__ = [
     "sufficiency_check",
     "SolveOptions", "Solution", "SweepRow",
     "solve_variational", "solve_control", "solve_stationarity",
-    "brute_force_oracle", "recover_costate", "residual_report", "sweep",
+    "brute_force_oracle", "residual_report", "sweep",
     "TsvarError", "ParseError", "EvalError", "ScaleMismatchError",
     "AdmissibilityError", "DynamicsViolationError", "SolveError",
     "SingularJacobianError", "OracleError", "ProblemFileError",

@@ -103,19 +103,16 @@ class ControlProblem:
         return cls(p.scale, ex.substitute(p.f, "v", ex.Var("u")), ex.Var("u"), p.alpha)
 
 
-def terms(scale: TimeScale, x, *, u, lam=None, z: float | None = None) -> tuple:
+def terms(scale: TimeScale, x, *, u, z: float | None = None) -> tuple:
     """Arguments of the integrand terms ``i = 0 .. n-2`` as numpy columns.
 
     The columns follow the positional order of :func:`expr.compile_fn`:
     ``t_i``, ``x_{i+1}``, ``0.0`` in the unused ``v`` slot, ``z`` and the
-    control samples ``u_i``, then the multiplier samples ``lam_i`` when
-    given.  ``z`` defaults to the end value ``x(T)``.
+    control samples ``u_i``.  ``z`` defaults to the end value ``x(T)``.
     """
     xv = np.asarray(x, dtype=float)
-    m = scale.n - 1
     z = np.float64(xv[-1] if z is None else z)
-    cols = (scale.points[:-1], xv[1:], 0.0, z, np.asarray(u, dtype=float)[:m])
-    return cols if lam is None else (*cols, np.asarray(lam, dtype=float)[:m])
+    return scale.points[:-1], xv[1:], 0.0, z, np.asarray(u, dtype=float)[:scale.n - 1]
 
 
 def pointwise(*exprs: ex.Expr) -> Callable[[tuple], np.ndarray]:

@@ -39,15 +39,15 @@ one batch over all integrand terms, and every partial of ``f`` and ``g``
 (the oracle's guards included) comes from :func:`tsvar.problem.partials`.
 Each solve builds one :class:`_Core`, which builds every kernel once.  At
 each Newton iterate one batch of the 18 partials gives the multipliers,
-``h`` and the Hessian stages alike; :func:`recover_costate` evaluates only
-the four first partials it reads.  The two true recurrences, the state
+``h`` and the Hessian stages alike.  The two true recurrences, the state
 steps and the backward costate sweeps, run over plain floats; only a state
 step whose ``g`` is not affine in ``x`` calls compiled ``g`` point by point.
 
 A returned :class:`Solution` keeps its problem and grids; on each read,
-:func:`residual_report` recomputes its residual report, which carries the
-multipliers, from them, as it makes the report of a ``tsvar verify``
-candidate.
+:func:`residual_report` recomputes its residual report from them, as it
+makes the report of a ``tsvar verify`` candidate.  The report's ``lam`` is
+the one public source of the multipliers: those of a control problem,
+recovered from the report's own batch of partials.
 
 :func:`brute_force_oracle` has one exact path for both classes, and no grid
 search: it takes only quadratic costs with affine dynamics, and shares no
@@ -81,7 +81,7 @@ from .timescale import GridFunction
 __all__ = [
     "SolveOptions", "Solution", "SweepRow",
     "solve_variational", "solve_control", "solve_stationarity",
-    "brute_force_oracle", "recover_costate", "residual_report", "sweep",
+    "brute_force_oracle", "residual_report", "sweep",
 ]
 
 _DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
@@ -116,7 +116,7 @@ class Solution:
     in any order, shares one verdict object and the object is screened at
     most once.  :func:`residual_report` recomputes ``report`` on every read,
     so a kept solution holds no report; read it once where it is needed
-    more than once.
+    more than once.  A control solution's multipliers are ``report.lam``.
     """
 
     problem: VariationalProblem | ControlProblem
@@ -135,12 +135,6 @@ class Solution:
     def report(self) -> ResidualReport:
         """Residuals of the necessary conditions at the returned grids."""
         return residual_report(self.problem, self.x, self.u)
-
-    @property
-    def lam(self) -> GridFunction | None:
-        """``report.lam``: the sigma-shifted multiplier samples of a control
-        solution, NaN at the maximum; ``None`` for a variational solution."""
-        return self.report.lam
 
     @property
     def slope(self) -> float:
@@ -380,20 +374,6 @@ def _newton_root(g, dg, t: float, xi: float, mu: float, ui: float, zeta: float) 
                 return None
         y, r = trial, rn
     return None
-
-
-def recover_costate(
-    p: ControlProblem, x: np.ndarray, u: np.ndarray, zeta: float
-) -> np.ndarray:
-    """Sigma-shifted multiplier samples solving the costate recurrence plus
-    the transversality equation.
-
-    One batch gives ``f_x, f_z, g_x, g_z`` at every point, and no other
-    partial; :func:`_costate` solves for the multipliers.
-    """
-    d = partials(p)
-    fx, fz, gx, gz = pointwise(d[0], d[2], d[3], d[5])(terms(p.scale, x, u=u, z=zeta))
-    return _costate(p.scale, gx, fx, fz, gz)
 
 
 def residual_report(

@@ -33,6 +33,18 @@ _UNIFORM_RTOL = 1e-12  # gap spread, relative to the span, of a uniform sampling
 _INTEGER_ATOL = 1e-9  # distance of an integer-grid point from its integer
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``: an integral float such as ``3.0`` passes, a
+    value that is not integral or not finite raises ``ValueError`` naming
+    ``name``, where ``int()`` would truncate it or raise ``OverflowError``."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    v = float(value)
+    if not v.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(v)
+
+
 def _dedupe(points: np.ndarray) -> np.ndarray:
     kept = [float(points[0])]
     for p in points[1:]:
@@ -85,7 +97,7 @@ class TimeScale:
     @classmethod
     def integer_range(cls, a: int, b: int) -> "TimeScale":
         """Integer grid ``a, a+1, ..., b``."""
-        a, b = int(a), int(b)
+        a, b = _integer("a", a), _integer("b", b)
         if b <= a:
             raise ValueError("integer grid needs a < b")
         pts = np.arange(a, b + 1, dtype=float)
@@ -94,13 +106,14 @@ class TimeScale:
     @classmethod
     def uniform(cls, a: float, b: float, n: int) -> "TimeScale":
         """Uniform ``n``-point sampling of the dense interval ``[a, b]``."""
+        n = _integer("n", n)
         if n < 2:
             raise ValueError("uniform sampling needs at least two points")
         if not b > a:
             raise ValueError("uniform sampling needs a < b")
         if not math.isfinite(b - a):
             raise ValueError("uniform sampling needs a finite span b - a")
-        pts = np.linspace(float(a), float(b), int(n))
+        pts = np.linspace(float(a), float(b), n)
         return cls(pts, dense=True)
 
     @classmethod
@@ -111,12 +124,13 @@ class TimeScale:
         positive point, by the forward-jump definition.
         """
         q = float(q)
+        k_min, k_max = _integer("k_min", k_min), _integer("k_max", k_max)
         if q <= 1.0:
             raise ValueError("q-grid needs q > 1")
         if k_max < k_min:
             raise ValueError("q-grid needs k_min <= k_max")
         try:
-            pts = [q**k for k in range(int(k_min), int(k_max) + 1)]
+            pts = [q**k for k in range(k_min, k_max + 1)]
         except OverflowError:
             raise ValueError("q-grid points overflow") from None
         if include_zero:
@@ -198,10 +212,12 @@ class TimeScale:
 
         At the minimum the backward jump is fixed and at the maximum the
         forward jump is fixed, so those two forced compositions are exempt.
+        On the indices of a finite representation ``sigma(i) = i + 1`` below
+        the maximum and ``rho(i) = i - 1`` above the minimum.  So
+        ``sigma(rho(i)) = i`` for ``i >= 1`` and ``rho(sigma(i)) = i`` for
+        ``i <= n - 2``, and every finite representation is regular.
         """
-        ok_sigma_rho = all(self.sigma(self.rho(i)) == i for i in range(1, self.n))
-        ok_rho_sigma = all(self.rho(self.sigma(i)) == i for i in range(0, self.n - 1))
-        return ok_sigma_rho and ok_rho_sigma
+        return True
 
     def is_uniform_sampling(self) -> bool:
         """Flagged dense and equally spaced: a usable real-line surrogate."""

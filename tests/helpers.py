@@ -56,7 +56,7 @@ def endpoint_tracking_control(n: int) -> tv.ControlProblem:
 
 def reference_costate(p: tv.ControlProblem, x, u, zeta: float) -> np.ndarray:
     """Multiplier samples by two backward sweeps that each evaluate the
-    partials at every point; ``tv.recover_costate`` evaluates them once."""
+    partials at every point; a report evaluates them once, in its batch."""
     fx = tv.compile_fn(tv.diff(p.f, "x"))
     fz = tv.compile_fn(tv.diff(p.f, "z"))
     gx = tv.compile_fn(tv.diff(p.g, "x"))
@@ -87,19 +87,23 @@ def reference_costate(p: tv.ControlProblem, x, u, zeta: float) -> np.ndarray:
 
 def hamiltonian_stages(p: tv.ControlProblem, u, x, zeta: float) -> tuple[np.ndarray, list]:
     """``h_u`` and the nine Newton stage columns from the Hamiltonian form:
-    with the multipliers of ``tv.recover_costate``, one batch of the partials
-    of ``g`` and of ``H = f + lam*g``, ``diff(H, "u")`` and the six
-    ``diff(diff(H, a), b)``.  The solver evaluates partials of ``f`` and ``g``
-    alone and combines them with the multipliers afterwards."""
+    with the multipliers that ``_costate`` solves for from one batch of
+    ``f_x, f_z, g_x, g_z``, one batch of the partials of ``g`` and of
+    ``H = f + lam*g``, ``diff(H, "u")`` and the six ``diff(diff(H, a), b)``,
+    with ``lam`` as the sixth column.  The solver evaluates partials of ``f``
+    and ``g`` alone and combines them with the multipliers afterwards."""
     H = tv.expr.Binary("add", p.f, tv.expr.Binary("mul", tv.expr.Var("lam"), p.g))
     ts = p.scale
     mu = ts.mu_values[:-1]
-    lam = tv.recover_costate(p, x, u, zeta)
+    cols = tv.problem.terms(ts, x, u=u, z=zeta)
+    fx, fz, gx, gz = tv.problem.pointwise(
+        *(tv.diff(e, a) for e in (p.f, p.g) for a in "xz"))(cols)
+    lam = conditions._costate(ts, gx, fx, fz, gz)
     kernel = tv.problem.pointwise(
         *(tv.diff(p.g, a) for a in "xuz"), tv.diff(H, "u"),
         *(tv.diff(tv.diff(H, a), b) for a, b in ("xx", "xu", "xz", "uu", "uz", "zz")),
     )
-    gx, gu, gz, hu, *w = kernel(tv.problem.terms(ts, x, u=u, lam=lam, z=zeta))
+    gx, gu, gz, hu, *w = kernel((*cols, lam))
     alpha = 1.0 / (1.0 - mu * gx)
     return hu, [alpha, mu * gu * alpha, mu * gz * alpha, *(mu * wk for wk in w)]
 
@@ -108,12 +112,13 @@ def reference_hamiltonian_residuals(p: tv.ControlProblem, x, u, lam) -> tv.Resid
     """The Hamiltonian report in its symbolic form: one batch of
     ``diff(H, a)`` for ``a`` in ``x, u, lam, z`` with ``H = f + lam*g``.
     ``tv.hamiltonian_residuals`` evaluates the partials of ``f`` and ``g``
-    alone and forms those of ``H`` by array arithmetic."""
+    alone and forms those of ``H`` by array arithmetic.  ``lam`` enters the
+    kernel as its sixth column."""
     H = tv.expr.Binary("add", p.f, tv.expr.Binary("mul", tv.expr.Var("lam"), p.g))
     ts = p.scale
     mu, xv, lv = ts.mu_values[:-1], x.values, lam.values
     hx, hu, hlam, hz = tv.problem.pointwise(*(tv.diff(H, a) for a in ("x", "u", "lam", "z")))(
-        tv.problem.terms(ts, xv, u=u.values, lam=lv)
+        (*tv.problem.terms(ts, xv, u=u.values), lv[:-1])
     )
     state = np.diff(xv) / mu - hlam
     costate = np.diff(lv[:-1]) / mu[:-1] + hx[:-1]
@@ -131,7 +136,7 @@ def reference_transversality_control_classical(p: tv.ControlProblem, x, u, lam) 
     H = tv.expr.Binary("add", p.f, tv.expr.Binary("mul", tv.expr.Var("lam"), p.g))
     ts = p.scale
     (hz,) = tv.problem.pointwise(tv.diff(H, "z"))(
-        tv.problem.terms(ts, x.values, u=u.values, lam=lam.values)
+        (*tv.problem.terms(ts, x.values, u=u.values), lam.values[:-1])
     )
     return float(lam.values[ts.n - 2]) - tv.problem.integrate_terms(ts, hz)
 

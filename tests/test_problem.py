@@ -228,11 +228,10 @@ class TestPointwiseKernel:
         assert out[0].tolist() == want
         assert out[1].tolist() == [1.0, -2.0, 1.5]
 
-    def test_control_columns_carry_controls_and_multipliers(self, zgrid):
-        cols = terms(zgrid, [0.0, 1.0, 2.0, 3.0], u=[4.0, 5.0, 6.0, np.nan],
-                     lam=[7.0, 8.0, 9.0, np.nan], z=-1.0)
-        out = pointwise(*(tv.parse(name) for name in ("x", "z", "u", "lam")))(cols)
-        assert out.tolist() == [[1.0, 2.0, 3.0], [-1.0] * 3, [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+    def test_control_columns_carry_state_end_value_and_controls(self, zgrid):
+        cols = terms(zgrid, [0.0, 1.0, 2.0, 3.0], u=[4.0, 5.0, 6.0, np.nan], z=-1.0)
+        out = pointwise(*(tv.parse(name) for name in ("x", "z", "u")))(cols)
+        assert out.tolist() == [[1.0, 2.0, 3.0], [-1.0] * 3, [4.0, 5.0, 6.0]]
 
     @pytest.mark.parametrize("src", ["log(t)", "sqrt(x-2)", "1/x"])
     def test_domain_errors_raise_value_error(self, zgrid, src):

@@ -1,15 +1,21 @@
-"""Seeded robustness corpus: every solve returns, or raises a ``TsvarError``.
+"""Seeded robustness corpus: every solve returns, or raises a ``TsvarError``,
+and every command on an edited problem file exits with a documented code.
 
-Random costs and dynamics from ``helpers._random_tree``, on integer, uniform
-and q-grid scales of 3 to 9 points, go through the three solvers and the
-oracle; each solution's ``report``, ``lam`` and ``verdict`` are read.  The
-suite turns every ``RuntimeWarning`` into an error, so a numpy warning is an
-escape too.  ``max_iterations`` is small, so that a stalled solve cannot eat
-the time budget.  The problems below the corpus are its findings, each of
+Problems: random costs and dynamics from ``helpers._random_tree``, on
+integer, uniform and q-grid scales of 3 to 9 points, go through the three
+solvers and the oracle; each solution's ``report`` and ``verdict`` are read.
+The suite turns every ``RuntimeWarning`` into an error, so a numpy warning is
+an escape too.  ``max_iterations`` is small, so that a stalled solve cannot
+eat the time budget.  The problems below the corpus are its findings, each of
 which once escaped as a warning or a bare ``ValueError``/``OverflowError``.
+
+Files: README's example file and the CI control file, with each value
+replaced in turn by one of ``_EDITS``, go through ``info``, ``solve`` and
+``verify`` (against the unedited file's solution) by ``cli.main``.
 """
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +52,7 @@ def _outcomes(solve, p, *args) -> list[str]:
     except tv.TsvarError:
         return ["raised"]
     out = ["returned"]
-    for read in (lambda: sol.report, lambda: sol.lam, lambda: sol.verdict):
+    for read in (lambda: sol.report, lambda: sol.verdict):
         try:
             read()
             out.append("returned")
@@ -123,3 +129,59 @@ def test_an_undefined_report_is_one_error_line(text, err, tmp_path, capsys):
         sol.report
     assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == err
+
+
+# -- files: every value of two problem files, edited ---------------------------
+
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+(_README_FILE,) = re.findall(r"^```ini\n(.*?)^```$", _README, flags=re.M | re.S)
+# the control file of the CI workflow's installed-CLI step
+_CONTROL_FILE = ("[timescale]\nkind = uniform\na = 0\nb = 1\nn = 50\n\n[problem]\n"
+                 "type = control\nf = u^2 + x^2 + 3*(z-1)^2\ng = u - 0.5*x\nalpha = 0\n")
+_FILES = {"readme": _README_FILE, "control": _CONTROL_FILE}
+_EDITS = ["nan", "inf", "-1", "0", "1e308", "", "word"]
+
+
+def _edited(text: str):
+    """``(id, text)`` of each copy of ``text`` with one value replaced by one
+    of ``_EDITS``.  The value is the text after a line's last ``=``, so the
+    edit of ``params = beta = 1`` is that of ``beta``'s value."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if "=" not in line or line.lstrip().startswith(("#", ";", "[")):
+            continue
+        key = line.rsplit("=", 1)[0].strip()
+        for value in _EDITS:
+            edited = [*lines[:i], f"{key} = {value}\n", *lines[i + 1:]]
+            yield f"{key.replace(' ', '')}={value}", "".join(edited)
+
+
+_CASES = [(name, *case) for name, text in _FILES.items() for case in _edited(text)]
+
+
+@pytest.fixture(scope="module")
+def solved(tmp_path_factory):
+    """The ``solution.csv`` of each unedited file, for ``verify``."""
+    out = {}
+    for name, text in _FILES.items():
+        d = tmp_path_factory.mktemp(name)
+        (d / "p.ini").write_text(text)
+        assert main(["solve", str(d / "p.ini"), "--out-dir", str(d)]) == 0
+        out[name] = str(d / "solution.csv")
+    return out
+
+
+def test_the_file_corpus_edits_every_value():
+    assert len(_CASES) == (10 + 8) * len(_EDITS)
+
+
+@pytest.mark.parametrize("name, edit, text", _CASES, ids=[f"{n}-{e}" for n, e, _ in _CASES])
+def test_an_edited_file_exits_with_a_documented_code(name, edit, text, solved, tmp_path, capsys):
+    path = tmp_path / "p.ini"
+    path.write_text(text)
+    for argv in (["info", path], ["solve", path, "--out-dir", tmp_path], ["verify", path, solved[name]]):
+        code = main([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (argv[0], code, err)
+        if code == 1:
+            assert re.fullmatch(r"error: [^\n]*\n", err), (argv[0], err)

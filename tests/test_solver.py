@@ -389,8 +389,9 @@ class TestSolveControl:
         assert sol.converged
         assert np.max(np.abs(sol.x.values - expected)) <= 1e-12
         assert sol.objective_value == pytest.approx(0.3125, abs=1e-12)
-        assert np.max(np.abs(sol.lam.values[:-1] + 5 / 8)) <= 1e-12
-        assert math.isnan(sol.lam.values[-1]) and math.isnan(sol.u.values[-1])
+        lam = sol.report.lam.values
+        assert np.max(np.abs(lam[:-1] + 5 / 8)) <= 1e-12
+        assert math.isnan(lam[-1]) and math.isnan(sol.u.values[-1])
 
     def test_tracking_problem_discrete_optimum(self):
         # exact closed form of the discrete problem: zero control and
@@ -639,10 +640,9 @@ class TestControlInternals:
                               tv.parse("u + z^2*t/4"), 1.0)
         sol = tv.solve_control(p)
         xv = sol.x.values
-        lam = tv.recover_costate(p, xv, sol.u.values[:-1], float(xv[-1]))
-        assert np.array_equal(sol.lam.values[:-1], lam)
-        assert math.isnan(sol.lam.values[-1])
-        assert sol.report.lam.values.tobytes() == sol.lam.values.tobytes()
+        lam = sol.report.lam.values
+        assert np.array_equal(lam[:-1], reference_costate(p, xv, sol.u.values[:-1], float(xv[-1])))
+        assert math.isnan(lam[-1])
 
     @pytest.mark.parametrize("kind", ["variational", "control"])
     def test_report_is_computed_from_the_returned_grids(self, kind):
@@ -653,7 +653,7 @@ class TestControlInternals:
         else:
             p = endpoint_tracking_control(41)
             sol = tv.solve_control(p)
-            fresh = tv.hamiltonian_residuals(p, sol.x, sol.u, sol.lam)
+            fresh = tv.hamiltonian_residuals(p, sol.x, sol.u, sol.report.lam)
         assert sol.problem is p
         report = sol.report
         for name in ("el_residuals", "state_residuals", "costate_residuals",
@@ -719,7 +719,17 @@ class TestControlInternals:
         assert short_calls == full_calls
         assert full_calls["compile_fn"] > 0
 
-    def test_recover_costate_matches_reference_sweeps(self):
+    @staticmethod
+    def _report_lam(p, x, u, zeta):
+        """The multipliers of the report at ``x`` with its ends set to
+        ``alpha`` and ``zeta``, and the reference sweeps' at the same grid."""
+        x[0], x[-1] = p.alpha, zeta
+        report = tv.hamiltonian_residuals(p, tv.GridFunction(p.scale, x),
+                                          tv.GridFunction(p.scale, np.append(u, np.nan)))
+        assert math.isnan(report.lam.values[-1])
+        return report.lam.values[:-1], reference_costate(p, x, u, zeta)
+
+    def test_report_lam_matches_reference_sweeps(self):
         rng = np.random.default_rng(11)
         f = tv.parse("u^2 + x*z + sin(x)*z^2 + t*u")
         g = tv.parse("u + 0.2*x*z + z*t/4")
@@ -729,8 +739,8 @@ class TestControlInternals:
             x = rng.uniform(-1.0, 1.0, ts.n)
             u = rng.uniform(-1.0, 1.0, ts.n - 1)
             zeta = float(rng.uniform(-1.0, 1.0))
-            lam = tv.recover_costate(p, x, u, zeta)
-            assert np.array_equal(lam, reference_costate(p, x, u, zeta))
+            lam, ref = self._report_lam(p, x, u, zeta)
+            assert np.array_equal(lam, ref)
 
 
     def test_one_batch_stages_match_the_hamiltonian_form(self):
@@ -753,7 +763,7 @@ class TestControlInternals:
             for col, col_ref in zip(stages, ref):
                 assert col == col_ref.tolist()
 
-    def test_recover_costate_of_g_equal_u_matches_reference_sweeps(self):
+    def test_report_lam_of_g_equal_u_matches_reference_sweeps(self):
         # every denominator is 1, so the sweeps are compensated running sums:
         # the same values as the reference loop up to its rounding drift
         rng = np.random.default_rng(11)
@@ -765,8 +775,7 @@ class TestControlInternals:
             x = rng.uniform(-1.0, 1.0, ts.n)
             u = rng.uniform(-1.0, 1.0, ts.n - 1)
             zeta = float(rng.uniform(-1.0, 1.0))
-            lam = tv.recover_costate(p, x, u, zeta)
-            ref = reference_costate(p, x, u, zeta)
+            lam, ref = self._report_lam(p, x, u, zeta)
             assert np.max(np.abs(lam - ref)) <= 16 * ts.n * eps * max(1.0, np.max(np.abs(ref)))
 
 class TestBruteForceOracle:

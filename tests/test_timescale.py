@@ -107,6 +107,47 @@ class TestStructure:
         with pytest.raises(ValueError, match="q-grid points overflow"):
             tv.TimeScale.q_grid(1.5, 0, 2000)
 
+    # ``int()`` used to truncate these in silence, or raise OverflowError
+    @pytest.mark.parametrize("args, name", [
+        ((0.5, 3), "a"), ((0, 3.5), "b"), ((0, math.inf), "b"), ((math.nan, 3), "a"),
+    ])
+    def test_integer_range_refuses_counts_that_are_not_integers(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            tv.TimeScale.integer_range(*args)
+
+    @pytest.mark.parametrize("n", [2.7, math.inf, math.nan])
+    def test_uniform_refuses_counts_that_are_not_integers(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            tv.TimeScale.uniform(0.0, 1.0, n)
+
+    @pytest.mark.parametrize("args, name", [
+        ((0.5, 2), "k_min"), ((0, 2.9), "k_max"), ((0, math.inf), "k_max"),
+        ((-math.inf, 0), "k_min"), ((0, math.nan), "k_max"),
+    ])
+    def test_q_grid_refuses_exponents_that_are_not_integers(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            tv.TimeScale.q_grid(2.0, *args)
+
+    def test_integral_floats_still_load(self):
+        assert tv.TimeScale.integer_range(0.0, 3.0).points.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert tv.TimeScale.uniform(0, 1, 3.0).points.tolist() == [0.0, 0.5, 1.0]
+        assert tv.TimeScale.q_grid(2, np.float64(0), 2.0).points.tolist() == [1.0, 2.0, 4.0]
+        assert tv.TimeScale.integer_range(np.int64(1), 2).n == 2
+
+    @pytest.mark.parametrize("build", [
+        lambda: tv.TimeScale.integer_range(-2, 4),
+        lambda: tv.TimeScale.uniform(0.0, 1.0, 7),
+        lambda: tv.TimeScale.q_grid(1.5, -2, 3, include_zero=True),
+        lambda: tv.TimeScale.from_points([0.0, 0.1, 0.5, 2.0, 2.25]),
+        lambda: tv.TimeScale(np.array([0.0, 1.0])),
+    ], ids=["integers", "uniform", "qgrid", "explicit", "two points"])
+    def test_every_jump_composition_is_the_identity(self, build):
+        # why ``is_regular`` is True without a check: all 2n compositions hold
+        ts = build()
+        assert all(ts.sigma(ts.rho(i)) == i for i in range(1, ts.n))
+        assert all(ts.rho(ts.sigma(i)) == i for i in range(ts.n - 1))
+        assert ts.is_regular() is True
+
     def test_constructor_dedupes_close_points(self):
         ts = tv.TimeScale.from_points([0.0, 1.0, 1.0 + 1e-14, 2.0])
         assert ts.n == 3
